@@ -39,7 +39,16 @@ def _write_csv(path: Path, header, rows):
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _required(config: dict, key: str):
+    if key not in config:
+        raise ConfigError(f"config has no {key!r} entry")
+    return config[key]
 
 
 def _check_methods(methods) -> None:
@@ -50,10 +59,10 @@ def _check_methods(methods) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    methods = tuple(config["methods"])
+    methods = tuple(_required(config, "methods"))
     _check_methods(methods)
     reps = int(args.reps if args.reps is not None else config.get("reps", 500))
-    specs = [ScenarioSpec.from_dict(d) for d in config["scenarios"]]
+    specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),
@@ -104,10 +113,6 @@ def _load_results(dump_dir: Path):
     return results
 
 
-def _group_row(group: tuple) -> tuple:
-    return group  # (dgp, deviation, n, p, balance, grouping, with_target, k)
-
-
 def cmd_report(args) -> int:
     dump_dir = Path(args.dump)
     out = Path(args.out)
@@ -141,11 +146,11 @@ def cmd_report(args) -> int:
     diffs = mean_diff_to_ideal(rows)
     _write_csv(out / "meandiff.csv",
                _GROUP_FIELDS + ("method", "mean_diff"),
-               [(*_group_row(d.group), d.method, d.mean_diff) for d in diffs])
+               [(*d.group, d.method, d.mean_diff) for d in diffs])
     cover = acceptable(diffs)
     _write_csv(out / "acceptable.csv",
                _GROUP_FIELDS + ("method", "acceptable"),
-               [(*_group_row(g), m, int(ok))
+               [(*g, m, int(ok))
                 for (g, m), ok in sorted(cover.items())])
     tie = overall_mean_diff(diffs)
     order = greedy_cover(cover, tie)
@@ -162,9 +167,9 @@ def cmd_report(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
-    methods = tuple(config["methods"])
+    methods = tuple(_required(config, "methods"))
     _check_methods(methods)
-    grid = [tuple(cell) for cell in config["grid"]]
+    grid = [tuple(cell) for cell in _required(config, "grid")]
     rows = bench(methods, grid, master_seed=args.seed,
                  min_reps=int(config.get("min_reps", 10)),
                  min_total=float(config.get("min_total_s", 1.0)))

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from .core import MultiSample, UnsupportedConfigError, cross_distances, pool
@@ -62,12 +63,7 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
         acc += _psi(cfg.psi, np.abs(values[:, col, None] - values[None, :, col]))
     phi = _h(cfg.h, acc / p)
     # sum_m |phi_im - phi_jm| over all m, then drop the m=i and m=j terms
-    rows_per_chunk = max(1, 10 ** 7 // (n * n))
-    s = np.empty((n, n))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(n, start + rows_per_chunk)
-        s[start:stop] = np.abs(
-            phi[start:stop, None, :] - phi[None, :, :]).sum(axis=2)
+    s = cdist(phi, phi, "cityblock")
     rho = (s - 2.0 * phi) / (n - 2)
     np.fill_diagonal(rho, 0.0)
     return rho
@@ -184,34 +180,18 @@ def _estimate_clusters(rho: np.ndarray, k: int, rng):
     return best_ell, all_flags
 
 
-def fs_ri_statistic(ms: MultiSample, cfg: MaddConfig, variant: str, rng,
-                    ms_clusters: int | None = None):
-    """FS / RI statistics and their modified, multi-scale, and aggregated
-    versions.  variant in {fs, ri, mfs, mri, msfs, msri, afs_knw, afs_est,
-    ari_knw, ari_est}; ms_clusters gives the cluster count for the
-    multi-scale versions.  Returns (value, flags)."""
-    z, labels = pool(ms)
+def fs_ri_statistic(rho: np.ndarray, labels: np.ndarray, variant: str,
+                    rng, ms_clusters: int | None = None):
+    """FS / RI statistics and their modified and multi-scale versions from
+    the pooled MADD matrix rho and the sample labels 1..k.  variant in
+    {fs, ri, mfs, mri, msfs, msri}; ms_clusters gives the cluster count for
+    the multi-scale versions.  Returns (value, flags)."""
+    k = int(labels.max())
     flags: tuple[str, ...] = ()
-    if variant in ("afs_knw", "afs_est", "ari_knw", "ari_est"):
-        ri = variant.startswith("ari")
-        vals = []
-        for i in range(ms.k):
-            for j in range(i + 1, ms.k):
-                pair = MultiSample((ms.samples[i], ms.samples[j]))
-                sub_variant = ("ri" if ri else "fs")
-                if variant.endswith("est"):
-                    sub_variant = "m" + sub_variant
-                v, f = fs_ri_statistic(pair, cfg, sub_variant, rng)
-                vals.append(v)
-                flags += f
-        # the extreme pairwise statistic in the method's own direction
-        return (min(vals) if ri else max(vals)), flags
-
-    rho = madd(z.values, cfg)
     if variant in ("fs", "ri"):
-        ell = ms.k
+        ell = k
     elif variant in ("mfs", "mri"):
-        ell, fl = _estimate_clusters(rho, ms.k, rng)
+        ell, fl = _estimate_clusters(rho, k, rng)
         flags += fl
     elif variant in ("msfs", "msri"):
         if ms_clusters is None:
@@ -221,10 +201,35 @@ def fs_ri_statistic(ms: MultiSample, cfg: MaddConfig, variant: str, rng,
         raise ValueError(f"unknown variant {variant!r}")
     cl, fl = cluster_madd(rho, ell, rng)
     flags += fl
-    table = contingency(labels, cl, ms.k, ell)
+    table = contingency(labels, cl, k, ell)
     if variant.endswith("ri"):
         return ri_from_table(table), flags
     return fs_from_table(table), flags
+
+
+def aggregated_fs_ri_statistic(values: np.ndarray, labels: np.ndarray,
+                               cfg: MaddConfig, variant: str, rng):
+    """Aggregated FS / RI: the extreme pairwise statistic over all sample
+    pairs, each computed on the MADD matrix of that pair's rows.  variant
+    in {afs_knw, afs_est, ari_knw, ari_est}; 'est' estimates the cluster
+    count per pair.  Returns (value, flags)."""
+    ri = variant.startswith("ari")
+    sub_variant = "ri" if ri else "fs"
+    if variant.endswith("est"):
+        sub_variant = "m" + sub_variant
+    k = int(labels.max())
+    flags: tuple[str, ...] = ()
+    vals = []
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            rows = (labels == i) | (labels == j)
+            pair_labels = np.where(labels[rows] == i, 1, 2)
+            v, f = fs_ri_statistic(madd(values[rows], cfg), pair_labels,
+                                   sub_variant, rng)
+            vals.append(v)
+            flags += f
+    # the extreme pairwise statistic in the method's own direction
+    return (min(vals) if ri else max(vals)), flags
 
 
 def _stratified_split(labels: np.ndarray, rng):

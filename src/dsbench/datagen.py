@@ -9,7 +9,7 @@ weight, or the outcome-generating model for the optional binary target.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -172,6 +172,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        names = [f.name for f in fields(cls)]
+        for key in d:
+            if key not in names:
+                raise ConfigError(f"unknown scenario key {key!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ConfigError(f"scenario has no {f.name!r} entry")
         return cls(**d)
 
 
@@ -362,19 +369,6 @@ def gen_target(x: np.ndarray, ogm: OgmSpec, rng) -> np.ndarray:
     eta = ogm.intercept + x @ ogm.beta
     prob = expit(eta)
     return (rng.random(x.shape[0]) < prob).astype(np.int64)
-
-
-def target_degenerate(ms: MultiSample) -> bool:
-    """True when some sample's target labels are all identical."""
-    if ms.target is None:
-        return False
-    start = 0
-    for n in ms.sizes:
-        t = ms.target[start:start + n]
-        if t.min() == t.max():
-            return True
-        start += n
-    return False
 
 
 def sample_scenario(spec: ScenarioSpec, rng) -> MultiSample:

@@ -16,7 +16,6 @@ from .core import DataMatrix
 
 KNN_DIRECTED = "knn_directed"
 KMST = "kmst"
-MATCHING = "matching"
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,6 @@ class Graph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        if self.kind != KNN_DIRECTED:
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -50,13 +42,6 @@ class Matching:
 
     pairs: np.ndarray  # (n/2, 2) int
     weight: float
-
-    def partner_array(self, n: int) -> np.ndarray:
-        mate = np.full(n, -1, dtype=np.int64)
-        for a, b in self.pairs:
-            mate[a] = b
-            mate[b] = a
-        return mate
 
 
 def knn_graph(dist: np.ndarray, k: int) -> Graph:

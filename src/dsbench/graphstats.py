@@ -3,8 +3,6 @@ cross-match family, and the kernel measure of multi-sample dissimilarity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import UnsupportedConfigError
@@ -17,24 +15,6 @@ _COND_TOL = 1e-12
 
 class DegenerateNullError(ValueError):
     """Raised when a null variance needed for standardization is zero."""
-
-
-@dataclass(frozen=True)
-class EdgeCounts:
-    """Within counts per sample and between counts per sample pair.
-
-    between follows the (i, j), i < j pattern order; directed edges are
-    counted individually."""
-
-    within: np.ndarray
-    between: np.ndarray
-    total: int
-
-
-def edge_counts(graph: Graph, labels: np.ndarray, k: int) -> EdgeCounts:
-    counts = pattern_counts_from_edges(graph.edges, labels, k)
-    return EdgeCounts(within=counts[:k], between=counts[k:],
-                      total=graph.n_edges)
 
 
 def null_moments(graph: Graph, sizes):
@@ -126,15 +106,12 @@ def sc_test(graph: Graph, labels: np.ndarray, sizes, variant: str,
     raise ValueError(f"unknown sc variant {variant!r}")
 
 
-def sh_statistic(dist: np.ndarray, labels: np.ndarray, sizes,
-                 k_nn: int) -> float:
+def sh_statistic(graph: Graph, labels: np.ndarray, sizes) -> float:
     """Mean within-sample proportion of directed K-NN edges."""
     if len(sizes) != 2:
         raise UnsupportedConfigError("sh test is two-sample only")
-    graph = knn_graph(dist, k_nn)
     same = labels[graph.edges[:, 0]] == labels[graph.edges[:, 1]]
-    n = dist.shape[0]
-    return float(same.sum() / (k_nn * n))
+    return float(same.sum() / (graph.k * graph.n_nodes))
 
 
 def bqs_statistic(dist: np.ndarray, labels: np.ndarray, sizes) -> float:
@@ -142,9 +119,7 @@ def bqs_statistic(dist: np.ndarray, labels: np.ndarray, sizes) -> float:
     if len(sizes) != 2:
         raise UnsupportedConfigError("bqs test is two-sample only")
     n = dist.shape[0]
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")[:, :n - 1]
+    order = knn_graph(dist, n - 1).edges[:, 1].reshape(n, n - 1)
     same = labels[order] == labels[:, None]
     weights = np.arange(n - 1, 0, -1, dtype=np.float64)
     return float((same @ weights).sum())

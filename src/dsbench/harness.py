@@ -241,13 +241,6 @@ def greedy_cover(cover: dict, tie_break: dict[str, float] | None = None):
     return order
 
 
-@dataclass(frozen=True)
-class ChoiceLeaf:
-    method: str
-    coverage: float
-    n_groups: int
-
-
 def _dimension_features(group: tuple) -> tuple[float, float, float]:
     # group = (dgp, deviation, N, p, balance, grouping, with_target, k)
     return (float(group[2]), float(group[3]),

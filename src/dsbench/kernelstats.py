@@ -91,15 +91,6 @@ def block_mmd(ms: MultiSample, gram_matrix: GramMatrix,
     return float(np.mean(vals))
 
 
-def block_mmd_kernel_evals(n1: int, n2: int, block: int | None = None) -> int:
-    """Number of kernel evaluations block MMD consumes (runtime accounting)."""
-    nmin = min(n1, n2)
-    if block is None:
-        block = int(np.sqrt(nmin))
-    nblocks = nmin // block
-    return nblocks * (2 * block) ** 2
-
-
 @dataclass(frozen=True)
 class GpkComponents:
     alpha: float
@@ -146,10 +137,9 @@ def gpk_components(gram_matrix: GramMatrix, sizes,
                          cov=cov_ab, z_d=z_d, z_w=z_w)
 
 
-def gpk_statistic(gram_matrix: GramMatrix, sizes, variant: str) -> float:
+def gpk_statistic(comp: GpkComponents, variant: str) -> float:
     """variant: 'gpk' (Z_W^2 + Z_D^2 with r=1), 'zd', 'zw1' (r=1.2),
     'zw2' (r=0.8)."""
-    comp = gpk_components(gram_matrix, sizes)
     if variant == "gpk":
         return comp.z_w[1.0] ** 2 + comp.z_d ** 2
     if variant == "zd":

@@ -1,7 +1,7 @@
 """Method registry: every statistic under a canonical id with its
 extremeness direction, evaluated against a per-repetition context that
-caches the shared heavy structures (distance matrix, graphs, matching,
-Gram and MADD matrices)."""
+caches the shared heavy structures (distance matrix, graphs and their null
+moments, matching, Gram matrix, GPK components and MADD matrices)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from .graphs import Graph, Matching, kmst, knn_graph, min_weight_matching
 
 
 class Context:
-    """Per-repetition cache of structures shared between methods."""
+    """Per-repetition cache of structures shared between methods; the only
+    place they are built."""
 
     def __init__(self, ms: MultiSample, seed: int = 0):
         self.ms = ms
@@ -31,6 +32,7 @@ class Context:
         self._moments: dict = {}
         self._matching: Matching | None = None
         self._gram = None
+        self._gpk = None
         self._madd: dict = {}
 
     @property
@@ -39,29 +41,34 @@ class Context:
             self._dist = _distance_matrix(self.pooled)
         return self._dist
 
+    def _graph_key(self, spec: str) -> tuple[str, int]:
+        """Resolve '1mst', '5mst', '1nn', '5nn', 'heuristic_nn' or 'mst' to
+        ('mst', k) or ('nn', k), so equal constructions share one build."""
+        n = self.ms.total_n
+        if spec == "mst":
+            return "mst", 1
+        if spec == "heuristic_nn":
+            return "nn", min(max(1, round(0.1 * n)), n - 1)
+        if spec.endswith("mst"):
+            return "mst", int(spec[:-3])
+        if spec.endswith("nn"):
+            return "nn", min(int(spec[:-2]), n - 1)
+        raise ValueError(f"unknown graph spec {spec!r}")
+
     def graph(self, spec: str) -> Graph:
-        """'1mst', '5mst', '1nn', '5nn', 'heuristic_nn', or 'mst'."""
-        if spec not in self._graphs:
-            n = self.ms.total_n
-            if spec == "mst":
-                g = kmst(self.dist, 1)
-            elif spec == "heuristic_nn":
-                k = min(max(1, round(0.1 * n)), n - 1)
-                g = knn_graph(self.dist, k)
-            elif spec.endswith("mst"):
-                g = kmst(self.dist, int(spec[:-3]))
-            elif spec.endswith("nn"):
-                g = knn_graph(self.dist, min(int(spec[:-2]), n - 1))
-            else:
-                raise ValueError(f"unknown graph spec {spec!r}")
-            self._graphs[spec] = g
-        return self._graphs[spec]
+        key = self._graph_key(spec)
+        if key not in self._graphs:
+            kind, k = key
+            build = kmst if kind == "mst" else knn_graph
+            self._graphs[key] = build(self.dist, k)
+        return self._graphs[key]
 
     def graph_moments(self, spec: str):
-        if spec not in self._moments:
-            g = self.graph(spec)
-            self._moments[spec] = graphstats.null_moments(g, self.ms.sizes)
-        return self._moments[spec]
+        key = self._graph_key(spec)
+        if key not in self._moments:
+            self._moments[key] = graphstats.null_moments(self.graph(spec),
+                                                         self.ms.sizes)
+        return self._moments[key]
 
     @property
     def matching(self) -> Matching:
@@ -74,6 +81,12 @@ class Context:
         if self._gram is None:
             self._gram = kernelstats.gram(self.dist)
         return self._gram
+
+    @property
+    def gpk(self) -> kernelstats.GpkComponents:
+        if self._gpk is None:
+            self._gpk = kernelstats.gpk_components(self.gram, self.ms.sizes)
+        return self._gpk
 
     def madd(self, cfg: clusterstats.MaddConfig) -> np.ndarray:
         key = (cfg.psi, cfg.h)
@@ -130,10 +143,6 @@ def evaluate(method_id: str, ctx: Context) -> StatValue:
                          error="non-finite statistic", flags=tuple(flags))
     return StatValue(method_id, float(value), method.direction,
                      flags=tuple(flags))
-
-
-def evaluate_all(method_ids, ctx: Context) -> list[StatValue]:
-    return [evaluate(mid, ctx) for mid in method_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ for _g in ("1mst", "5mst"):
 for _k in (1, 5):
     _register(f"sh_{_k}nn", DISSIMILARITY,
               lambda c, k=_k: graphstats.sh_statistic(
-                  c.dist, c.labels, c.ms.sizes, min(k, c.ms.total_n - 1)))
+                  c.graph(f"{k}nn"), c.labels, c.ms.sizes))
 _register("bqs", DISSIMILARITY,
           lambda c: graphstats.bqs_statistic(c.dist, c.labels, c.ms.sizes))
 
@@ -225,7 +234,7 @@ _register("blockmmd", DISSIMILARITY,
           lambda c: kernelstats.block_mmd(c.ms, c.gram))
 for _v in ("gpk", "zd", "zw1", "zw2"):
     _register("gpk" if _v == "gpk" else f"gpk_{_v}", DISSIMILARITY,
-              lambda c, v=_v: kernelstats.gpk_statistic(c.gram, c.ms.sizes, v))
+              lambda c, v=_v: kernelstats.gpk_statistic(c.gpk, v))
 
 # Clustering tests: the discordance statistics (RI family) point down under
 # alternatives (perfect clustering gives zero), so they carry the
@@ -238,10 +247,10 @@ _FS_DIR = {"fs": DISSIMILARITY, "mfs": DISSIMILARITY, "msfs": DISSIMILARITY,
 def _fsri_fn(variant, psi, h, ms_clusters=None):
     cfg = clusterstats.MaddConfig(psi, h)
 
-    def fn(c, variant=variant, cfg=cfg, ms_clusters=ms_clusters):
+    def fn(c):
         rng = c.method_rng(f"{variant}_{cfg.psi}_{cfg.h}_{ms_clusters}")
-        return clusterstats.fs_ri_statistic(c.ms, cfg, variant, rng,
-                                            ms_clusters=ms_clusters)
+        return clusterstats.fs_ri_statistic(c.madd(cfg), c.labels, variant,
+                                            rng, ms_clusters=ms_clusters)
     return fn
 
 
@@ -260,14 +269,18 @@ for _variant in ("msfs", "msri"):
                           _fsri_fn(_variant, _psi, _hh, ms_clusters=_kp + 1),
                           min_k=4, max_k=99)
 
+# the generator tag keeps the "{variant}_{psi}_{h}_{clusters}" form of
+# _fsri_fn, with no cluster count
 for _variant in ("afs", "ari"):
     for _mode in ("knw", "est"):
         for _psi in ("psi2", "psi3"):
-            for _hh in ("h1",):
-                _register(f"{_variant}_{_mode}_{_psi}_{_hh}",
-                          _FS_DIR[_variant],
-                          _fsri_fn(f"{_variant}_{_mode}", _psi, _hh),
-                          min_k=3, max_k=99)
+            _register(f"{_variant}_{_mode}_{_psi}_h1", _FS_DIR[_variant],
+                      lambda c, v=f"{_variant}_{_mode}", psi=_psi:
+                      clusterstats.aggregated_fs_ri_statistic(
+                          c.pooled.values, c.labels,
+                          clusterstats.MaddConfig(psi, "h1"), v,
+                          c.method_rng(f"{v}_{psi}_h1_None")),
+                      min_k=3, max_k=99)
 
 _register("c2st_knn", DISSIMILARITY,
           lambda c: clusterstats.c2st_knn(c.ms, c.method_rng("c2st_knn")),

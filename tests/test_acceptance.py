@@ -229,7 +229,7 @@ def test_criterion_5_identity_suites():
         z, _ = pool(ms)
         g = gram(distance_matrix(z))
         comp = gpk_components(g, (n1, n2))
-        total = gpk_statistic(g, (n1, n2), "gpk")
+        total = gpk_statistic(comp, "gpk")
         worst_gpk = max(worst_gpk,
                         abs(total - (comp.z_w[1.0] ** 2 + comp.z_d ** 2)))
     ok_gpk = worst_gpk < 1e-8
@@ -259,7 +259,7 @@ def test_criterion_5_identity_suites():
         g = knn_graph(d, k_nn)
         labels = np.array([1] * n1 + [2] * n2)
         etas.append(kmd_statistic(g, labels, (n1, n2)))
-        ells.append(sh_statistic(d, labels, (n1, n2), k_nn))
+        ells.append(sh_statistic(g, labels, (n1, n2)))
     design = np.column_stack([np.ones(len(ells)), ells])
     coef, *_ = np.linalg.lstsq(design, np.array(etas), rcond=None)
     residual = float(np.abs(design @ coef - etas).max())

@@ -45,6 +45,33 @@ class TestSimulate:
                    "--out", str(tmp_path / "d")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key", ["methods", "scenarios"])
+    def test_missing_key_exit_two(self, tmp_path, capsys, key):
+        config = {"methods": ["energy"], "reps": 2,
+                  "scenarios": [null_spec().to_dict()]}
+        del config[key]
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_malformed_json_exit_two(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text('{"methods": [')
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_unknown_scenario_key_exit_two(self, tmp_path, capsys):
+        scenario = dict(null_spec().to_dict(), colour="red")
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"methods": ["energy"], "reps": 2, "scenarios": [scenario]}))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "'colour'" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path, minimal_config):
         for name in ("d1", "d2"):
             main(["simulate", "--config", minimal_config, "--seed", "7",
@@ -146,6 +173,17 @@ class TestBenchCommand:
         assert methods == sorted(methods)
         runs = [int(ln.split(",")[4]) for ln in cells]
         assert all(r >= 10 for r in runs)
+
+    @pytest.mark.parametrize("key", ["methods", "grid"])
+    def test_bench_missing_key_exit_two(self, tmp_path, capsys, key):
+        config = {"methods": ["energy"], "grid": [[20, 2]]}
+        del config[key]
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["bench", "--config", str(cfg), "--out",
+                   str(tmp_path / "b")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_bench_unknown_method(self, tmp_path):
         cfg = tmp_path / "bench.json"

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dsbench.clusterstats import (MaddConfig, c2st_knn, cart_fit,
-                                  cart_predict, cluster_madd, contingency,
-                                  diproperm, dunn_index, fs_from_table,
-                                  fs_ri_statistic, madd, ri_from_table, ymrzl)
-from dsbench.core import DataMatrix, MultiSample, UnsupportedConfigError
+from dsbench.clusterstats import (MaddConfig, aggregated_fs_ri_statistic,
+                                  c2st_knn, cart_fit, cart_predict,
+                                  cluster_madd, contingency, diproperm,
+                                  dunn_index, fs_from_table, fs_ri_statistic,
+                                  madd, ri_from_table, ymrzl)
+from dsbench.core import (DataMatrix, MultiSample, UnsupportedConfigError,
+                          pool)
 
 
 def make_ms(*arrays):
@@ -43,6 +45,30 @@ class TestMadd:
     def test_needs_three_points(self):
         with pytest.raises(UnsupportedConfigError):
             madd(np.zeros((2, 1)), MaddConfig())
+
+    def test_matches_brute_force_definition(self):
+        psi = {"psi1": lambda t: t ** 2, "psi2": lambda t: 1 - math.exp(-t),
+               "psi3": lambda t: 1 - math.exp(-t ** 2),
+               "psi4": math.log1p, "psi5": lambda t: t}
+        h = {"h1": math.sqrt, "h2": lambda t: t}
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 9, 17):
+            x = rng.normal(size=(n, 3)) * rng.uniform(0.2, 3.0)
+            for psi_kind in psi:
+                for h_kind in h:
+                    phi = [[h[h_kind](sum(psi[psi_kind](abs(a - b))
+                                          for a, b in zip(xi, xm)) / 3)
+                            for xm in x] for xi in x]
+                    rho = madd(x, MaddConfig(psi_kind, h_kind))
+                    for i in range(n):
+                        for j in range(n):
+                            if i == j:
+                                assert rho[i, j] == 0.0
+                                continue
+                            ref = sum(abs(phi[i][m] - phi[j][m])
+                                      for m in range(n)
+                                      if m not in (i, j)) / (n - 2)
+                            assert abs(rho[i, j] - ref) < 1e-12
 
 
 class TestClusterMadd:
@@ -105,23 +131,27 @@ class TestFsRi:
         rng = np.random.default_rng(5)
         ms = make_ms(rng.normal(size=(10, 2)),
                      rng.normal(size=(10, 2)) + 50)
-        v, _ = fs_ri_statistic(ms, MaddConfig("psi5", "h2"), "ri",
-                               np.random.default_rng(1))
+        z, labels = pool(ms)
+        v, _ = fs_ri_statistic(madd(z.values, MaddConfig("psi5", "h2")),
+                               labels, "ri", np.random.default_rng(1))
         assert v == 0.0
 
     def test_null_ri_near_half(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(100, 2))
         ms = make_ms(x[:50], x[50:])
-        v, _ = fs_ri_statistic(ms, MaddConfig("psi5", "h2"), "ri",
-                               np.random.default_rng(2))
+        z, labels = pool(ms)
+        v, _ = fs_ri_statistic(madd(z.values, MaddConfig("psi5", "h2")),
+                               labels, "ri", np.random.default_rng(2))
         assert 0.3 < v < 0.7
 
     def test_multiscale_needs_cluster_count(self):
         rng = np.random.default_rng(7)
         ms = make_ms(rng.normal(size=(6, 1)), rng.normal(size=(6, 1)))
+        z, labels = pool(ms)
         with pytest.raises(ValueError):
-            fs_ri_statistic(ms, MaddConfig(), "msfs", np.random.default_rng(0))
+            fs_ri_statistic(madd(z.values, MaddConfig()), labels, "msfs",
+                            np.random.default_rng(0))
 
     def test_aggregated_two_of_three_separated(self):
         rng = np.random.default_rng(8)
@@ -129,10 +159,13 @@ class TestFsRi:
         b = rng.normal(size=(8, 2))
         c = rng.normal(size=(8, 2)) + 30
         ms = make_ms(a, b, c)
-        afs, _ = fs_ri_statistic(ms, MaddConfig("psi5", "h2"), "afs_knw",
-                                 np.random.default_rng(3))
-        ari, _ = fs_ri_statistic(ms, MaddConfig("psi5", "h2"), "ari_knw",
-                                 np.random.default_rng(3))
+        z, labels = pool(ms)
+        afs, _ = aggregated_fs_ri_statistic(
+            z.values, labels, MaddConfig("psi5", "h2"), "afs_knw",
+            np.random.default_rng(3))
+        ari, _ = aggregated_fs_ri_statistic(
+            z.values, labels, MaddConfig("psi5", "h2"), "ari_knw",
+            np.random.default_rng(3))
         assert afs > 0.0
         assert ari == 0.0  # the separated pairs cluster perfectly
 

@@ -8,8 +8,7 @@ from dsbench.datagen import (CORR_GRID_K2, CORR_GRID_K4, DGPS, N_GRID_K4,
                              SCALE_GRID, SHIFT_GRID, ConfigError, OgmSpec,
                              ScenarioSpec, deviation_levels, gen_target,
                              rng_for, sample_scenario, sample_sizes,
-                             scale_factor, scenario_grid, shift_offset,
-                             target_degenerate)
+                             scale_factor, scenario_grid, shift_offset)
 
 
 def spec(**kw):
@@ -172,13 +171,10 @@ class TestOgm:
     def test_different_variant_differs(self):
         assert not np.allclose(OgmSpec(4, "different").beta, OgmSpec(4).beta)
 
-    def test_target_attached_and_degeneracy_detected(self):
+    def test_target_attached(self):
         s = spec(deviation="ogm_sign", with_target=True, n_total=50)
         ms = sample_scenario(s, rng_for(10, 0, 0))
         assert ms.target is not None and len(ms.target) == 50
-        const = ms.target.copy()
-        const[:] = 1
-        assert target_degenerate(type(ms)(ms.samples, target=const))
 
 
 class TestGrids:

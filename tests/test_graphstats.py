@@ -6,7 +6,7 @@ from scipy.stats import spearmanr
 
 from dsbench.core import UnsupportedConfigError, distance_matrix
 from dsbench.graphs import Graph, kmst, knn_graph, min_weight_matching
-from dsbench.graphstats import (bqs_statistic, crossmatch_counts, edge_counts,
+from dsbench.graphstats import (bqs_statistic, crossmatch_counts,
                                 edgecount_test, kmd_statistic, mmcm_statistic,
                                 null_moments, petrie_statistic,
                                 rosenbaum_statistic, sc_test, sh_statistic)
@@ -29,20 +29,20 @@ def enumerate_count_distribution(edges, sizes):
 class TestEdgeCounts:
     def test_path_example(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        ec = edge_counts(g, np.array([1, 1, 2, 2]), 2)
-        assert ec.within.tolist() == [1, 1]
-        assert ec.between.tolist() == [1]
+        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        assert counts[:2].tolist() == [1, 1]
+        assert counts[2:].tolist() == [1]
 
     def test_all_same_label(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        ec = edge_counts(g, np.array([1, 1, 1, 1]), 2)
-        assert ec.between.tolist() == [0]
+        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 1, 1]), 2)
+        assert counts[2:].tolist() == [0]
 
     def test_complete_graph_between(self):
         edges = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)])
         g = Graph(4, edges, "kmst", k=1)
-        ec = edge_counts(g, np.array([1, 1, 2, 2]), 2)
-        assert ec.between.tolist() == [4]
+        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        assert counts[2:].tolist() == [4]
 
 
 class TestEdgecountTests:
@@ -57,15 +57,15 @@ class TestEdgecountTests:
 
     def test_ccs_path_weighted_count(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        ec = edge_counts(g, np.array([1, 1, 2, 2]), 2)
-        rw = 0.5 * ec.within[0] + 0.5 * ec.within[1]
+        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        rw = 0.5 * counts[0] + 0.5 * counts[1]
         assert rw == 1.0
 
     def test_zc_raw_composition(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        ec = edge_counts(g, np.array([1, 1, 2, 2]), 2)
-        rw = 0.5 * ec.within[0] + 0.5 * ec.within[1]
-        assert max(1.0 * rw, abs(ec.within[0] - ec.within[1])) == 1.0
+        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        rw = 0.5 * counts[0] + 0.5 * counts[1]
+        assert max(1.0 * rw, abs(counts[0] - counts[1])) == 1.0
 
     def test_cf_nonnegative_and_swap_invariant(self):
         rng = np.random.default_rng(0)
@@ -150,12 +150,12 @@ class TestScTest:
 
 class TestNearestNeighbourTests:
     def test_sh_separated(self):
-        d = line_dist(0, 1, 10, 11)
-        assert sh_statistic(d, np.array([1, 1, 2, 2]), (2, 2), 1) == 1.0
+        g = knn_graph(line_dist(0, 1, 10, 11), 1)
+        assert sh_statistic(g, np.array([1, 1, 2, 2]), (2, 2)) == 1.0
 
     def test_sh_interleaved(self):
-        d = line_dist(0, 1, 2, 3)
-        assert sh_statistic(d, np.array([1, 2, 1, 2]), (2, 2), 1) == 0.0
+        g = knn_graph(line_dist(0, 1, 2, 3), 1)
+        assert sh_statistic(g, np.array([1, 2, 1, 2]), (2, 2)) == 0.0
 
     def test_bqs_equals_summing_sh_numerators(self):
         rng = np.random.default_rng(6)
@@ -271,7 +271,7 @@ class TestKmd:
             g = knn_graph(d, k)
             labels = np.array([1] * n1 + [2] * n2)
             eta = kmd_statistic(g, labels, (n1, n2))
-            ell = sh_statistic(d, labels, (n1, n2), k)
+            ell = sh_statistic(g, labels, (n1, n2))
             pairs.append((ell, eta))
         ell, eta = np.array(pairs).T
         design = np.column_stack([np.ones_like(ell), ell])

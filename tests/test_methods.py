@@ -1,5 +1,6 @@
 import numpy as np
 
+from dsbench import clusterstats, graphstats, kernelstats, methods
 from dsbench.core import DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample
 from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
                              REGISTRY, Context, default_methods, evaluate)
@@ -88,3 +89,37 @@ class TestEvaluate:
         assert g1 is g2
         m1, m2 = ctx.graph_moments("5mst"), ctx.graph_moments("5mst")
         assert m1 is m2
+        assert ctx.graph("mst") is ctx.graph("1mst")
+        assert ctx.graph_moments("mst") is ctx.graph_moments("1mst")
+
+    def test_shared_structures_built_once(self, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+            key = f"{module.__name__}.{name}"
+            calls[key] = []
+
+            def wrapped(*args):
+                calls[key].append(args)
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapped)
+
+        count(clusterstats, "madd")
+        count(kernelstats, "moments_from_weights")
+        count(methods, "kmst")
+        count(methods, "knn_graph")
+        count(graphstats, "knn_graph")
+        ctx = Context(make_ms((25, 25)), seed=8)
+        for mid in DEFAULT_TWO_SAMPLE:
+            assert evaluate(mid, ctx).ok, mid
+        assert sorted((cfg.psi, cfg.h)
+                      for _, cfg in calls["dsbench.clusterstats.madd"]) == [
+            ("psi2", "h1"), ("psi3", "h1")]
+        assert len(calls["dsbench.kernelstats.moments_from_weights"]) == 1
+        assert sorted(k for _, k in calls["dsbench.methods.kmst"]) == [1, 5]
+        # sh_1nn, sh_5nn and kmd_heuristic_nn (0.1 N = 5 neighbours)
+        assert sorted(k for _, k in calls["dsbench.methods.knn_graph"]) == [
+            1, 5]
+        # graphstats builds only bqs's full ordering
+        assert [k for _, k in calls["dsbench.graphstats.knn_graph"]] == [49]
