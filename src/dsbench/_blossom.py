@@ -1,602 +1,433 @@
 """Exact maximum-weight matching on dense complete graphs.
 
-Array-based primal-dual blossom algorithm (Galil's O(n^3) formulation),
-compiled with numba when available.  Only the dense complete-graph case is
+Primal-dual blossom algorithm (Galil's O(n^3) formulation of Edmonds'
+method) on arrays, in numpy.  Only the dense complete-graph case is
 supported, which is all the matching-based statistics need.
+
+Warm start, after the greedy start of Blossom V (Kolmogorov 2009, Math. Prog.
+Comp. 1:43-67): each vertex dual starts at the weight of the vertex's
+heaviest edge (for weights ``D - d``, its nearest neighbour), and every
+mutual-nearest-neighbour pair starts matched.  The duals are feasible in
+floating point and the pre-matched edges have slack exactly 0: rounding is
+monotone, so ``fl(y_u + y_v) >= fl(w_uv + w_uv) = 2 * w_uv`` whenever
+``y_u, y_v >= w_uv``, and doubling is exact.  The search always runs in
+maximum-cardinality mode on an even number of vertices (odd n gets a phantom
+vertex), where vertex duals are free, so it breaks any pre-matched pair that
+is not in the optimum.
+
+Each scan of an S-vertex computes its whole slack row in one numpy
+expression.  Only the tight or allowed edges reach the Python branch logic;
+the best-edge bookkeeping for the others, the delta search and the dual
+updates are array operations.  The rarer steps (augmenting, expanding and
+tracing blossoms) stay scalar.
 
 State layout: vertices are ids 0..n-1, nontrivial blossoms n..2n-1.
 ``label`` values: 0 free, 1 S, 2 T (bit 4 marks breadcrumbs during path
 scans).  ``labeledge[b] = (v, w)`` is the edge through which b received its
-label, with v outside and w inside b; (-1, -1) means none.
+label, with v outside and w inside b; None means none.  ``bestedge[b]`` is
+the least-slack edge from b to another S-blossom (b an S-blossom) or from an
+S-vertex to b (b an unlabelled vertex); (-1, -1) means none.
 """
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dep, but keep a fallback
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
+class _Matcher:
+    """State of one maximum-weight perfect matching search; ``run`` returns
+    the mate array.  n must be even."""
 
-@njit(cache=True)
-def _blossom_leaves(b, n, childs, nchilds, out):
-    """Collect leaf vertices of blossom id b into out; return count."""
-    if b < n:
-        out[0] = b
-        return 1
-    cnt = 0
-    stack = np.empty(2 * n, dtype=np.int64)
-    sp = 0
-    stack[sp] = b
-    sp += 1
-    while sp > 0:
-        sp -= 1
-        t = stack[sp]
-        if t < n:
-            out[cnt] = t
-            cnt += 1
-        else:
-            for i in range(nchilds[t - n]):
-                stack[sp] = childs[t - n, i]
-                sp += 1
-    return cnt
+    def __init__(self, w):
+        n = w.shape[0]
+        nb = 2 * n
+        self.n = n
+        self.wt2 = 2.0 * w
+        heaviest = w.copy()
+        np.fill_diagonal(heaviest, -np.inf)
+        nn = heaviest.argmax(axis=1)
+        self.dualvar = heaviest[np.arange(n), nn]
+        self.mate = np.full(n, -1, dtype=np.int64)
+        mutual = np.flatnonzero(nn[nn] == np.arange(n))
+        self.mate[mutual] = nn[mutual]
+        self.label = np.zeros(nb, dtype=np.int64)
+        self.labeledge = [None] * nb
+        self.bestedge = np.full((nb, 2), -1, dtype=np.int64)
+        self.inblossom = np.arange(n, dtype=np.int64)
+        self.blossomparent = np.full(nb, -1, dtype=np.int64)
+        self.blossombase = np.full(nb, -1, dtype=np.int64)
+        self.blossombase[:n] = np.arange(n)
+        self.blossomdual = np.zeros(nb)
+        self.isblossom = np.arange(nb) >= n
+        self.childs = [None] * nb  # sub-blossoms in cyclic order, base first
+        self.endps = [None] * nb   # endps[b][i] joins childs[b][i], [i + 1]
+        self.unused = list(range(nb - 1, n - 1, -1))  # pop() yields n, n+1..
+        self.allowedge = np.zeros((n, n), dtype=bool)
+        self.queue = []
 
+    def leaves(self, b):
+        """Leaf vertices of blossom b, in depth-first order."""
+        n = self.n
+        if b < n:
+            return [b]
+        out, stack = [], [b]
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
+            else:
+                stack.extend(self.childs[t])
+        return out
 
-@njit(cache=True)
-def _assign_label(w, t, v, n, label, labeledge, bestedge, inblossom,
-                  blossombase, mate, childs, nchilds, queue, qn, leafbuf):
-    """Label vertex w (and its top blossom) with t, coming from vertex v."""
-    while True:
-        b = inblossom[w]
-        label[w] = t
-        label[b] = t
-        if v >= 0:
-            labeledge[w, 0] = v
-            labeledge[w, 1] = w
-            labeledge[b, 0] = v
-            labeledge[b, 1] = w
-        else:
-            labeledge[w, 0] = -1
-            labeledge[w, 1] = -1
-            labeledge[b, 0] = -1
-            labeledge[b, 1] = -1
-        bestedge[w, 0] = -1
-        bestedge[b, 0] = -1
-        if t == 1:
-            cnt = _blossom_leaves(b, n, childs, nchilds, leafbuf)
-            for i in range(cnt):
-                queue[qn[0]] = leafbuf[i]
-                qn[0] += 1
-            return
-        # t == 2: the base's mate becomes an S vertex; loop instead of recurse.
-        base = blossombase[b]
-        w = mate[base]
-        v = base
-        t = 1
-
-
-@njit(cache=True)
-def _scan_blossom(v, w, n, label, labeledge, inblossom, blossombase):
-    """Trace back from v and w; return lowest common base vertex or -1."""
-    path = np.empty(2 * n, dtype=np.int64)
-    np_ = 0
-    base = -1
-    while v >= 0:
-        b = inblossom[v]
-        if label[b] & 4:
-            base = blossombase[b]
-            break
-        path[np_] = b
-        np_ += 1
-        label[b] |= 4
-        if labeledge[b, 0] < 0:
-            v = -1
-        else:
-            v = labeledge[b, 0]
-            b = inblossom[v]
-            v = labeledge[b, 0]
-        if w >= 0:
-            v, w = w, v
-    for i in range(np_):
-        label[path[i]] &= ~4
-    return base
-
-
-@njit(cache=True)
-def _mwm_dense(wt2, n):
-    """Maximum-weight maximum-cardinality matching of the complete graph.
-
-    wt2[i, j] must hold twice the edge weight.  Returns the mate array.
-    """
-    nb = 2 * n
-    mate = np.full(n, -1, dtype=np.int64)
-    label = np.zeros(nb, dtype=np.int64)
-    labeledge = np.full((nb, 2), -1, dtype=np.int64)
-    inblossom = np.arange(n, dtype=np.int64)
-    blossomparent = np.full(nb, -1, dtype=np.int64)
-    blossombase = np.full(nb, -1, dtype=np.int64)
-    for v in range(n):
-        blossombase[v] = v
-    bestedge = np.full((nb, 2), -1, dtype=np.int64)
-    maxweight = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j and wt2[i, j] > maxweight * 2.0:
-                maxweight = wt2[i, j] / 2.0
-    dualvar = np.full(n, maxweight, dtype=np.float64)
-    blossomdual = np.zeros(n, dtype=np.float64)
-    allowedge = np.zeros((n, n), dtype=np.bool_)
-    queue = np.empty(8 * n + 8, dtype=np.int64)
-    qn = np.zeros(1, dtype=np.int64)
-    childs = np.full((n, n + 2), -1, dtype=np.int64)
-    nchilds = np.zeros(n, dtype=np.int64)
-    endps = np.full((n, n + 2, 2), -1, dtype=np.int64)
-    unused = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        unused[i] = nb - 1 - i  # pop() yields n, n+1, ...
-    nunused = n
-    leafbuf = np.empty(n, dtype=np.int64)
-    leafbuf2 = np.empty(n, dtype=np.int64)
-    # Stacks for the iterative versions of the recursive procedures.
-    augstack_b = np.empty(4 * n, dtype=np.int64)
-    augstack_v = np.empty(4 * n, dtype=np.int64)
-    expstack = np.empty(2 * n, dtype=np.int64)
-
-    for _stage in range(n):
-        label[:] = 0
-        labeledge[:, :] = -1
-        bestedge[:, :] = -1
-        allowedge[:, :] = False
-        qn[0] = 0
-        for v in range(n):
-            if mate[v] < 0 and label[inblossom[v]] == 0:
-                _assign_label(v, 1, -1, n, label, labeledge, bestedge,
-                              inblossom, blossombase, mate, childs, nchilds,
-                              queue, qn, leafbuf)
-        augmented = False
+    def assign_label(self, w, t, v):
+        """Label vertex w and its top blossom with t, coming from vertex v."""
+        label, labeledge, bestedge = self.label, self.labeledge, self.bestedge
         while True:
-            while qn[0] > 0 and not augmented:
-                qn[0] -= 1
-                v = queue[qn[0]]
-                for w in range(n):
-                    if w == v:
-                        continue
-                    bv = inblossom[v]
-                    bw = inblossom[w]
-                    if bv == bw:
-                        continue
-                    kslack = 0.0
-                    if not allowedge[v, w]:
-                        kslack = dualvar[v] + dualvar[w] - wt2[v, w]
-                        if kslack <= 0.0:
-                            allowedge[v, w] = True
-                            allowedge[w, v] = True
-                    if allowedge[v, w]:
-                        if label[bw] == 0:
-                            _assign_label(w, 2, v, n, label, labeledge,
-                                          bestedge, inblossom, blossombase,
-                                          mate, childs, nchilds, queue, qn,
-                                          leafbuf)
-                        elif label[bw] == 1:
-                            base = _scan_blossom(v, w, n, label, labeledge,
-                                                 inblossom, blossombase)
-                            if base >= 0:
-                                # --- add blossom(base, v, w) ---
-                                if nunused == 0:
-                                    return mate  # cannot happen
-                                nunused -= 1
-                                b = unused[nunused]
-                                bi = b - n
-                                bb = inblossom[base]
-                                blossombase[b] = base
-                                blossomparent[b] = -1
-                                blossomparent[bb] = b
-                                # collect path v-side (reversed later)
-                                tmpc = np.empty(n + 2, dtype=np.int64)
-                                tmpe = np.empty((n + 2, 2), dtype=np.int64)
-                                tn = 0
-                                tmpe[tn, 0] = v
-                                tmpe[tn, 1] = w
-                                vv = v
-                                bv2 = inblossom[vv]
-                                while bv2 != bb:
-                                    blossomparent[bv2] = b
-                                    tmpc[tn] = bv2
-                                    tn += 1
-                                    tmpe[tn, 0] = labeledge[bv2, 0]
-                                    tmpe[tn, 1] = labeledge[bv2, 1]
-                                    vv = labeledge[bv2, 0]
-                                    bv2 = inblossom[vv]
-                                # childs so far: [bv..] ; prepend bb, reverse
-                                nch = 0
-                                childs[bi, nch] = bb
-                                nch += 1
-                                for i in range(tn - 1, -1, -1):
-                                    childs[bi, nch] = tmpc[i]
-                                    nch += 1
-                                # edges reversed: tmpe[tn..0]
-                                ne = 0
-                                for i in range(tn, -1, -1):
-                                    endps[bi, ne, 0] = tmpe[i, 0]
-                                    endps[bi, ne, 1] = tmpe[i, 1]
-                                    ne += 1
-                                # trace back from w
-                                ww = w
-                                bw2 = inblossom[ww]
-                                while bw2 != bb:
-                                    blossomparent[bw2] = b
-                                    childs[bi, nch] = bw2
-                                    nch += 1
-                                    endps[bi, ne, 0] = labeledge[bw2, 1]
-                                    endps[bi, ne, 1] = labeledge[bw2, 0]
-                                    ne += 1
-                                    ww = labeledge[bw2, 0]
-                                    bw2 = inblossom[ww]
-                                nchilds[bi] = nch
-                                label[b] = 1
-                                labeledge[b, 0] = labeledge[bb, 0]
-                                labeledge[b, 1] = labeledge[bb, 1]
-                                blossomdual[bi] = 0.0
-                                cnt = _blossom_leaves(b, n, childs, nchilds,
-                                                      leafbuf2)
-                                for i in range(cnt):
-                                    u = leafbuf2[i]
-                                    if label[inblossom[u]] == 2:
-                                        queue[qn[0]] = u
-                                        qn[0] += 1
-                                    inblossom[u] = b
-                                # recompute best edge to other S-blossoms
-                                bev = -1
-                                bew = -1
-                                besl = 0.0
-                                for i in range(cnt):
-                                    u = leafbuf2[i]
-                                    for x in range(n):
-                                        bx = inblossom[x]
-                                        if bx == b or label[bx] != 1:
-                                            continue
-                                        sl = (dualvar[u] + dualvar[x]
-                                              - wt2[u, x])
-                                        if bev < 0 or sl < besl:
-                                            besl = sl
-                                            bev = u
-                                            bew = x
-                                bestedge[b, 0] = bev
-                                bestedge[b, 1] = bew
-                            else:
-                                # --- augment matching along v--w ---
-                                for side in range(2):
-                                    if side == 0:
-                                        s = v
-                                        j = w
-                                    else:
-                                        s = w
-                                        j = v
-                                    while True:
-                                        bs = inblossom[s]
-                                        if bs >= n:
-                                            _augment_blossom(
-                                                bs, s, n, blossomparent,
-                                                blossombase, childs, nchilds,
-                                                endps, mate, augstack_b,
-                                                augstack_v)
-                                        mate[s] = j
-                                        if labeledge[bs, 0] < 0:
-                                            break
-                                        t = labeledge[bs, 0]
-                                        bt = inblossom[t]
-                                        s = labeledge[bt, 0]
-                                        j = labeledge[bt, 1]
-                                        if bt >= n:
-                                            _augment_blossom(
-                                                bt, j, n, blossomparent,
-                                                blossombase, childs, nchilds,
-                                                endps, mate, augstack_b,
-                                                augstack_v)
-                                        mate[j] = s
-                                augmented = True
-                                break
-                        elif label[w] == 0:
-                            label[w] = 2
-                            labeledge[w, 0] = v
-                            labeledge[w, 1] = w
-                    elif label[bw] == 1:
-                        if bestedge[bv, 0] < 0 or kslack < (
-                                dualvar[bestedge[bv, 0]]
-                                + dualvar[bestedge[bv, 1]]
-                                - wt2[bestedge[bv, 0], bestedge[bv, 1]]):
-                            bestedge[bv, 0] = v
-                            bestedge[bv, 1] = w
-                    elif label[w] == 0:
-                        if bestedge[w, 0] < 0 or kslack < (
-                                dualvar[bestedge[w, 0]]
-                                + dualvar[bestedge[w, 1]]
-                                - wt2[bestedge[w, 0], bestedge[w, 1]]):
-                            bestedge[w, 0] = v
-                            bestedge[w, 1] = w
-            if augmented:
-                break
-            # ---- compute delta ----
-            deltatype = -1
-            delta = 0.0
-            deltaedge_v = -1
-            deltaedge_w = -1
-            deltablossom = -1
-            for v in range(n):
-                if label[inblossom[v]] == 0 and bestedge[v, 0] >= 0:
-                    d = (dualvar[bestedge[v, 0]] + dualvar[bestedge[v, 1]]
-                         - wt2[bestedge[v, 0], bestedge[v, 1]])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge_v = bestedge[v, 0]
-                        deltaedge_w = bestedge[v, 1]
-            for b in range(nb):
-                if (blossomparent[b] == -1 and blossombase[b] >= 0
-                        and label[b] == 1 and bestedge[b, 0] >= 0):
-                    d = (dualvar[bestedge[b, 0]] + dualvar[bestedge[b, 1]]
-                         - wt2[bestedge[b, 0], bestedge[b, 1]]) / 2.0
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge_v = bestedge[b, 0]
-                        deltaedge_w = bestedge[b, 1]
-            for b in range(n, nb):
-                if (blossombase[b] >= 0 and blossomparent[b] == -1
-                        and label[b] == 2
-                        and (deltatype == -1 or blossomdual[b - n] < delta)):
-                    delta = blossomdual[b - n]
-                    deltatype = 4
-                    deltablossom = b
-            if deltatype == -1:
-                deltatype = 1
-                dmin = dualvar[0]
-                for v in range(1, n):
-                    if dualvar[v] < dmin:
-                        dmin = dualvar[v]
-                delta = dmin if dmin > 0.0 else 0.0
-            # ---- update duals ----
-            for v in range(n):
-                lb = label[inblossom[v]]
-                if lb == 1:
-                    dualvar[v] -= delta
-                elif lb == 2:
-                    dualvar[v] += delta
-            for b in range(n, nb):
-                if blossombase[b] >= 0 and blossomparent[b] == -1:
-                    if label[b] == 1:
-                        blossomdual[b - n] += delta
-                    elif label[b] == 2:
-                        blossomdual[b - n] -= delta
-            # ---- act on minimum delta ----
-            if deltatype == 1:
-                break
-            elif deltatype == 2:
-                allowedge[deltaedge_v, deltaedge_w] = True
-                allowedge[deltaedge_w, deltaedge_v] = True
-                queue[qn[0]] = deltaedge_v
-                qn[0] += 1
-            elif deltatype == 3:
-                allowedge[deltaedge_v, deltaedge_w] = True
-                allowedge[deltaedge_w, deltaedge_v] = True
-                queue[qn[0]] = deltaedge_v
-                qn[0] += 1
-            else:
-                nunused = _expand_blossom(
-                    deltablossom, False, n, label, labeledge, bestedge,
-                    inblossom, blossomparent, blossombase, blossomdual, mate,
-                    childs, nchilds, endps, allowedge, queue, qn, unused,
-                    nunused, leafbuf, expstack)
-        if not augmented:
-            break
-        # expand S-blossoms whose dual has dropped to zero
-        for b in range(n, nb):
-            if (blossombase[b] >= 0 and blossomparent[b] == -1
-                    and label[b] == 1 and blossomdual[b - n] == 0.0):
-                nunused = _expand_blossom(
-                    b, True, n, label, labeledge, bestedge, inblossom,
-                    blossomparent, blossombase, blossomdual, mate, childs,
-                    nchilds, endps, allowedge, queue, qn, unused, nunused,
-                    leafbuf, expstack)
-    return mate
+            b = self.inblossom[w]
+            label[w] = label[b] = t
+            labeledge[w] = labeledge[b] = (v, w) if v >= 0 else None
+            bestedge[w] = bestedge[b] = -1
+            if t == 1:
+                self.queue.extend(self.leaves(b))
+                return
+            # t == 2: the base's mate becomes an S vertex; loop, not recurse.
+            base = self.blossombase[b]
+            w, v, t = self.mate[base], base, 1
 
-
-@njit(cache=True)
-def _augment_blossom(b0, v0, n, blossomparent, blossombase, childs, nchilds,
-                     endps, mate, stack_b, stack_v):
-    """Rearrange the matching inside blossom b0 so that v0 becomes its base."""
-    sp = 0
-    stack_b[sp] = b0
-    stack_v[sp] = v0
-    sp += 1
-    while sp > 0:
-        sp -= 1
-        b = stack_b[sp]
-        v = stack_v[sp]
-        bi = b - n
-        nch = nchilds[bi]
-        # immediate child of b containing v
-        t = v
-        while blossomparent[t] != b:
-            t = blossomparent[t]
-        if t >= n:
-            stack_b[sp] = t
-            stack_v[sp] = v
-            sp += 1
-        i = 0
-        for idx in range(nch):
-            if childs[bi, idx] == t:
-                i = idx
+    def scan_blossom(self, v, w):
+        """Trace back from v and w; return lowest common base vertex or -1."""
+        label, labeledge = self.label, self.labeledge
+        inblossom = self.inblossom
+        path = []
+        base = -1
+        while v >= 0:
+            b = inblossom[v]
+            if label[b] & 4:
+                base = self.blossombase[b]
                 break
-        j = i
-        if i & 1:
-            j -= nch
-            jstep = 1
-        else:
-            jstep = -1
-        while j != 0:
-            j += jstep
-            t = childs[bi, j % nch]
-            if jstep == 1:
-                w = endps[bi, j % nch, 0]
-                x = endps[bi, j % nch, 1]
+            path.append(b)
+            label[b] |= 4
+            if labeledge[b] is None:
+                v = -1
             else:
-                x = endps[bi, (j - 1) % nch, 0]
-                w = endps[bi, (j - 1) % nch, 1]
+                v = labeledge[inblossom[labeledge[b][0]]][0]
+            if w >= 0:
+                v, w = w, v
+        for b in path:
+            label[b] &= ~4
+        return base
+
+    def add_blossom(self, base, v, w):
+        """Form a new S-blossom from the cycle closed by edge (v, w)."""
+        inblossom, labeledge = self.inblossom, self.labeledge
+        blossomparent = self.blossomparent
+        bb = inblossom[base]
+        b = self.unused.pop()
+        self.blossombase[b] = base
+        blossomparent[b] = -1
+        blossomparent[bb] = b
+        path, edges = [], [(v, w)]
+        bv = inblossom[v]
+        while bv != bb:
+            blossomparent[bv] = b
+            path.append(bv)
+            edges.append(labeledge[bv])
+            bv = inblossom[labeledge[bv][0]]
+        path.append(bb)
+        path.reverse()
+        edges.reverse()
+        bw = inblossom[w]
+        while bw != bb:
+            blossomparent[bw] = b
+            path.append(bw)
+            x, y = labeledge[bw]
+            edges.append((y, x))
+            bw = inblossom[x]
+        self.childs[b] = path
+        self.endps[b] = edges
+        self.label[b] = 1
+        labeledge[b] = labeledge[bb]
+        self.blossomdual[b] = 0.0
+        leaves = np.array(self.leaves(b))
+        tleaves = leaves[self.label[inblossom[leaves]] == 2]
+        self.queue.extend(tleaves.tolist())
+        inblossom[leaves] = b
+        # Least-slack edge to another S-blossom; first leaf, then first vertex.
+        others = np.flatnonzero((self.label[inblossom] == 1)
+                                & (inblossom != b))
+        if others.size == 0:
+            self.bestedge[b] = -1
+            return
+        dualvar = self.dualvar
+        slack = (dualvar[leaves][:, None] + dualvar[others]
+                 - self.wt2[np.ix_(leaves, others)])
+        i, j = divmod(int(np.argmin(slack)), others.size)
+        self.bestedge[b] = leaves[i], others[j]
+
+    def augment_blossom(self, b0, v0):
+        """Rearrange the matching inside blossom b0 so that v0 becomes its
+        base."""
+        n, mate = self.n, self.mate
+        stack = [(b0, v0)]
+        while stack:
+            b, v = stack.pop()
+            # immediate child of b containing v
+            t = v
+            while self.blossomparent[t] != b:
+                t = self.blossomparent[t]
             if t >= n:
-                stack_b[sp] = t
-                stack_v[sp] = w
-                sp += 1
-            j += jstep
-            t = childs[bi, j % nch]
-            if t >= n:
-                stack_b[sp] = t
-                stack_v[sp] = x
-                sp += 1
-            mate[w] = x
-            mate[x] = w
-        # rotate children so that the child containing v comes first
-        if i > 0:
-            tmpc = np.empty(nch, dtype=np.int64)
-            tmpe = np.empty((nch, 2), dtype=np.int64)
-            for idx in range(nch):
-                tmpc[idx] = childs[bi, (i + idx) % nch]
-                tmpe[idx, 0] = endps[bi, (i + idx) % nch, 0]
-                tmpe[idx, 1] = endps[bi, (i + idx) % nch, 1]
-            for idx in range(nch):
-                childs[bi, idx] = tmpc[idx]
-                endps[bi, idx, 0] = tmpe[idx, 0]
-                endps[bi, idx, 1] = tmpe[idx, 1]
-        # The new base is v itself (children tasks may still be pending on
-        # the stack, so blossombase of childs[0] cannot be read yet).
-        blossombase[b] = v
-
-
-@njit(cache=True)
-def _expand_blossom(b0, endstage, n, label, labeledge, bestedge, inblossom,
-                    blossomparent, blossombase, blossomdual, mate, childs,
-                    nchilds, endps, allowedge, queue, qn, unused, nunused,
-                    leafbuf, expstack):
-    """Dissolve blossom b0; relabel its parts if expanding a T-blossom."""
-    sp = 0
-    expstack[sp] = b0
-    sp += 1
-    first = True
-    while sp > 0:
-        sp -= 1
-        b = expstack[sp]
-        bi = b - n
-        nch = nchilds[bi]
-        for idx in range(nch):
-            s = childs[bi, idx]
-            blossomparent[s] = -1
-            if s < n:
-                inblossom[s] = s
-            elif endstage and blossomdual[s - n] == 0.0:
-                expstack[sp] = s
-                sp += 1
-            else:
-                cnt = _blossom_leaves(s, n, childs, nchilds, leafbuf)
-                for i in range(cnt):
-                    inblossom[leafbuf[i]] = s
-        if (not endstage) and label[b] == 2 and first:
-            # Relabel along the blossom ring, starting at the entry child.
-            entrychild = inblossom[labeledge[b, 1]]
-            j = 0
-            for idx in range(nch):
-                if childs[bi, idx] == entrychild:
-                    j = idx
-                    break
-            if j & 1:
-                j -= nch
+                stack.append((t, v))
+            childs, endps = self.childs[b], self.endps[b]
+            i = j = childs.index(t)
+            if i & 1:
+                j -= len(childs)
                 jstep = 1
             else:
                 jstep = -1
-            v = labeledge[b, 0]
-            w = labeledge[b, 1]
             while j != 0:
-                if jstep == 1:
-                    p = endps[bi, j % nch, 0]
-                    q = endps[bi, j % nch, 1]
-                else:
-                    q = endps[bi, (j - 1) % nch, 0]
-                    p = endps[bi, (j - 1) % nch, 1]
-                label[w] = 0
-                label[q] = 0
-                _assign_label(w, 2, v, n, label, labeledge, bestedge,
-                              inblossom, blossombase, mate, childs, nchilds,
-                              queue, qn, leafbuf)
-                allowedge[p, q] = True
-                allowedge[q, p] = True
                 j += jstep
+                t = childs[j]
                 if jstep == 1:
-                    v = endps[bi, j % nch, 0]
-                    w = endps[bi, j % nch, 1]
+                    w, x = endps[j]
                 else:
-                    w = endps[bi, (j - 1) % nch, 0]
-                    v = endps[bi, (j - 1) % nch, 1]
-                allowedge[v, w] = True
-                allowedge[w, v] = True
+                    x, w = endps[j - 1]
+                if t >= n:
+                    stack.append((t, w))
                 j += jstep
-            bw = childs[bi, 0]
-            label[w] = 2
-            label[bw] = 2
-            labeledge[w, 0] = v
-            labeledge[w, 1] = w
-            labeledge[bw, 0] = v
-            labeledge[bw, 1] = w
-            bestedge[bw, 0] = -1
-            j += jstep
-            while childs[bi, j % nch] != entrychild:
-                bv = childs[bi, j % nch]
-                if label[bv] == 1:
+                t = childs[j]
+                if t >= n:
+                    stack.append((t, x))
+                mate[w] = x
+                mate[x] = w
+            # rotate so that the child containing v comes first
+            self.childs[b] = childs[i:] + childs[:i]
+            self.endps[b] = endps[i:] + endps[:i]
+            # The new base is v itself (children tasks may still be pending
+            # on the stack, so blossombase of childs[0] cannot be read yet).
+            self.blossombase[b] = v
+
+    def augment(self, v, w):
+        """Augment the matching along the path through edge (v, w)."""
+        n, inblossom, labeledge = self.n, self.inblossom, self.labeledge
+        for s, j in ((v, w), (w, v)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    self.augment_blossom(bs, s)
+                self.mate[s] = j
+                if labeledge[bs] is None:
+                    break
+                bt = inblossom[labeledge[bs][0]]
+                s, j = labeledge[bt]
+                if bt >= n:
+                    self.augment_blossom(bt, j)
+                self.mate[j] = s
+
+    def expand_blossom(self, b0, endstage):
+        """Dissolve blossom b0; relabel its parts if expanding a T-blossom."""
+        n, label, labeledge = self.n, self.label, self.labeledge
+        inblossom, allowedge = self.inblossom, self.allowedge
+        stack = [b0]
+        while stack:
+            b = stack.pop()
+            childs, endps = self.childs[b], self.endps[b]
+            for s in childs:
+                self.blossomparent[s] = -1
+                if s < n:
+                    inblossom[s] = s
+                elif endstage and self.blossomdual[s] == 0.0:
+                    stack.append(s)
+                else:
+                    inblossom[self.leaves(s)] = s
+            if not endstage and label[b] == 2:
+                # Relabel along the blossom ring, starting at the entry child.
+                entrychild = inblossom[labeledge[b][1]]
+                j = childs.index(entrychild)
+                if j & 1:
+                    j -= len(childs)
+                    jstep = 1
+                else:
+                    jstep = -1
+                v, w = labeledge[b]
+                while j != 0:
+                    if jstep == 1:
+                        p, q = endps[j]
+                    else:
+                        q, p = endps[j - 1]
+                    label[w] = 0
+                    label[q] = 0
+                    self.assign_label(w, 2, v)
+                    allowedge[p, q] = allowedge[q, p] = True
                     j += jstep
-                    continue
-                vv = -1
-                if bv >= n:
-                    cnt = _blossom_leaves(bv, n, childs, nchilds, leafbuf)
-                    for i in range(cnt):
-                        if label[leafbuf[i]] != 0:
-                            vv = leafbuf[i]
-                            break
-                else:
-                    if label[bv] != 0:
-                        vv = bv
-                if vv >= 0:
-                    label[vv] = 0
-                    label[mate[blossombase[bv]]] = 0
-                    _assign_label(vv, 2, labeledge[vv, 0], n, label,
-                                  labeledge, bestedge, inblossom, blossombase,
-                                  mate, childs, nchilds, queue, qn, leafbuf)
+                    if jstep == 1:
+                        v, w = endps[j]
+                    else:
+                        w, v = endps[j - 1]
+                    allowedge[v, w] = allowedge[w, v] = True
+                    j += jstep
+                bw = childs[0]
+                label[w] = label[bw] = 2
+                labeledge[w] = labeledge[bw] = (v, w)
+                self.bestedge[bw] = -1
                 j += jstep
-        # recycle
-        label[b] = 0
-        labeledge[b, 0] = -1
-        labeledge[b, 1] = -1
-        bestedge[b, 0] = -1
-        blossombase[b] = -1
-        nchilds[bi] = 0
-        blossomdual[bi] = 0.0
-        unused[nunused] = b
-        nunused += 1
-        first = False
-    return nunused
+                while childs[j] != entrychild:
+                    bv = childs[j]
+                    j += jstep
+                    if label[bv] == 1:
+                        continue
+                    for vv in self.leaves(bv):
+                        if label[vv] != 0:
+                            label[vv] = 0
+                            label[self.mate[self.blossombase[bv]]] = 0
+                            self.assign_label(vv, 2, labeledge[vv][0])
+                            break
+            # recycle
+            label[b] = 0
+            labeledge[b] = None
+            self.bestedge[b] = -1
+            self.blossombase[b] = -1
+            self.childs[b] = self.endps[b] = None
+            self.blossomdual[b] = 0.0
+            self.unused.append(b)
+
+    def scan(self, v):
+        """Scan the edges of S-vertex v; return True if it augmented."""
+        dualvar, wt2, label = self.dualvar, self.wt2, self.label
+        inblossom, bestedge = self.inblossom, self.bestedge
+        slack = dualvar[v] + dualvar - wt2[v]
+        tight = ((inblossom != inblossom[v])
+                 & (self.allowedge[v] | (slack <= 0.0)))
+        tw = tight.nonzero()[0]
+        if tw.size:
+            self.allowedge[v, tw] = True
+            self.allowedge[tw, v] = True
+        for w in tw.tolist():
+            bw = inblossom[w]
+            if inblossom[v] == bw:  # joined v's blossom earlier in this scan
+                continue
+            if label[bw] == 0:
+                self.assign_label(w, 2, v)
+            elif label[bw] == 1:
+                base = self.scan_blossom(v, w)
+                if base < 0:
+                    self.augment(v, w)
+                    return True
+                self.add_blossom(base, v, w)
+            elif label[w] == 0:
+                label[w] = 2
+                self.labeledge[w] = (v, w)
+        # Best-edge updates for the other edges, on the labels after the
+        # loop; a strict < keeps the first index on ties.
+        bv = inblossom[v]
+        rest = ~tight & (inblossom != bv)
+        toplabel = label[inblossom]
+        tos = (rest & (toplabel == 1)).nonzero()[0]
+        if tos.size:
+            w = tos[slack[tos].argmin()]
+            a, c = bestedge[bv]
+            if a < 0 or slack[w] < dualvar[a] + dualvar[c] - wt2[a, c]:
+                bestedge[bv] = v, w
+        tofree = (rest & (toplabel != 1) & (label[:self.n] == 0)).nonzero()[0]
+        if tofree.size:
+            edges = bestedge[tofree]
+            better = tofree[(edges[:, 0] < 0)
+                            | (slack[tofree] < self.edge_slack(edges))]
+            bestedge[better, 0] = v
+            bestedge[better, 1] = better
+        return False
+
+    def edge_slack(self, edges):
+        """Slack of each edge (v, w) in a (k, 2) array, without blossom
+        duals."""
+        a, c = edges[:, 0], edges[:, 1]
+        return self.dualvar[a] + self.dualvar[c] - self.wt2[a, c]
+
+    def dual_step(self):
+        """Change the duals by the largest feasible delta and act on the
+        constraint that limits it; return False if none does."""
+        n, label, bestedge = self.n, self.label, self.bestedge
+        toplabel = label[self.inblossom]
+        deltatype = -1
+        # delta2: a free vertex with an edge to an S-vertex
+        free = np.flatnonzero((toplabel == 0) & (bestedge[:n, 0] >= 0))
+        if free.size:
+            slack = self.edge_slack(bestedge[free])
+            k = np.argmin(slack)
+            delta, deltatype, deltaedge = slack[k], 2, tuple(bestedge[free[k]])
+        # delta3: an edge between two S-blossoms
+        top = (self.blossomparent == -1) & (self.blossombase >= 0)
+        sblossoms = np.flatnonzero(top & (label == 1) & (bestedge[:, 0] >= 0))
+        if sblossoms.size:
+            slack = self.edge_slack(bestedge[sblossoms]) / 2.0
+            k = np.argmin(slack)
+            if deltatype == -1 or slack[k] < delta:
+                delta, deltatype = slack[k], 3
+                deltaedge = tuple(bestedge[sblossoms[k]])
+        # delta4: a T-blossom whose dual reaches zero
+        tblossoms = np.flatnonzero(top & self.isblossom & (label == 2))
+        if tblossoms.size:
+            k = np.argmin(self.blossomdual[tblossoms])
+            if deltatype == -1 or self.blossomdual[tblossoms[k]] < delta:
+                delta, deltatype = self.blossomdual[tblossoms[k]], 4
+                deltablossom = tblossoms[k]
+        if deltatype == -1:
+            return False
+        self.dualvar[toplabel == 1] -= delta
+        self.dualvar[toplabel == 2] += delta
+        self.blossomdual[top & self.isblossom & (label == 1)] += delta
+        self.blossomdual[top & self.isblossom & (label == 2)] -= delta
+        if deltatype == 4:
+            self.expand_blossom(deltablossom, False)
+        else:
+            v, w = deltaedge
+            self.allowedge[v, w] = self.allowedge[w, v] = True
+            self.queue.append(v)
+        return True
+
+    def run(self):
+        mate, label = self.mate, self.label
+        for _stage in range(self.n):
+            label[:] = 0
+            self.labeledge = [None] * len(self.labeledge)
+            self.bestedge[:] = -1
+            self.allowedge[:] = False
+            self.queue = []
+            for v in np.flatnonzero(mate < 0):
+                if label[self.inblossom[v]] == 0:
+                    self.assign_label(v, 1, -1)
+            augmented = False
+            while not augmented:
+                while self.queue and not augmented:
+                    augmented = self.scan(self.queue.pop())
+                if not augmented and not self.dual_step():
+                    break
+            if not augmented:
+                break
+            # expand S-blossoms whose dual has dropped to zero
+            for b in np.flatnonzero(
+                    (self.blossomparent == -1) & (self.blossombase >= 0)
+                    & self.isblossom & (label == 1)
+                    & (self.blossomdual == 0.0)):
+                self.expand_blossom(b, True)
+        return mate
 
 
 def max_weight_matching_dense(weights):
     """Maximum-weight maximum-cardinality matching of a complete graph.
 
     weights: symmetric (n, n) array of edge weights (diagonal ignored).
-    Returns mate array of length n (mate[i] = j, or -1 when n is odd and i
-    stayed single, which cannot happen here since cardinality is maximal).
+    Returns mate array of length n (mate[i] = j, or -1 for the one vertex
+    left single when n is odd).
     """
-    w = np.ascontiguousarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n == 1:
-        return np.full(1, -1, dtype=np.int64)
-    return _mwm_dense(2.0 * w, n)
+    if n < 2:
+        return np.full(n, -1, dtype=np.int64)
+    if n % 2 == 1:
+        # A phantom vertex joined to every vertex by equal weights: each
+        # perfect matching uses one such edge, so the rest is a maximum-weight
+        # maximum-cardinality matching.  The lightest weight leaves every
+        # real vertex's warm-start dual at its own heaviest edge.
+        lightest = w[~np.eye(n, dtype=bool)].min()
+        w = np.pad(w, (0, 1), constant_values=lightest)
+    mate = _Matcher(w).run()[:n]
+    mate[mate == n] = -1
+    return mate

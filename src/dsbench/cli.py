@@ -40,20 +40,26 @@ def _write_csv(path: Path, header, rows):
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return config
 
 
-def _required(config: dict, key: str):
+def _required(config: dict, key: str) -> list:
     if key not in config:
         raise ConfigError(f"config has no {key!r} entry")
+    if not isinstance(config[key], list):
+        raise ConfigError(f"config {key!r} must be a list, "
+                          f"got {config[key]!r}")
     return config[key]
 
 
 def _check_methods(methods) -> None:
     for mid in methods:
-        if mid not in REGISTRY:
+        if not isinstance(mid, str) or mid not in REGISTRY:
             raise ConfigError(f"unknown method id {mid!r}")
 
 

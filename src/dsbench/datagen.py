@@ -71,6 +71,10 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+# JSON types accepted for each ScenarioSpec field annotation.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
 def shift_offset(p: int, delta: float) -> float:
     """Per-component mean shift keeping the mean-vector distance at delta."""
     return delta / math.sqrt(p)
@@ -172,12 +176,21 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"scenario must be an object, got {d!r}")
         names = [f.name for f in fields(cls)]
         for key in d:
             if key not in names:
                 raise ConfigError(f"unknown scenario key {key!r}")
         for f in fields(cls):
-            if f.default is MISSING and f.name not in d:
+            if f.name in d:
+                value = d[f.name]
+                # bool is an int subclass: true/false pass only as "bool"
+                if (not isinstance(value, _FIELD_TYPES[f.type])
+                        or (isinstance(value, bool) and f.type != "bool")):
+                    raise ConfigError(f"scenario {f.name!r} must be "
+                                      f"{f.type}, got {value!r}")
+            elif f.default is MISSING:
                 raise ConfigError(f"scenario has no {f.name!r} entry")
         return cls(**d)
 

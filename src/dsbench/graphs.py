@@ -114,21 +114,17 @@ def kmst(dist: np.ndarray, k: int) -> Graph:
 def min_weight_matching(dist: np.ndarray) -> Matching:
     """Exact minimum-weight perfect matching of the complete graph.
 
-    Odd n is handled with a phantom node at distance zero to everything;
-    the phantom's partner is left unmatched."""
+    For odd n, one node is left unmatched (the maximum-cardinality
+    matching of least weight)."""
     n = dist.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes")
-    d = dist
-    if n % 2 == 1:
-        d = np.zeros((n + 1, n + 1))
-        d[:n, :n] = dist
-    mate = max_weight_matching_dense(d.max() - d)
+    mate = max_weight_matching_dense(dist.max() - dist)
     pairs = []
     weight = 0.0
     for i in range(n):
         j = int(mate[i])
-        if j < n and i < j:
+        if i < j:
             pairs.append((i, j))
             weight += float(dist[i, j])
     return Matching(np.array(pairs, dtype=np.int64), weight)

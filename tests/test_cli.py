@@ -72,6 +72,37 @@ class TestSimulate:
         assert rc == 2
         assert "'colour'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_total", "abc"), ("n_total", 20.0), ("n_total", True),
+        ("p", "abc"), ("magnitude", "abc"), ("magnitude", False),
+        ("dgp", 1), ("deviation", None), ("balance", ["balanced"]),
+        ("k", "2"), ("grouping", 11), ("with_target", 0)])
+    def test_bad_scenario_field_type_exit_two(self, tmp_path, capsys, key,
+                                              value):
+        scenario = dict(null_spec().to_dict(), **{key: value})
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"methods": ["energy"], "reps": 2, "scenarios": [scenario]}))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("methods", {"energy": 1}, "'methods' must be a list"),
+        ("methods", "energy", "'methods' must be a list"),
+        ("scenarios", {"a": 1}, "'scenarios' must be a list"),
+        ("scenarios", ["normal"], "scenario must be an object")])
+    def test_malformed_list_exit_two(self, tmp_path, capsys, key, value,
+                                     message):
+        config = {"methods": ["energy"], "reps": 2,
+                  "scenarios": [null_spec().to_dict()]}
+        config[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path, minimal_config):
         for name in ("d1", "d2"):
             main(["simulate", "--config", minimal_config, "--seed", "7",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
+from dsbench._blossom import _Matcher
 from dsbench.core import distance_matrix
 from dsbench.graphs import (assignment, halton_grid, kmst, knn_graph,
                             min_weight_matching)
@@ -30,6 +31,20 @@ def brute_min_matching_weight(dist):
         return best
 
     return rec(tuple(range(n)))
+
+
+def networkx_min_matching_weight(nx, dist):
+    n = dist.shape[0]
+    graph = nx.Graph()
+    for i in range(n):
+        for j in range(i + 1, n):
+            graph.add_edge(i, j, weight=dist[i, j])
+    return sum(dist[i, j] for i, j in nx.min_weight_matching(graph))
+
+
+def lattice_dist(rng, n, p=2, side=4):
+    """Distances between integer lattice points: many tied edges."""
+    return squareform(pdist(rng.integers(0, side, size=(n, p)).astype(float)))
 
 
 class TestKnn:
@@ -136,6 +151,57 @@ class TestMatching:
                     graph.add_edge(i, j, weight=d[i, j])
             ref = sum(d[i, j] for i, j in nx.min_weight_matching(graph))
             assert abs(ours - ref) < 1e-8
+
+    def test_matches_networkx_on_lattice_ties(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(5)
+        for n, p, side in ((20, 2, 3), (30, 2, 4), (40, 3, 2), (50, 1, 6)):
+            d = lattice_dist(rng, n, p, side)
+            m = min_weight_matching(d)
+            assert sorted(m.pairs.ravel().tolist()) == list(range(n))
+            assert abs(m.weight - networkx_min_matching_weight(nx, d)) < 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 5, 7, 9]),
+           st.booleans())
+    def test_odd_n_equals_brute_force(self, seed, n, lattice):
+        rng = np.random.default_rng(seed)
+        d = lattice_dist(rng, n) if lattice else random_dist(rng, n)
+        m = min_weight_matching(d)
+        assert len(m.pairs) == n // 2
+        assert len(set(m.pairs.ravel().tolist())) == n - 1
+        keep = [[j for j in range(n) if j != single] for single in range(n)]
+        best = min(brute_min_matching_weight(d[np.ix_(k, k)]) for k in keep)
+        assert abs(m.weight - best) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_duplicate_points(self, n):
+        m = min_weight_matching(np.zeros((n, n)))
+        assert len(m.pairs) == n // 2
+        assert len(set(m.pairs.ravel().tolist())) == 2 * (n // 2)
+        assert m.weight == 0.0
+
+    def test_mutual_nearest_pair_outside_optimum(self):
+        # 1 and 1.9 are each other's nearest neighbour, but (0,1) + (1.9,2.9)
+        # costs 2.0 against 0.9 + 2.9 for (1,1.9) + (0,2.9).
+        d = distance_matrix(np.array([[0.0], [1.0], [1.9], [2.9]]))
+        m = min_weight_matching(d)
+        assert sorted(map(tuple, m.pairs.tolist())) == [(0, 1), (2, 3)]
+        assert abs(m.weight - 2.0) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 40), st.booleans())
+    def test_warm_start_feasible_and_tight(self, seed, n, lattice):
+        rng = np.random.default_rng(seed)
+        d = lattice_dist(rng, n) if lattice else random_dist(rng, n)
+        start = _Matcher(d.max() - d)
+        slack = start.dualvar[:, None] + start.dualvar - start.wt2
+        off = ~np.eye(n, dtype=bool)
+        assert (slack[off] >= 0.0).all()
+        matched = np.flatnonzero(start.mate >= 0)
+        assert matched.size >= 2
+        assert (start.mate[start.mate[matched]] == matched).all()
+        assert (slack[matched, start.mate[matched]] == 0.0).all()
 
 
 class TestAssignment:
