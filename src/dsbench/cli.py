@@ -57,6 +57,33 @@ def _required(config: dict, key: str) -> list:
     return config[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(key: str, value) -> int:
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"{key!r} must be a positive integer, "
+                          f"got {value!r}")
+    return value
+
+
+def _non_negative_number(key: str, value) -> float:
+    if (not (_is_int(value) or isinstance(value, float))
+            or not 0 <= value < float("inf")):
+        raise ConfigError(f"{key!r} must be a finite non-negative number, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def _grid_cell(cell) -> tuple[int, int]:
+    if (not isinstance(cell, list) or len(cell) != 2
+            or not all(_is_int(x) and x >= 1 for x in cell)):
+        raise ConfigError(f"'grid' entries must be [n, p] pairs of positive "
+                          f"integers, got {cell!r}")
+    return cell[0], cell[1]
+
+
 def _check_methods(methods) -> None:
     for mid in methods:
         if not isinstance(mid, str) or mid not in REGISTRY:
@@ -67,7 +94,8 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
-    reps = int(args.reps if args.reps is not None else config.get("reps", 500))
+    reps = _positive_int("reps", args.reps if args.reps is not None
+                         else config.get("reps", 500))
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,10 +203,12 @@ def cmd_bench(args) -> int:
     config = _load_config(args.config)
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
-    grid = [tuple(cell) for cell in _required(config, "grid")]
+    grid = [_grid_cell(cell) for cell in _required(config, "grid")]
     rows = bench(methods, grid, master_seed=args.seed,
-                 min_reps=int(config.get("min_reps", 10)),
-                 min_total=float(config.get("min_total_s", 1.0)))
+                 min_reps=_positive_int("min_reps",
+                                        config.get("min_reps", 10)),
+                 min_total=_non_negative_number(
+                     "min_total_s", config.get("min_total_s", 1.0)))
     scaled, summary = scale_bench(rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

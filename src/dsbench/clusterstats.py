@@ -61,10 +61,14 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
     acc = np.zeros((n, n))
     for col in range(p):
         acc += _psi(cfg.psi, np.abs(values[:, col, None] - values[None, :, col]))
-    phi = _h(cfg.h, acc / p)
-    # sum_m |phi_im - phi_jm| over all m, then drop the m=i and m=j terms
-    s = cdist(phi, phi, "cityblock")
-    rho = (s - 2.0 * phi) / (n - 2)
+    acc /= p
+    phi = _h(cfg.h, acc)
+    del acc
+    # sum_m |phi_im - phi_jm| over all m, then drop the m=i and m=j terms;
+    # in place, so that at most three n x n arrays are alive here
+    rho = cdist(phi, phi, "cityblock")
+    rho -= 2.0 * phi
+    rho /= n - 2
     np.fill_diagonal(rho, 0.0)
     return rho
 

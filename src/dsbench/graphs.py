@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import squareform
 
 from ._blossom import max_weight_matching_dense
 from .core import DataMatrix
@@ -52,63 +53,53 @@ def knn_graph(dist: np.ndarray, k: int) -> Graph:
     d = dist.copy()
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    del d
     src = np.repeat(np.arange(n), k)
     edges = np.column_stack([src, order.reshape(-1)])
-    return Graph(n, edges.astype(np.int64), KNN_DIRECTED, k=k)
-
-
-def _kruskal_mst(n: int, edge_order: np.ndarray, used: np.ndarray):
-    """One MST layer over the edges in edge_order, skipping used ones.
-
-    edge_order holds flat indices i*n+j (i<j) sorted by (distance, i, j).
-    Returns the list of chosen flat indices."""
-    parent = np.arange(n)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    chosen = []
-    need = n - 1
-    for f in edge_order:
-        if used[f]:
-            continue
-        i, j = divmod(int(f), n)
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        chosen.append(int(f))
-        if len(chosen) == need:
-            break
-    if len(chosen) < need:
-        raise ValueError("graph disconnected before completing the layer")
-    return chosen
+    return Graph(n, edges.astype(np.int64, copy=False), KNN_DIRECTED, k=k)
 
 
 def kmst(dist: np.ndarray, k: int) -> Graph:
-    """Union of k successive edge-disjoint minimum spanning trees."""
+    """Union of k successive edge-disjoint minimum spanning trees.
+
+    Edges are ranked once by (distance, i, j).  Each layer is the minimum
+    spanning tree, under that strict order, of the edges no earlier layer
+    used; Prim's algorithm finds it on a dense rank matrix.  Ranks are
+    distinct, so the tree is unique and is the one Kruskal's algorithm
+    picks.  Edges come out layer by layer, each layer in rank order."""
     n = dist.shape[0]
     if k < 1 or k > n // 2:
         raise ValueError(f"k={k} infeasible for n={n}")
+    # the upper triangle in row-major order, so a stable sort breaks
+    # distance ties by (i, j)
+    order = np.argsort(squareform(dist, checks=False), kind="stable")
+    m = order.size  # the rank of a used edge, and of the diagonal
+    inverse = np.empty(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
+    inverse[order] = np.arange(m)
+    rank = squareform(inverse, checks=False)
+    np.fill_diagonal(rank, m)
     iu, ju = np.triu_indices(n, 1)
-    flat = iu * n + ju
-    order = flat[np.lexsort((ju, iu, dist[iu, ju]))]
-    used = np.zeros(n * n, dtype=bool)
-    edges = []
-    layers = []
+    edges = np.empty((k, n - 1), dtype=np.int64)  # ranks, then triu indices
     for layer in range(k):
-        chosen = _kruskal_mst(n, order, used)
-        for f in chosen:
-            used[f] = True
-            edges.append(divmod(f, n))
-            layers.append(layer)
-    return Graph(n, np.array(edges, dtype=np.int64), KMST, k=k,
-                 layer=np.array(layers, dtype=np.int64))
+        w = rank.copy()
+        w[:, 0] = m
+        key = w[0].copy()
+        chosen = edges[layer]
+        for step in range(n - 1):
+            v = int(np.argmin(key))
+            if key[v] == m:
+                raise ValueError(
+                    "graph disconnected before completing the layer")
+            chosen[step] = key[v]
+            key[v] = m
+            w[:, v] = m
+            np.minimum(key, w[v], out=key)
+        chosen[:] = order[np.sort(chosen)]
+        rank[iu[chosen], ju[chosen]] = m
+        rank[ju[chosen], iu[chosen]] = m
+    edges = edges.ravel()
+    return Graph(n, np.column_stack([iu[edges], ju[edges]]), KMST, k=k,
+                 layer=np.repeat(np.arange(k, dtype=np.int64), n - 1))
 
 
 def min_weight_matching(dist: np.ndarray) -> Matching:
@@ -152,19 +143,22 @@ def _first_primes(m: int) -> list[int]:
 
 
 def halton_grid(n: int, p: int) -> DataMatrix:
-    """First n Halton points in [0,1]^p (radical inverse of 1..n)."""
+    """First n Halton points in [0,1]^p (radical inverse of 1..n).
+
+    Every index runs through the same digit positions; one whose digits
+    are used up adds exactly 0.0, so each point equals the scalar
+    `f /= base; r += f * (i % base); i //= base` loop."""
     if n < 1:
         raise ValueError("need n >= 1")
     bases = _first_primes(p)
     out = np.empty((n, p))
     for dim, base in enumerate(bases):
-        for idx in range(1, n + 1):
-            f = 1.0
-            r = 0.0
-            i = idx
-            while i > 0:
-                f /= base
-                r += f * (i % base)
-                i //= base
-            out[idx - 1, dim] = r
+        i = np.arange(1, n + 1)
+        f = 1.0
+        r = np.zeros(n)
+        while i[-1] > 0:
+            f /= base
+            r += f * (i % base)
+            i //= base
+        out[:, dim] = r
     return DataMatrix(out)

@@ -93,6 +93,40 @@ def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
 # PESR and its aggregation
 
 
+def pesr_threshold(null_values: np.ndarray, direction: str) -> float | None:
+    """Empirical null-quantile threshold of PESR: the 95% quantile for
+    dissimilarity, the 5% quantile for similarity.
+
+    Returns None when more than the tolerated fraction of the null
+    repetitions is invalid, or none is valid."""
+    null_values = np.asarray(null_values, dtype=float)
+    null_ok = null_values[np.isfinite(null_values)]
+    if (len(null_values) - len(null_ok)) > MISSING_FRACTION_LIMIT * len(null_values):
+        return None
+    if len(null_ok) == 0:
+        return None
+    if direction == DISSIMILARITY:
+        return np.quantile(null_ok, 0.95)
+    if direction == SIMILARITY:
+        return np.quantile(null_ok, 0.05)
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def _pesr_beyond(threshold: float | None, alt_values: np.ndarray,
+                 direction: str) -> float | None:
+    """Share of valid alternative repetitions strictly beyond threshold;
+    None under the same missing-value rule as the null."""
+    alt_values = np.asarray(alt_values, dtype=float)
+    alt_ok = alt_values[np.isfinite(alt_values)]
+    if (len(alt_values) - len(alt_ok)) > MISSING_FRACTION_LIMIT * len(alt_values):
+        return None
+    if threshold is None or len(alt_ok) == 0:
+        return None
+    if direction == DISSIMILARITY:
+        return float((alt_ok > threshold).mean())
+    return float((alt_ok < threshold).mean())
+
+
 def pesr(null_values: np.ndarray, alt_values: np.ndarray,
          direction: str) -> float | None:
     """Proportion of alternative repetitions strictly beyond the empirical
@@ -100,23 +134,8 @@ def pesr(null_values: np.ndarray, alt_values: np.ndarray,
 
     Returns None when more than the tolerated fraction of either run's
     repetitions is invalid."""
-    null_values = np.asarray(null_values, dtype=float)
-    alt_values = np.asarray(alt_values, dtype=float)
-    null_ok = null_values[np.isfinite(null_values)]
-    alt_ok = alt_values[np.isfinite(alt_values)]
-    if (len(null_values) - len(null_ok)) > MISSING_FRACTION_LIMIT * len(null_values):
-        return None
-    if (len(alt_values) - len(alt_ok)) > MISSING_FRACTION_LIMIT * len(alt_values):
-        return None
-    if len(null_ok) == 0 or len(alt_ok) == 0:
-        return None
-    if direction == DISSIMILARITY:
-        threshold = np.quantile(null_ok, 0.95)
-        return float((alt_ok > threshold).mean())
-    if direction == SIMILARITY:
-        threshold = np.quantile(null_ok, 0.05)
-        return float((alt_ok < threshold).mean())
-    raise ValueError(f"unknown direction {direction!r}")
+    return _pesr_beyond(pesr_threshold(null_values, direction), alt_values,
+                        direction)
 
 
 def null_key(spec: ScenarioSpec) -> tuple:
@@ -145,6 +164,7 @@ def pesr_table(results) -> list[PesrRow]:
         if res.spec.deviation == "null":
             nulls[null_key(res.spec)] = res
     rows: list[PesrRow] = []
+    thresholds = {}  # (null key, method) -> threshold
     for res in results:
         if res.spec.deviation == "null":
             continue
@@ -157,9 +177,13 @@ def pesr_table(results) -> list[PesrRow]:
             if mid not in null_res.methods:
                 raise MissingNullError(
                     f"method {mid} missing from the null dump of {key}")
-            mn = null_res.methods.index(mid)
-            value = pesr(null_res.values[:, mn], res.values[:, m],
-                         REGISTRY[mid].direction)
+            direction = REGISTRY[mid].direction
+            if (key, mid) not in thresholds:
+                mn = null_res.methods.index(mid)
+                thresholds[key, mid] = pesr_threshold(
+                    null_res.values[:, mn], direction)
+            value = _pesr_beyond(thresholds[key, mid], res.values[:, m],
+                                 direction)
             rows.append(PesrRow(res.spec, mid, value))
     return rows
 

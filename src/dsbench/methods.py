@@ -14,7 +14,8 @@ import numpy as np
 from . import clusterstats, graphstats, interpoint, kernelstats
 from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
-from .graphs import Graph, Matching, kmst, knn_graph, min_weight_matching
+from .graphs import (KNN_DIRECTED, Graph, Matching, kmst, knn_graph,
+                     min_weight_matching)
 
 
 class Context:
@@ -28,6 +29,7 @@ class Context:
         self.pooled = pooled
         self.labels = labels
         self._dist = None
+        self._neighbour_order: np.ndarray | None = None
         self._graphs: dict = {}
         self._moments: dict = {}
         self._matching: Matching | None = None
@@ -55,12 +57,31 @@ class Context:
             return "nn", min(int(spec[:-2]), n - 1)
         raise ValueError(f"unknown graph spec {spec!r}")
 
+    @property
+    def neighbour_order(self) -> np.ndarray:
+        """(N, N-1) int32 array: row i lists the other nodes nearest first,
+        ties to the lower index (the targets of the (N-1)-NN graph)."""
+        if self._neighbour_order is None:
+            n = self.ms.total_n
+            full = knn_graph(self.dist, n - 1)
+            self._neighbour_order = full.edges[:, 1].reshape(
+                n, n - 1).astype(np.int32)
+        return self._neighbour_order
+
     def graph(self, spec: str) -> Graph:
         key = self._graph_key(spec)
         if key not in self._graphs:
             kind, k = key
-            build = kmst if kind == "mst" else knn_graph
-            self._graphs[key] = build(self.dist, k)
+            if kind == "mst":
+                self._graphs[key] = kmst(self.dist, k)
+            else:
+                # a stable sort's first k neighbours are the K-NN graph
+                n = self.ms.total_n
+                edges = np.column_stack(
+                    [np.repeat(np.arange(n), k),
+                     self.neighbour_order[:, :k].reshape(-1)])
+                self._graphs[key] = Graph(n, edges.astype(np.int64),
+                                          KNN_DIRECTED, k=k)
         return self._graphs[key]
 
     def graph_moments(self, spec: str):
@@ -211,7 +232,8 @@ for _k in (1, 5):
               lambda c, k=_k: graphstats.sh_statistic(
                   c.graph(f"{k}nn"), c.labels, c.ms.sizes))
 _register("bqs", DISSIMILARITY,
-          lambda c: graphstats.bqs_statistic(c.dist, c.labels, c.ms.sizes))
+          lambda c: graphstats.bqs_statistic(c.neighbour_order, c.labels,
+                                             c.ms.sizes))
 
 _register("rosenbaum", SIMILARITY,
           lambda c: graphstats.rosenbaum_statistic(

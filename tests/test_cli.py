@@ -103,6 +103,22 @@ class TestSimulate:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "5", 2.0, True, 0, -1, None])
+    def test_bad_reps_exit_two(self, tmp_path, capsys, value):
+        config = {"methods": ["energy"], "reps": value,
+                  "scenarios": [null_spec().to_dict()]}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "'reps'" in capsys.readouterr().err
+
+    def test_bad_reps_flag_exit_two(self, tmp_path, capsys, minimal_config):
+        rc = main(["simulate", "--config", minimal_config, "--seed", "1",
+                   "--reps", "0", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "'reps'" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path, minimal_config):
         for name in ("d1", "d2"):
             main(["simulate", "--config", minimal_config, "--seed", "7",
@@ -209,6 +225,24 @@ class TestBenchCommand:
     def test_bench_missing_key_exit_two(self, tmp_path, capsys, key):
         config = {"methods": ["energy"], "grid": [[20, 2]]}
         del config[key]
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["bench", "--config", str(cfg), "--out",
+                   str(tmp_path / "b")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", [5]), ("grid", [[20]]), ("grid", [[20, 2, 1]]),
+        ("grid", [[20, "2"]]), ("grid", [[20.0, 2]]), ("grid", [[True, 2]]),
+        ("grid", [[0, 2]]), ("grid", [{"n": 20, "p": 2}]),
+        ("min_reps", "abc"), ("min_reps", 2.5), ("min_reps", True),
+        ("min_reps", 0), ("min_total_s", "abc"), ("min_total_s", False),
+        ("min_total_s", -1.0), ("min_total_s", None)])
+    def test_bench_bad_value_exit_two(self, tmp_path, capsys, key, value):
+        config = {"methods": ["energy"], "grid": [[20, 2]], "min_reps": 2,
+                  "min_total_s": 0.0}
+        config[key] = value
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps(config))
         rc = main(["bench", "--config", str(cfg), "--out",

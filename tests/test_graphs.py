@@ -79,7 +79,101 @@ class TestKnn:
             knn_graph(d, 4)
 
 
+def kruskal_kmst(dist, k):
+    """Reference k-MST: Kruskal with union-find over the edges sorted by
+    (distance, i, j), skipping edges of earlier layers.  Returns (edges,
+    layer) as the int64 arrays kmst builds."""
+    n = dist.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    order = (iu * n + ju)[np.lexsort((ju, iu, dist[iu, ju]))]
+    used = np.zeros(n * n, dtype=bool)
+    edges, layers = [], []
+    for layer in range(k):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        chosen = []
+        for f in order:
+            if used[f]:
+                continue
+            i, j = divmod(int(f), n)
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                continue
+            parent[ri] = rj
+            chosen.append(int(f))
+            if len(chosen) == n - 1:
+                break
+        if len(chosen) < n - 1:
+            raise ValueError("graph disconnected before completing the layer")
+        for f in chosen:
+            used[f] = True
+            edges.append(divmod(f, n))
+            layers.append(layer)
+    return (np.array(edges, dtype=np.int64),
+            np.array(layers, dtype=np.int64))
+
+
+def assert_kmst_matches_kruskal(dist, k):
+    try:
+        edges, layer = kruskal_kmst(dist, k)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            kmst(dist, k)
+        return
+    g = kmst(dist, k)
+    assert g.edges.dtype == edges.dtype and g.layer.dtype == layer.dtype
+    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(g.layer, layer)
+
+
 class TestKmst:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(4, 120), st.integers(1, 5))
+    def test_equals_kruskal_normal(self, seed, n, k):
+        d = random_dist(np.random.default_rng(seed), n)
+        assert_kmst_matches_kruskal(d, min(k, n // 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(4, 120), st.integers(1, 5),
+           st.integers(2, 6))
+    def test_equals_kruskal_lattice_ties(self, seed, n, k, side):
+        d = lattice_dist(np.random.default_rng(seed), n, side=side)
+        assert_kmst_matches_kruskal(d, min(k, n // 2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(4, 60), st.integers(1, 5))
+    def test_equals_kruskal_duplicate_points(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 2))
+        x = x[rng.integers(0, max(2, n // 3), size=n)]
+        d = squareform(pdist(x))
+        assert (d[~np.eye(n, dtype=bool)] == 0.0).any()
+        assert_kmst_matches_kruskal(d, min(k, n // 2))
+
+    def test_star_second_layer_disconnected(self):
+        # the first layer is the star; the centre has no edge left
+        angles = 2 * np.pi * np.arange(3) / 3
+        x = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles),
+                                                     np.sin(angles)])])
+        d = distance_matrix(x)
+        assert sorted(map(tuple, kmst(d, 1).edges.tolist())) == [
+            (0, 1), (0, 2), (0, 3)]
+        with pytest.raises(ValueError, match="disconnected"):
+            kmst(d, 2)
+        with pytest.raises(ValueError, match="disconnected"):
+            kruskal_kmst(d, 2)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_infeasible_k(self, k):
+        with pytest.raises(ValueError, match="infeasible"):
+            kmst(random_dist(np.random.default_rng(3), 6), k)
+
     def test_line_path(self):
         d = distance_matrix(np.array([[0.0], [1.0], [2.0], [3.0]]))
         g = kmst(d, 1)
@@ -237,3 +331,18 @@ class TestHalton:
     def test_unit_cube(self):
         h = halton_grid(200, 5)
         assert (h.values > 0).all() and (h.values < 1).all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 10))
+    def test_equals_scalar_radical_inverse(self, n, p):
+        bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29][:p]
+        ref = np.empty((n, p))
+        for dim, base in enumerate(bases):
+            for idx in range(1, n + 1):
+                f, r, i = 1.0, 0.0, idx
+                while i > 0:
+                    f /= base
+                    r += f * (i % base)
+                    i //= base
+                ref[idx - 1, dim] = r
+        assert halton_grid(n, p).values.tobytes() == ref.tobytes()

@@ -166,7 +166,8 @@ class TestNearestNeighbourTests:
         for k in range(1, 12):
             g = knn_graph(d, k)
             direct += (labels[g.edges[:, 0]] == labels[g.edges[:, 1]]).sum()
-        assert bqs_statistic(d, labels, (5, 7)) == direct
+        order = knn_graph(d, 11).edges[:, 1].reshape(12, 11)
+        assert bqs_statistic(order, labels, (5, 7)) == direct
 
 
 class TestCrossmatch:

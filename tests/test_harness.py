@@ -8,6 +8,7 @@ from dsbench.datagen import ScenarioSpec
 from dsbench.harness import (MeanDiffRow, PesrRow, acceptable, bench,
                              choice_tree, greedy_cover, mean_diff_to_ideal,
                              pesr, pesr_table, run_scenario, scale_bench)
+from dsbench.methods import REGISTRY
 
 
 def spec(**kw):
@@ -265,6 +266,32 @@ class TestPesrTable:
         from dsbench.harness import MissingNullError
         with pytest.raises(MissingNullError):
             pesr_table([res])
+
+    def test_rows_equal_per_call_pesr(self):
+        methods = ("energy", "engineer", "fr_1mst", "wasserstein")
+        results = [
+            run_scenario(spec(), methods, 12, 5, scenario_index=0),
+            run_scenario(spec(deviation="shift", magnitude=0.5), methods,
+                         12, 5, scenario_index=1),
+            run_scenario(spec(deviation="shift", magnitude=1.5), methods,
+                         12, 5, scenario_index=2),
+            run_scenario(spec(balance="unbalanced"), methods, 12, 5,
+                         scenario_index=3),
+            run_scenario(spec(deviation="shift", magnitude=1.0,
+                              balance="unbalanced"), methods, 12, 5,
+                         scenario_index=4)]
+        null_of = {r.spec.balance: r for r in results
+                   if r.spec.deviation == "null"}
+        rows = pesr_table(results)
+        assert len(rows) == 3 * len(methods)
+        assert any(row.value is None for row in rows)  # wasserstein
+        alts = [r for r in results if r.spec.deviation != "null"]
+        for row, (res, m) in zip(rows, itertools.product(
+                alts, range(len(methods)))):
+            assert row.spec == res.spec and row.method == methods[m]
+            null = null_of[res.spec.balance]
+            assert row.value == pesr(null.values[:, m], res.values[:, m],
+                                     REGISTRY[methods[m]].direction)
 
     def test_null_and_alt_produce_rows(self):
         null = run_scenario(spec(), ("energy",), 30, 3, scenario_index=0)

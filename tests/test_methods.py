@@ -1,6 +1,7 @@
 import numpy as np
 
-from dsbench import clusterstats, graphstats, kernelstats, methods
+from dsbench import (clusterstats, graphs, graphstats, kernelstats,
+                     methods)
 from dsbench.core import DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample
 from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
                              REGISTRY, Context, default_methods, evaluate)
@@ -92,6 +93,21 @@ class TestEvaluate:
         assert ctx.graph("mst") is ctx.graph("1mst")
         assert ctx.graph_moments("mst") is ctx.graph_moments("1mst")
 
+    def test_knn_graphs_equal_direct_builds(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(13, 2)), rng.normal(size=(17, 2))
+        b[:4] = a[:4]  # tied and zero distances
+        ctx = Context(MultiSample((DataMatrix(a), DataMatrix(b))), seed=3)
+        for spec, k in (("1nn", 1), ("5nn", 5), ("heuristic_nn", 3),
+                        ("29nn", 29), ("99nn", 29)):
+            g = ctx.graph(spec)
+            ref = graphs.knn_graph(ctx.dist, k)
+            assert (g.n_nodes, g.kind, g.k) == (ref.n_nodes, ref.kind, ref.k)
+            assert g.edges.dtype == ref.edges.dtype
+            assert np.array_equal(g.edges, ref.edges)
+        full = graphs.knn_graph(ctx.dist, 29).edges
+        assert np.array_equal(ctx.neighbour_order, full[:, 1].reshape(30, 29))
+
     def test_shared_structures_built_once(self, monkeypatch):
         calls = {}
 
@@ -118,8 +134,7 @@ class TestEvaluate:
             ("psi2", "h1"), ("psi3", "h1")]
         assert len(calls["dsbench.kernelstats.moments_from_weights"]) == 1
         assert sorted(k for _, k in calls["dsbench.methods.kmst"]) == [1, 5]
-        # sh_1nn, sh_5nn and kmd_heuristic_nn (0.1 N = 5 neighbours)
-        assert sorted(k for _, k in calls["dsbench.methods.knn_graph"]) == [
-            1, 5]
-        # graphstats builds only bqs's full ordering
-        assert [k for _, k in calls["dsbench.graphstats.knn_graph"]] == [49]
+        # one full neighbour ordering serves sh_1nn, sh_5nn,
+        # kmd_heuristic_nn (0.1 N = 5 neighbours) and bqs
+        assert [k for _, k in calls["dsbench.methods.knn_graph"]] == [49]
+        assert calls["dsbench.graphstats.knn_graph"] == []
