@@ -32,16 +32,17 @@ class MaddConfig:
             raise ValueError(f"unknown h {self.h!r}")
 
 
-def _psi(kind: str, t: np.ndarray) -> np.ndarray:
-    if kind == "psi1":
-        return t ** 2
-    if kind == "psi2":
-        return 1.0 - np.exp(-t)
-    if kind == "psi3":
-        return 1.0 - np.exp(-t ** 2)
-    if kind == "psi4":
-        return np.log1p(t)
-    return t
+def _psi_inplace(kind: str, t: np.ndarray) -> None:
+    """Overwrite t with psi(t): psi1 t^2, psi2 1 - e^-t, psi3 1 - e^-t^2,
+    psi4 log(1 + t), psi5 t."""
+    if kind in ("psi1", "psi3"):
+        np.square(t, out=t)
+    if kind in ("psi2", "psi3"):
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.subtract(1.0, t, out=t)
+    elif kind == "psi4":
+        np.log1p(t, out=t)
 
 
 def _h(kind: str, t: np.ndarray) -> np.ndarray:
@@ -59,8 +60,13 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
     if n < 3:
         raise UnsupportedConfigError("madd needs at least three points")
     acc = np.zeros((n, n))
+    buf = np.empty((n, n))  # the one n x n temporary of the column loop
     for col in range(p):
-        acc += _psi(cfg.psi, np.abs(values[:, col, None] - values[None, :, col]))
+        np.subtract(values[:, col, None], values[None, :, col], out=buf)
+        np.abs(buf, out=buf)
+        _psi_inplace(cfg.psi, buf)
+        acc += buf
+    del buf
     acc /= p
     phi = _h(cfg.h, acc)
     del acc
@@ -102,10 +108,8 @@ def cluster_madd(rho: np.ndarray, n_clusters: int, rng):
 
 def contingency(sample_labels: np.ndarray, cluster_labels: np.ndarray,
                 k: int, n_clusters: int) -> np.ndarray:
-    table = np.zeros((k, n_clusters), dtype=np.int64)
-    for s, c in zip(sample_labels, cluster_labels):
-        table[s - 1, c] += 1
-    return table
+    cell = (np.asarray(sample_labels) - 1) * n_clusters + cluster_labels
+    return np.bincount(cell, minlength=k * n_clusters).reshape(k, n_clusters)
 
 
 def fs_from_table(table: np.ndarray) -> float:
@@ -306,69 +310,85 @@ def _gini(counts: np.ndarray) -> float:
     return 1.0 - float((frac ** 2).sum())
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
-    n, p = x.shape
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_gini = _gini(parent_counts)
-    best = None
-    for feat in range(p):
-        order = np.argsort(x[:, feat], kind="stable")
-        xs = x[order, feat]
-        ys = y[order]
-        left_counts = np.zeros(n_classes)
-        right_counts = parent_counts.astype(float).copy()
-        for i in range(n - 1):
-            left_counts[ys[i]] += 1
-            right_counts[ys[i]] -= 1
-            if xs[i] == xs[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            gain = parent_gini - (nl * _gini(left_counts)
-                                  + nr * _gini(right_counts)) / n
-            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                best = (gain, feat, (xs[i] + xs[i + 1]) / 2.0)
-    return best
+def _chosen_split(gain: np.ndarray) -> int:
+    """Index of the split that a scan in order keeps, or -1: a gain
+    replaces the kept one when it exceeds 1e-12 and the kept gain by more
+    than 1e-12, so near-ties go to the earlier split."""
+    best, bound = -1, 1e-12
+    while True:
+        later = np.flatnonzero(gain[best + 1:] > bound)
+        if not later.size:
+            return best
+        best += 1 + int(later[0])
+        bound = gain[best] + 1e-12
 
 
 def cart_fit(x: np.ndarray, y: np.ndarray, max_depth: int = 10,
              min_leaf: int = 5) -> TreeNode:
-    """CART classifier with Gini impurity; deterministic tie handling."""
+    """CART classifier with Gini impurity; deterministic tie handling.
+
+    Each feature is sorted once, by (value, row); a child keeps its
+    parent's order.  At a node every split of every feature is scored at
+    once, in (feature, position) order, and `_chosen_split` picks one."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_classes = int(y.max()) + 1
+    xt = np.ascontiguousarray(x.T)
+    onehot = np.eye(n_classes)
 
-    def build(idx, depth):
-        node = TreeNode(n_samples=len(idx))
-        counts = np.bincount(y[idx], minlength=n_classes)
+    def build(rows, order, depth):
+        # rows: the node's rows ascending; order: (p, n) its rows by feature
+        n = len(rows)
+        node = TreeNode(n_samples=n)
+        counts = np.bincount(y[rows], minlength=n_classes)
         node.prediction = int(np.argmax(counts))
-        if (depth >= max_depth or len(idx) < 2 * min_leaf
-                or _gini(counts) == 0.0):
+        parent_gini = _gini(counts)
+        if depth >= max_depth or n < 2 * min_leaf or parent_gini == 0.0:
             return node
-        found = _best_split(x[idx], y[idx], n_classes, min_leaf)
-        if found is None:
+        # a split after sorted position i puts i + 1 rows on the left
+        leaf = max(min_leaf, 1)
+        lo, hi = leaf - 1, n - leaf
+        xs = np.take_along_axis(xt, order, axis=1)
+        left = np.cumsum(onehot[y[order[:, :hi]]], axis=1)[:, lo:]
+        nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        nr = n - nl
+        gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=-1)
+        gr = 1.0 - (((counts - left) / nr[:, None]) ** 2).sum(axis=-1)
+        gain = parent_gini - (nl * gl + nr * gr) / n
+        gain[xs[:, lo:hi] == xs[:, lo + 1:hi + 1]] = -np.inf
+        best = _chosen_split(gain.ravel())
+        if best < 0:
             return node
-        _, feat, thr = found
+        feat, i = divmod(best, hi - lo)
+        i += lo
         node.feature = feat
-        node.threshold = thr
-        mask = x[idx, feat] <= thr
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
+        node.threshold = (xs[feat, i] + xs[feat, i + 1]) / 2.0
+        go_left = xt[feat] <= node.threshold
+        mask, side = go_left[rows], go_left[order]
+        p = len(order)
+        node.left = build(rows[mask], order[side].reshape(p, -1), depth + 1)
+        node.right = build(rows[~mask], order[~side].reshape(p, -1),
+                           depth + 1)
         return node
 
-    return build(np.arange(len(y)), 0)
+    order = np.argsort(x, axis=0, kind="stable").T
+    return build(np.arange(len(y)), order, 0)
 
 
 def cart_predict(tree: TreeNode, x: np.ndarray) -> np.ndarray:
+    """Route the row indices down the tree; a row goes left when its value
+    is at most the node's threshold."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(len(x), dtype=np.int64)
-    for i, row in enumerate(x):
-        node = tree
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.prediction
+    stack = [(tree, np.arange(len(x)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.prediction
+            continue
+        mask = x[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
     return out
 
 

@@ -59,20 +59,29 @@ def knn_graph(dist: np.ndarray, k: int) -> Graph:
     return Graph(n, edges.astype(np.int64, copy=False), KNN_DIRECTED, k=k)
 
 
-def kmst(dist: np.ndarray, k: int) -> Graph:
+def edge_order(dist: np.ndarray) -> np.ndarray:
+    """The upper-triangle edges, as row-major indices i < j, sorted by
+    (distance, i, j)."""
+    # the upper triangle in row-major order, so a stable sort breaks
+    # distance ties by (i, j)
+    return np.argsort(squareform(dist, checks=False), kind="stable")
+
+
+def kmst(dist: np.ndarray, k: int, order: np.ndarray | None = None) -> Graph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
-    Edges are ranked once by (distance, i, j).  Each layer is the minimum
-    spanning tree, under that strict order, of the edges no earlier layer
-    used; Prim's algorithm finds it on a dense rank matrix.  Ranks are
-    distinct, so the tree is unique and is the one Kruskal's algorithm
-    picks.  Edges come out layer by layer, each layer in rank order."""
+    Edges are ranked once by (distance, i, j); `order` is that ranking,
+    `edge_order(dist)`, when the caller already has it.  Each layer is the
+    minimum spanning tree, under that strict order, of the edges no
+    earlier layer used; Prim's algorithm finds it on a dense rank matrix.
+    Ranks are distinct, so the tree is unique and is the one Kruskal's
+    algorithm picks.  Edges come out layer by layer, each layer in rank
+    order."""
     n = dist.shape[0]
     if k < 1 or k > n // 2:
         raise ValueError(f"k={k} infeasible for n={n}")
-    # the upper triangle in row-major order, so a stable sort breaks
-    # distance ties by (i, j)
-    order = np.argsort(squareform(dist, checks=False), kind="stable")
+    if order is None:
+        order = edge_order(dist)
     m = order.size  # the rank of a used edge, and of the diagonal
     inverse = np.empty(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
     inverse[order] = np.arange(m)

@@ -14,8 +14,8 @@ import numpy as np
 from . import clusterstats, graphstats, interpoint, kernelstats
 from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
-from .graphs import (KNN_DIRECTED, Graph, Matching, kmst, knn_graph,
-                     min_weight_matching)
+from .graphs import (KNN_DIRECTED, Graph, Matching, edge_order, kmst,
+                     knn_graph, min_weight_matching)
 
 
 class Context:
@@ -29,6 +29,7 @@ class Context:
         self.pooled = pooled
         self.labels = labels
         self._dist = None
+        self._edge_order: np.ndarray | None = None
         self._neighbour_order: np.ndarray | None = None
         self._graphs: dict = {}
         self._moments: dict = {}
@@ -58,6 +59,14 @@ class Context:
         raise ValueError(f"unknown graph spec {spec!r}")
 
     @property
+    def edge_order(self) -> np.ndarray:
+        """The pooled edges ranked by (distance, i, j), shared by every
+        k-MST build."""
+        if self._edge_order is None:
+            self._edge_order = edge_order(self.dist)
+        return self._edge_order
+
+    @property
     def neighbour_order(self) -> np.ndarray:
         """(N, N-1) int32 array: row i lists the other nodes nearest first,
         ties to the lower index (the targets of the (N-1)-NN graph)."""
@@ -73,7 +82,8 @@ class Context:
         if key not in self._graphs:
             kind, k = key
             if kind == "mst":
-                self._graphs[key] = kmst(self.dist, k)
+                self._graphs[key] = kmst(self.dist, k,
+                                         order=self.edge_order)
             else:
                 # a stable sort's first k neighbours are the K-NN graph
                 n = self.ms.total_n

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from dsbench.clusterstats import (MaddConfig, aggregated_fs_ri_statistic,
+from dsbench.clusterstats import (PSI_KINDS, MaddConfig, TreeNode,
+                                  _chosen_split, aggregated_fs_ri_statistic,
                                   c2st_knn, cart_fit, cart_predict,
                                   cluster_madd, contingency, diproperm,
                                   dunn_index, fs_from_table, fs_ri_statistic,
@@ -71,6 +75,35 @@ class TestMadd:
                             assert abs(rho[i, j] - ref) < 1e-12
 
 
+def madd_reference(values, cfg):
+    """madd with a fresh array for every step of the column loop."""
+    psi = {"psi1": lambda t: t ** 2, "psi2": lambda t: 1.0 - np.exp(-t),
+           "psi3": lambda t: 1.0 - np.exp(-t ** 2), "psi4": np.log1p,
+           "psi5": lambda t: t}[cfg.psi]
+    n, p = values.shape
+    acc = np.zeros((n, n))
+    for col in range(p):
+        acc += psi(np.abs(values[:, col, None] - values[None, :, col]))
+    acc /= p
+    phi = np.sqrt(acc) if cfg.h == "h1" else acc
+    rho = cdist(phi, phi, "cityblock")
+    rho -= 2.0 * phi
+    rho /= n - 2
+    np.fill_diagonal(rho, 0.0)
+    return rho
+
+
+class TestMaddReference:
+    @pytest.mark.parametrize("psi", PSI_KINDS)
+    @pytest.mark.parametrize("h", ["h1", "h2"])
+    def test_bitwise_equal_to_out_of_place_loop(self, psi, h):
+        rng = np.random.default_rng(6)
+        for n, p in ((3, 1), (17, 3), (120, 10)):
+            x = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0)
+            cfg = MaddConfig(psi, h)
+            assert madd(x, cfg).tobytes() == madd_reference(x, cfg).tobytes()
+
+
 class TestClusterMadd:
     def test_separated_clusters_found(self):
         x = np.concatenate([np.zeros((5, 1)), np.full((5, 1), 10.0)])
@@ -126,6 +159,22 @@ class TestFsRi:
         table = contingency(sample, cluster, 2, 2)
         assert table.sum() == 5
         assert table.sum(axis=1).tolist() == [2, 3]
+
+    def test_contingency_equals_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            k = int(rng.integers(1, 5))
+            n_clusters = int(rng.integers(1, 8))
+            n = int(rng.integers(0, 40))
+            # labels drawn from part of the range leave empty clusters
+            sample = rng.integers(1, k + 1, size=n)
+            cluster = rng.integers(0, max(1, n_clusters - 2), size=n)
+            ref = np.zeros((k, n_clusters), dtype=np.int64)
+            for s_lab, c_lab in zip(sample, cluster):
+                ref[s_lab - 1, c_lab] += 1
+            table = contingency(sample, cluster, k, n_clusters)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, ref)
 
     def test_ri_zero_for_separated_samples(self):
         rng = np.random.default_rng(5)
@@ -224,6 +273,198 @@ class TestC2st:
         ms = make_ms(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)))
         with pytest.raises(UnsupportedConfigError):
             c2st_knn(ms, np.random.default_rng(0))
+
+
+def gini_reference(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    frac = counts / n
+    return 1.0 - float((frac ** 2).sum())
+
+
+def best_split_reference(x, y, n_classes, min_leaf):
+    """Scalar split search: every sorted position of every feature in
+    turn, keeping a gain above 1e-12 that beats the kept one by 1e-12."""
+    n, p = x.shape
+    parent_counts = np.bincount(y, minlength=n_classes)
+    parent_gini = gini_reference(parent_counts)
+    best = None
+    for feat in range(p):
+        order = np.argsort(x[:, feat], kind="stable")
+        xs = x[order, feat]
+        ys = y[order]
+        left_counts = np.zeros(n_classes)
+        right_counts = parent_counts.astype(float).copy()
+        for i in range(n - 1):
+            left_counts[ys[i]] += 1
+            right_counts[ys[i]] -= 1
+            if xs[i] == xs[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            gain = parent_gini - (nl * gini_reference(left_counts)
+                                  + nr * gini_reference(right_counts)) / n
+            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+                best = (gain, feat, (xs[i] + xs[i + 1]) / 2.0)
+    return best
+
+
+def cart_fit_reference(x, y, max_depth, min_leaf):
+    """Recursive CART over row subsets with the scalar split search."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+
+    def build(idx, depth):
+        node = TreeNode(n_samples=len(idx))
+        counts = np.bincount(y[idx], minlength=n_classes)
+        node.prediction = int(np.argmax(counts))
+        if (depth >= max_depth or len(idx) < 2 * min_leaf
+                or gini_reference(counts) == 0.0):
+            return node
+        found = best_split_reference(x[idx], y[idx], n_classes, min_leaf)
+        if found is None:
+            return node
+        _, node.feature, node.threshold = found
+        mask = x[idx, node.feature] <= node.threshold
+        node.left = build(idx[mask], depth + 1)
+        node.right = build(idx[~mask], depth + 1)
+        return node
+
+    return build(np.arange(len(y)), 0)
+
+
+def cart_predict_reference(tree, x):
+    out = np.empty(len(x), dtype=np.int64)
+    for i, row in enumerate(np.asarray(x, dtype=np.float64)):
+        node = tree
+        while not node.is_leaf:
+            node = (node.left if row[node.feature] <= node.threshold
+                    else node.right)
+        out[i] = node.prediction
+    return out
+
+
+def assert_same_tree(a, b):
+    assert a.n_samples == b.n_samples
+    assert a.prediction == b.prediction
+    assert a.is_leaf == b.is_leaf
+    if a.is_leaf:
+        return
+    assert a.feature == b.feature
+    assert (np.float64(a.threshold).tobytes()
+            == np.float64(b.threshold).tobytes())
+    assert_same_tree(a.left, b.left)
+    assert_same_tree(a.right, b.right)
+
+
+def assert_cart_matches_reference(x, y, max_depth, min_leaf):
+    tree = cart_fit(x, y, max_depth=max_depth, min_leaf=min_leaf)
+    assert_same_tree(tree, cart_fit_reference(x, y, max_depth, min_leaf))
+    rng = np.random.default_rng(len(y))
+    # midpoints of pairs of rows hit thresholds exactly on lattice data
+    probe = np.concatenate([x, x + rng.normal(size=x.shape),
+                            (x[:-1] + x[1:]) / 2.0])
+    assert np.array_equal(cart_predict(tree, probe),
+                          cart_predict_reference(tree, probe))
+    return tree
+
+
+DEPTH_LEAF = st.sampled_from([(10, 5), (64, 1), (3, 2)])
+
+
+class TestCartReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 150), st.integers(1, 8),
+           st.integers(2, 6), DEPTH_LEAF)
+    def test_normal_data(self, seed, n, p, n_classes, depth_leaf):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p))
+        y = rng.integers(0, n_classes, size=n)
+        assert_cart_matches_reference(x, y, *depth_leaf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 150), st.integers(1, 8),
+           st.integers(2, 6), st.integers(2, 5), DEPTH_LEAF)
+    def test_lattice_ties(self, seed, n, p, n_classes, side, depth_leaf):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, side, size=(n, p)).astype(float)
+        y = rng.integers(0, n_classes, size=n)
+        assert_cart_matches_reference(x, y, *depth_leaf)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 100), st.integers(2, 6),
+           DEPTH_LEAF)
+    def test_constant_features(self, seed, n, p, depth_leaf):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p))
+        x[:, ::2] = 1.5
+        y = rng.integers(0, 3, size=n)
+        assert_cart_matches_reference(x, y, *depth_leaf)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 120), st.integers(7, 50))
+    def test_many_classes_grown_to_purity(self, seed, n, n_classes):
+        # the method-choice tree: three features, up to one class per row
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.choice([50, 100, 200, 500], size=n),
+                             rng.choice([2, 10, 50], size=n),
+                             rng.integers(0, 2, size=n)]).astype(float)
+        y = rng.integers(0, n_classes, size=n)
+        assert_cart_matches_reference(x, y, 64, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_below_two_leaves_single_leaf(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 2))
+        y = np.arange(n) % 2
+        tree = assert_cart_matches_reference(x, y, 10, 5)
+        assert tree.is_leaf and tree.n_samples == n
+
+    def test_equal_gain_keeps_earlier_feature(self):
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        y = np.array([0, 0, 1, 1])
+        tree = assert_cart_matches_reference(x, y, 5, 1)
+        assert tree.feature == 0 and tree.threshold == 1.5
+
+    def test_larger_later_gain_replaces(self):
+        # feature 1 separates the classes, feature 0 only partly
+        x = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
+        y = np.array([0, 0, 1, 1])
+        tree = assert_cart_matches_reference(x, y, 5, 1)
+        assert tree.feature == 1 and tree.threshold == 1.5
+
+
+def chosen_split_reference(gain):
+    best = None
+    for i, g in enumerate(gain):
+        if g > 1e-12 and (best is None or g > gain[best] + 1e-12):
+            best = i
+    return -1 if best is None else best
+
+
+class TestChosenSplit:
+    @pytest.mark.parametrize("gain, expected", [
+        ([0.0, -np.inf, 1e-12], -1),
+        ([0.25, 0.25 + 5e-13, 0.25 + 1e-12], 0),
+        ([0.1, 0.25, 0.25 + 9e-13, 0.2], 1),
+        ([0.25, 0.25 + 3e-12, 0.25 + 3.5e-12], 1),
+        ([-np.inf, 0.1, 0.3, 0.3 + 2e-12, 0.3 + 2.5e-12], 3),
+    ])
+    def test_tie_rule(self, gain, expected):
+        gain = np.array(gain)
+        assert _chosen_split(gain) == expected
+        assert chosen_split_reference(gain) == expected
+
+    def test_equals_scan_on_near_ties(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            gain = 0.2 + rng.integers(-3, 4, size=30) * 7e-13
+            gain[rng.random(30) < 0.2] = -np.inf
+            assert _chosen_split(gain) == chosen_split_reference(gain)
 
 
 class TestCart:

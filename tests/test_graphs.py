@@ -9,8 +9,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from dsbench._blossom import _Matcher
 from dsbench.core import distance_matrix
-from dsbench.graphs import (assignment, halton_grid, kmst, knn_graph,
-                            min_weight_matching)
+from dsbench.graphs import (assignment, edge_order, halton_grid, kmst,
+                            knn_graph, min_weight_matching)
 
 
 def random_dist(rng, n, p=2):
@@ -155,6 +155,19 @@ class TestKmst:
         d = squareform(pdist(x))
         assert (d[~np.eye(n, dtype=bool)] == 0.0).any()
         assert_kmst_matches_kruskal(d, min(k, n // 2))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(4, 60), st.integers(1, 5))
+    def test_given_edge_order_equals_kruskal(self, seed, n, k):
+        d = lattice_dist(np.random.default_rng(seed), n, side=3)
+        k = min(k, n // 2)
+        try:
+            edges, layer = kruskal_kmst(d, k)
+        except ValueError:
+            return
+        g = kmst(d, k, order=edge_order(d))
+        assert np.array_equal(g.edges, edges)
+        assert np.array_equal(g.layer, layer)
 
     def test_star_second_layer_disconnected(self):
         # the first layer is the star; the centre has no edge left

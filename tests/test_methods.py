@@ -116,14 +116,15 @@ class TestEvaluate:
             key = f"{module.__name__}.{name}"
             calls[key] = []
 
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[key].append(args)
-                return original(*args)
+                return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapped)
 
         count(clusterstats, "madd")
         count(kernelstats, "moments_from_weights")
         count(methods, "kmst")
+        count(methods, "edge_order")
         count(methods, "knn_graph")
         count(graphstats, "knn_graph")
         ctx = Context(make_ms((25, 25)), seed=8)
@@ -134,6 +135,8 @@ class TestEvaluate:
             ("psi2", "h1"), ("psi3", "h1")]
         assert len(calls["dsbench.kernelstats.moments_from_weights"]) == 1
         assert sorted(k for _, k in calls["dsbench.methods.kmst"]) == [1, 5]
+        # both k-MST builds share one ranking of the edges
+        assert len(calls["dsbench.methods.edge_order"]) == 1
         # one full neighbour ordering serves sh_1nn, sh_5nn,
         # kmd_heuristic_nn (0.1 N = 5 neighbours) and bqs
         assert [k for _, k in calls["dsbench.methods.knn_graph"]] == [49]
