@@ -37,7 +37,7 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
@@ -68,6 +68,13 @@ def _positive_int(key: str, value) -> int:
     return value
 
 
+def _non_negative_int(key: str, value) -> int:
+    if not _is_int(value) or value < 0:
+        raise ConfigError(f"{key!r} must be a non-negative integer, "
+                          f"got {value!r}")
+    return value
+
+
 def _non_negative_number(key: str, value) -> float:
     if (not (_is_int(value) or isinstance(value, float))
             or not 0 <= value < float("inf")):
@@ -91,7 +98,9 @@ def _check_methods(methods) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    _non_negative_int("--seed", args.seed)
+    _positive_int("--jobs", args.jobs)
+    config = _load_json(args.config)
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
     reps = _positive_int("reps", args.reps if args.reps is not None
@@ -123,21 +132,25 @@ def cmd_simulate(args) -> int:
 
 
 def _load_results(dump_dir: Path):
-    with open(dump_dir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(str(dump_dir / "manifest.json"))
     methods = tuple(manifest["methods"])
+    column = {mid: m for m, mid in enumerate(methods)}
     results = []
     for entry in manifest["scenarios"]:
         spec = ScenarioSpec.from_dict(entry["spec"])
         reps = manifest["reps"]
         values = np.full((reps, len(methods)), np.nan)
         errors = [[""] * len(methods) for _ in range(reps)]
-        with open(dump_dir / entry["file"], "r", encoding="utf-8") as fh:
+        path = dump_dir / entry["file"]
+        with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)
             for rep_s, mid, value, err in reader:
+                if mid not in column:
+                    raise ConfigError(f"{path} names method {mid!r}, which "
+                                      "is not in the manifest")
                 rep = int(rep_s)
-                m = methods.index(mid)
+                m = column[mid]
                 if value != "NA":
                     values[rep, m] = float(value)
                 errors[rep][m] = err
@@ -200,7 +213,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args.config)
+    _non_negative_int("--seed", args.seed)
+    config = _load_json(args.config)
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
     grid = [_grid_cell(cell) for cell in _required(config, "grid")]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -215,12 +216,12 @@ def fs_ri_statistic(rho: np.ndarray, labels: np.ndarray, variant: str,
     return fs_from_table(table), flags
 
 
-def aggregated_fs_ri_statistic(values: np.ndarray, labels: np.ndarray,
-                               cfg: MaddConfig, variant: str, rng):
+def aggregated_fs_ri_statistic(rhos, labels: np.ndarray, variant: str, rng):
     """Aggregated FS / RI: the extreme pairwise statistic over all sample
-    pairs, each computed on the MADD matrix of that pair's rows.  variant
-    in {afs_knw, afs_est, ari_knw, ari_est}; 'est' estimates the cluster
-    count per pair.  Returns (value, flags)."""
+    pairs.  `rhos` yields the MADD matrix of each pair (i, j), i < j, of
+    labels 1..k in that order, over the pair's rows in pooled order.
+    variant in {afs_knw, afs_est, ari_knw, ari_est}; 'est' estimates the
+    cluster count per pair.  Returns (value, flags)."""
     ri = variant.startswith("ari")
     sub_variant = "ri" if ri else "fs"
     if variant.endswith("est"):
@@ -228,14 +229,12 @@ def aggregated_fs_ri_statistic(values: np.ndarray, labels: np.ndarray,
     k = int(labels.max())
     flags: tuple[str, ...] = ()
     vals = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            rows = (labels == i) | (labels == j)
-            pair_labels = np.where(labels[rows] == i, 1, 2)
-            v, f = fs_ri_statistic(madd(values[rows], cfg), pair_labels,
-                                   sub_variant, rng)
-            vals.append(v)
-            flags += f
+    for (i, j), rho in zip(combinations(range(1, k + 1), 2), rhos):
+        pair = labels[(labels == i) | (labels == j)]
+        v, f = fs_ri_statistic(rho, np.where(pair == i, 1, 2), sub_variant,
+                               rng)
+        vals.append(v)
+        flags += f
     # the extreme pairwise statistic in the method's own direction
     return (min(vals) if ri else max(vals)), flags
 

@@ -386,12 +386,10 @@ def gen_target(x: np.ndarray, ogm: OgmSpec, rng) -> np.ndarray:
 
 def sample_scenario(spec: ScenarioSpec, rng) -> MultiSample:
     """Draw one repetition of the scenario. rng is a numpy Generator."""
-    if spec.deviation in _OGM_DEVIATIONS or (
-            spec.deviation == "null" and spec.with_target):
+    if spec.deviation == "null" or spec.deviation in _OGM_DEVIATIONS:
         levels = tuple(0.0 for _ in range(spec.k))
     else:
-        levels = (deviation_levels(spec) if spec.deviation != "null"
-                  else tuple(0.0 for _ in range(spec.k)))
+        levels = deviation_levels(spec)
     mats = [_draw_sample(rng, spec, j, levels[j]) for j in range(spec.k)]
     target = None
     if spec.with_target:

@@ -1,5 +1,7 @@
 """Graph-based statistics: edge-count tests, nearest-neighbour tests,
-cross-match family, and the kernel measure of multi-sample dissimilarity."""
+cross-match family, and the kernel measure of multi-sample dissimilarity.
+Edge-count and cross-match statistics read an edge set's pattern summary
+(counts, mean, cov) from `Context.pattern_stats`."""
 
 from __future__ import annotations
 
@@ -8,8 +10,8 @@ import numpy as np
 from .core import UnsupportedConfigError
 # knn_graph is not called here; it stays importable under this name so that
 # call counters wrapping it would see a K-NN build outside Context.
-from .graphs import KNN_DIRECTED, Graph, Matching, knn_graph  # noqa: F401
-from .permnull import moments_from_edges, pattern_counts_from_edges
+from .graphs import KNN_DIRECTED, Graph, knn_graph  # noqa: F401
+from .permnull import moments_from_edges
 
 PINV_FLAG = "pinv"
 _COND_TOL = 1e-12
@@ -19,9 +21,10 @@ class DegenerateNullError(ValueError):
     """Raised when a null variance needed for standardization is zero."""
 
 
-def null_moments(graph: Graph, sizes):
-    """Exact permutation-null mean and covariance of the pattern counts."""
-    return moments_from_edges(graph.edges, graph.n_nodes, sizes)
+def null_moments(edges: np.ndarray, sizes):
+    """Exact permutation-null mean and covariance of the pattern counts of
+    an edge array over the N = sum(sizes) pooled nodes."""
+    return moments_from_edges(edges, int(sum(sizes)), sizes)
 
 
 def _safe_inverse_quadform(x: np.ndarray, mean: np.ndarray,
@@ -46,51 +49,43 @@ def _std(value, mean, var):
     return (value - mean) / np.sqrt(var)
 
 
-def edgecount_test(graph: Graph, labels: np.ndarray, sizes, variant: str,
-                   kappa: float = 1.0, moments=None):
-    """Two-sample edge-count statistics on a similarity graph.
+def edgecount_test(stats, sizes, variant: str, kappa: float = 1.0):
+    """Two-sample edge-count statistics from a similarity graph's pattern
+    summary `stats` = (counts, mean, cov).
 
     variant: 'fr' standardized between count, 'cf' quadratic form of the
     within counts, 'ccs' standardized weighted within count, 'zc' max-type
     combination.  Returns (value, flags)."""
     if len(sizes) != 2:
         raise UnsupportedConfigError("edge-count tests are two-sample only")
-    counts = pattern_counts_from_edges(graph.edges, labels, 2)
-    mean, cov = moments if moments is not None else null_moments(graph, sizes)
-    r1, r2, rb = counts
+    counts, mean, cov = stats
     n1, n2 = sizes
     n = n1 + n2
     flags: tuple[str, ...] = ()
     if variant == "fr":
-        value = _std(rb, mean[2], cov[2, 2])
+        value = _std(counts[2], mean[2], cov[2, 2])
     elif variant == "cf":
         value, flagged = _safe_inverse_quadform(
             counts[:2], mean[:2], cov[:2, :2])
         if flagged:
             flags = (PINV_FLAG,)
-    elif variant == "ccs":
+    elif variant in ("ccs", "zc"):
         w = np.array([n1 / n, n2 / n])
-        rw = w @ counts[:2]
-        value = _std(rw, w @ mean[:2], w @ cov[:2, :2] @ w)
-    elif variant == "zc":
-        w = np.array([n1 / n, n2 / n])
-        rw = w @ counts[:2]
-        zw = _std(rw, w @ mean[:2], w @ cov[:2, :2] @ w)
-        v = np.array([1.0, -1.0])
-        rd = v @ counts[:2]
-        zd = _std(rd, v @ mean[:2], v @ cov[:2, :2] @ v)
-        value = max(kappa * zw, abs(zd))
+        value = _std(w @ counts[:2], w @ mean[:2], w @ cov[:2, :2] @ w)
+        if variant == "zc":
+            v = np.array([1.0, -1.0])
+            zd = _std(v @ counts[:2], v @ mean[:2], v @ cov[:2, :2] @ v)
+            value = max(kappa * value, abs(zd))
     else:
         raise ValueError(f"unknown edge-count variant {variant!r}")
     return float(value), flags
 
 
-def sc_test(graph: Graph, labels: np.ndarray, sizes, variant: str,
-            moments=None):
-    """Multi-sample edge-count statistics (S and S_A quadratic forms)."""
+def sc_test(stats, sizes, variant: str):
+    """Multi-sample edge-count statistics (S and S_A quadratic forms) from
+    a graph's pattern summary (counts, mean, cov)."""
     k = len(sizes)
-    counts = pattern_counts_from_edges(graph.edges, labels, k)
-    mean, cov = moments if moments is not None else null_moments(graph, sizes)
+    counts, mean, cov = stats
     flags: tuple[str, ...] = ()
     if variant == "s":
         sw, f1 = _safe_inverse_quadform(counts[:k], mean[:k], cov[:k, :k])
@@ -128,40 +123,22 @@ def bqs_statistic(order: np.ndarray, labels: np.ndarray, sizes) -> float:
     return float((same @ weights).sum())
 
 
-def crossmatch_counts(matching: Matching, labels: np.ndarray,
-                      k: int) -> np.ndarray:
-    """Pattern counts of the matching edges (within first, then between)."""
-    edges = matching.pairs
-    return pattern_counts_from_edges(edges, labels, k)
-
-
-def _matching_moments(matching: Matching, n_nodes: int, sizes):
-    return moments_from_edges(matching.pairs, n_nodes, sizes)
-
-
-def rosenbaum_statistic(matching: Matching, labels: np.ndarray,
-                        sizes) -> float:
-    """Raw cross-match count a12 (high values indicate similarity)."""
+def rosenbaum_statistic(stats, sizes) -> float:
+    """Raw cross-match count a12 (high values indicate similarity) from the
+    matching's pattern summary (counts, mean, cov)."""
     if len(sizes) != 2:
         raise UnsupportedConfigError("rosenbaum test is two-sample only")
-    counts = crossmatch_counts(matching, labels, 2)
-    return float(counts[2])
+    return float(stats[0][2])
 
 
-def petrie_statistic(matching: Matching, labels: np.ndarray, sizes,
-                     n_nodes: int) -> float:
+def petrie_statistic(stats, sizes) -> float:
     """Standardized total between-sample pair count of the matching."""
     k = len(sizes)
-    counts = crossmatch_counts(matching, labels, k)
-    mean, cov = _matching_moments(matching, n_nodes, sizes)
-    total = counts[k:].sum()
-    mu = mean[k:].sum()
-    var = cov[k:, k:].sum()
-    return float(_std(total, mu, var))
+    counts, mean, cov = stats
+    return float(_std(counts[k:].sum(), mean[k:].sum(), cov[k:, k:].sum()))
 
 
-def mmcm_statistic(matching: Matching, labels: np.ndarray, sizes,
-                   n_nodes: int):
+def mmcm_statistic(stats, sizes):
     """Mahalanobis cross-match statistic.
 
     For two samples the signed standardized deficit (E - a12)/sd is
@@ -169,8 +146,7 @@ def mmcm_statistic(matching: Matching, labels: np.ndarray, sizes,
     count; for four samples the quadratic form of (a12, a13, a23, a24).
     Returns (value, flags)."""
     k = len(sizes)
-    counts = crossmatch_counts(matching, labels, k)
-    mean, cov = _matching_moments(matching, n_nodes, sizes)
+    counts, mean, cov = stats
     if k == 2:
         value = _std(mean[2] - counts[2], 0.0, cov[2, 2])
         return float(value), ()
@@ -198,11 +174,9 @@ def kmd_statistic(graph: Graph, labels: np.ndarray, sizes) -> float:
     else:
         src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
         dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    out_deg = np.zeros(n, dtype=np.float64)
-    np.add.at(out_deg, src, 1.0)
+    out_deg = np.bincount(src, minlength=n).astype(np.float64)
     same = (labels[src] == labels[dst]).astype(np.float64)
-    per_node = np.zeros(n, dtype=np.float64)
-    np.add.at(per_node, src, same)
+    per_node = np.bincount(src, weights=same, minlength=n)
     if (out_deg == 0).any():
         raise UnsupportedConfigError("kmd needs every node to have out-edges")
     t1 = float((per_node / out_deg).mean())

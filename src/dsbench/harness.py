@@ -55,8 +55,7 @@ def _run_rep(spec: ScenarioSpec, methods, master_seed, scenario_index, rep):
 
 
 def _run_rep_packed(args):
-    spec_dict, methods, master_seed, scenario_index, rep = args
-    spec = ScenarioSpec.from_dict(spec_dict)
+    spec, methods, master_seed, scenario_index, rep = args
     return rep, _run_rep(spec, methods, master_seed, scenario_index, rep)
 
 
@@ -73,7 +72,7 @@ def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
     values = np.empty((reps, len(methods)))
     errors: list[tuple[str, ...]] = [()] * reps
     if jobs > 1 and reps > 1:
-        tasks = [(spec.to_dict(), methods, master_seed, scenario_index, rep)
+        tasks = [(spec, methods, master_seed, scenario_index, rep)
                  for rep in range(reps)]
         with get_context("fork").Pool(jobs) as pool:
             for rep, (vals, errs) in pool.imap_unordered(

@@ -10,9 +10,6 @@ import numpy as np
 from .core import MultiSample, UnsupportedConfigError, cross_distances, pool
 from .graphs import assignment, halton_grid
 
-PHI_KINDS = ("cramer", "bahr", "log", "fraca", "fracb")
-
-
 def phi_kernel(kind: str, z: np.ndarray) -> np.ndarray:
     """Dissimilarity transforms applied to squared Euclidean distances.
 

@@ -1,12 +1,14 @@
 """Method registry: every statistic under a canonical id with its
 extremeness direction, evaluated against a per-repetition context that
-caches the shared heavy structures (distance matrix, graphs and their null
-moments, matching, Gram matrix, GPK components and MADD matrices)."""
+caches the shared heavy structures (distance matrix, graphs, matching, the
+pattern summary of each of their edge sets, Gram matrix, GPK components,
+and the MADD matrices of the pooled sample and of each sample pair)."""
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -16,6 +18,7 @@ from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
 from .graphs import (KNN_DIRECTED, Graph, Matching, edge_order, kmst,
                      knn_graph, min_weight_matching)
+from .permnull import pattern_counts_from_edges
 
 
 class Context:
@@ -32,7 +35,7 @@ class Context:
         self._edge_order: np.ndarray | None = None
         self._neighbour_order: np.ndarray | None = None
         self._graphs: dict = {}
-        self._moments: dict = {}
+        self._pattern_stats: dict = {}
         self._matching: Matching | None = None
         self._gram = None
         self._gpk = None
@@ -94,18 +97,23 @@ class Context:
                                           KNN_DIRECTED, k=k)
         return self._graphs[key]
 
-    def graph_moments(self, spec: str):
-        key = self._graph_key(spec)
-        if key not in self._moments:
-            self._moments[key] = graphstats.null_moments(self.graph(spec),
-                                                         self.ms.sizes)
-        return self._moments[key]
-
     @property
     def matching(self) -> Matching:
         if self._matching is None:
             self._matching = min_weight_matching(self.dist)
         return self._matching
+
+    def pattern_stats(self, spec: str):
+        """(counts, mean, cov): label-pattern counts of the edges of graph
+        `spec` or "matching", with their exact permutation-null moments."""
+        key = "matching" if spec == "matching" else self._graph_key(spec)
+        if key not in self._pattern_stats:
+            edges = (self.matching.pairs if spec == "matching"
+                     else self.graph(spec).edges)
+            mean, cov = graphstats.null_moments(edges, self.ms.sizes)
+            counts = pattern_counts_from_edges(edges, self.labels, self.ms.k)
+            self._pattern_stats[key] = (counts, mean, cov)
+        return self._pattern_stats[key]
 
     @property
     def gram(self) -> kernelstats.GramMatrix:
@@ -123,6 +131,15 @@ class Context:
         key = (cfg.psi, cfg.h)
         if key not in self._madd:
             self._madd[key] = clusterstats.madd(self.pooled.values, cfg)
+        return self._madd[key]
+
+    def pair_madd(self, cfg: clusterstats.MaddConfig, i: int,
+                  j: int) -> np.ndarray:
+        """MADD matrix of the rows of samples i and j, in pooled order."""
+        key = (cfg.psi, cfg.h, i, j)
+        if key not in self._madd:
+            rows = (self.labels == i) | (self.labels == j)
+            self._madd[key] = clusterstats.madd(self.pooled.values[rows], cfg)
         return self._madd[key]
 
     def method_rng(self, method_id: str):
@@ -212,30 +229,21 @@ for _e in (0.5, 0.8, 0.9):
               lambda c, e=_e: interpoint.bg_partition(c.ms, e))
 
 for _g in ("1mst", "5mst", "1nn", "5nn"):
-    _register(f"fr_{_g}", SIMILARITY,
-              lambda c, g=_g: graphstats.edgecount_test(
-                  c.graph(g), c.labels, c.ms.sizes, "fr",
-                  moments=c.graph_moments(g)))
-    _register(f"cf_{_g}", DISSIMILARITY,
-              lambda c, g=_g: graphstats.edgecount_test(
-                  c.graph(g), c.labels, c.ms.sizes, "cf",
-                  moments=c.graph_moments(g)))
-    _register(f"ccs_{_g}", DISSIMILARITY,
-              lambda c, g=_g: graphstats.edgecount_test(
-                  c.graph(g), c.labels, c.ms.sizes, "ccs",
-                  moments=c.graph_moments(g)))
+    for _v, _dir in (("fr", SIMILARITY), ("cf", DISSIMILARITY),
+                     ("ccs", DISSIMILARITY)):
+        _register(f"{_v}_{_g}", _dir,
+                  lambda c, g=_g, v=_v: graphstats.edgecount_test(
+                      c.pattern_stats(g), c.ms.sizes, v))
     for _kap in (1.0, 1.14, 1.31):
         _register(f"zc_{_g}_k{_kap:g}", DISSIMILARITY,
                   lambda c, g=_g, kap=_kap: graphstats.edgecount_test(
-                      c.graph(g), c.labels, c.ms.sizes, "zc", kappa=kap,
-                      moments=c.graph_moments(g)))
+                      c.pattern_stats(g), c.ms.sizes, "zc", kappa=kap))
 
 for _g in ("1mst", "5mst"):
     for _v in ("s", "sa"):
         _register(f"sc_{_g}_{_v}", DISSIMILARITY,
                   lambda c, g=_g, v=_v: graphstats.sc_test(
-                      c.graph(g), c.labels, c.ms.sizes, v,
-                      moments=c.graph_moments(g)), max_k=99)
+                      c.pattern_stats(g), c.ms.sizes, v), max_k=99)
 
 for _k in (1, 5):
     _register(f"sh_{_k}nn", DISSIMILARITY,
@@ -247,13 +255,13 @@ _register("bqs", DISSIMILARITY,
 
 _register("rosenbaum", SIMILARITY,
           lambda c: graphstats.rosenbaum_statistic(
-              c.matching, c.labels, c.ms.sizes))
+              c.pattern_stats("matching"), c.ms.sizes))
 _register("petrie", SIMILARITY,
           lambda c: graphstats.petrie_statistic(
-              c.matching, c.labels, c.ms.sizes, c.ms.total_n), max_k=99)
+              c.pattern_stats("matching"), c.ms.sizes), max_k=99)
 _register("mmcm", DISSIMILARITY,
           lambda c: graphstats.mmcm_statistic(
-              c.matching, c.labels, c.ms.sizes, c.ms.total_n), max_k=4)
+              c.pattern_stats("matching"), c.ms.sizes), max_k=4)
 
 for _g in ("1nn", "5nn", "heuristic_nn", "mst"):
     _register(f"kmd_{_g}", DISSIMILARITY,
@@ -301,17 +309,25 @@ for _variant in ("msfs", "msri"):
                           _fsri_fn(_variant, _psi, _hh, ms_clusters=_kp + 1),
                           min_k=4, max_k=99)
 
-# the generator tag keeps the "{variant}_{psi}_{h}_{clusters}" form of
-# _fsri_fn, with no cluster count
+def _aggregated_fn(variant, psi):
+    cfg = clusterstats.MaddConfig(psi, "h1")
+
+    def fn(c):
+        # lazy, so that a failing pair stops the statistic before the next
+        # pair's MADD is built
+        rhos = (c.pair_madd(cfg, i, j)
+                for i, j in combinations(range(1, c.ms.k + 1), 2))
+        # the rng tag keeps _fsri_fn's "{variant}_{psi}_{h}_{clusters}" form
+        return clusterstats.aggregated_fs_ri_statistic(
+            rhos, c.labels, variant, c.method_rng(f"{variant}_{psi}_h1_None"))
+    return fn
+
+
 for _variant in ("afs", "ari"):
     for _mode in ("knw", "est"):
         for _psi in ("psi2", "psi3"):
             _register(f"{_variant}_{_mode}_{_psi}_h1", _FS_DIR[_variant],
-                      lambda c, v=f"{_variant}_{_mode}", psi=_psi:
-                      clusterstats.aggregated_fs_ri_statistic(
-                          c.pooled.values, c.labels,
-                          clusterstats.MaddConfig(psi, "h1"), v,
-                          c.method_rng(f"{v}_{psi}_h1_None")),
+                      _aggregated_fn(f"{_variant}_{_mode}", _psi),
                       min_k=3, max_k=99)
 
 _register("c2st_knn", DISSIMILARITY,

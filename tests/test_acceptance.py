@@ -243,8 +243,10 @@ def test_criterion_5_identity_suites():
         d = distance_matrix(x)
         m = min_weight_matching(d)
         labels = np.array([1] * 6 + [2] * 6)
-        ros.append(rosenbaum_statistic(m, labels, (6, 6)))
-        v, _ = mmcm_statistic(m, labels, (6, 6), 12)
+        stats = (pattern_counts_from_edges(m.pairs, labels, 2),
+                 *moments_from_edges(m.pairs, 12, (6, 6)))
+        ros.append(rosenbaum_statistic(stats, (6, 6)))
+        v, _ = mmcm_statistic(stats, (6, 6))
         mmcm.append(v)
     rho = spearmanr(ros, mmcm).statistic
     ok_mmcm = abs(abs(rho) - 1.0) < 1e-12

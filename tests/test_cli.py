@@ -119,6 +119,17 @@ class TestSimulate:
         assert rc == 2
         assert "'reps'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--jobs", "0"), ("--jobs", "-4")])
+    def test_bad_flag_exit_two(self, tmp_path, capsys, minimal_config,
+                               flag, value):
+        args = {"--config": minimal_config, "--seed": "1",
+                "--out": str(tmp_path / "d"), flag: value}
+        rc = main(["simulate", *(x for kv in args.items() for x in kv)])
+        assert rc == 2
+        assert repr(flag) in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_same_seed_byte_identical(self, tmp_path, minimal_config):
         for name in ("d1", "d2"):
             main(["simulate", "--config", minimal_config, "--seed", "7",
@@ -185,6 +196,30 @@ class TestReport:
             assert ((tmp_path / "r1" / fname).read_bytes()
                     == (tmp_path / "r2" / fname).read_bytes())
 
+    def test_malformed_manifest_exit_two(self, tmp_path, capsys,
+                                         minimal_config):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-20])
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert str(manifest) in capsys.readouterr().err
+
+    def test_unknown_method_in_dump_exit_two(self, tmp_path, capsys,
+                                             minimal_config):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / "scenario_0001.csv"
+        scenario.write_text(scenario.read_text().replace(",engineer,",
+                                                         ",mmd,"))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and "'mmd'" in err
+
     def test_na_written_for_missing_cells(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -249,6 +284,15 @@ class TestBenchCommand:
                    str(tmp_path / "b")])
         assert rc == 2
         assert repr(key) in capsys.readouterr().err
+
+    def test_bench_negative_seed_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"methods": ["energy"], "grid": [[20, 2]]}))
+        rc = main(["bench", "--config", str(cfg), "--seed", "-1",
+                   "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "'--seed'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_bench_unknown_method(self, tmp_path):
         cfg = tmp_path / "bench.json"

@@ -209,12 +209,13 @@ class TestFsRi:
         c = rng.normal(size=(8, 2)) + 30
         ms = make_ms(a, b, c)
         z, labels = pool(ms)
-        afs, _ = aggregated_fs_ri_statistic(
-            z.values, labels, MaddConfig("psi5", "h2"), "afs_knw",
-            np.random.default_rng(3))
-        ari, _ = aggregated_fs_ri_statistic(
-            z.values, labels, MaddConfig("psi5", "h2"), "ari_knw",
-            np.random.default_rng(3))
+        rhos = [madd(z.values[(labels == i) | (labels == j)],
+                     MaddConfig("psi5", "h2"))
+                for i, j in ((1, 2), (1, 3), (2, 3))]
+        afs, _ = aggregated_fs_ri_statistic(rhos, labels, "afs_knw",
+                                            np.random.default_rng(3))
+        ari, _ = aggregated_fs_ri_statistic(rhos, labels, "ari_knw",
+                                            np.random.default_rng(3))
         assert afs > 0.0
         assert ari == 0.0  # the separated pairs cluster perfectly
 

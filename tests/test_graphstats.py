@@ -6,15 +6,21 @@ from scipy.stats import spearmanr
 
 from dsbench.core import UnsupportedConfigError, distance_matrix
 from dsbench.graphs import Graph, kmst, knn_graph, min_weight_matching
-from dsbench.graphstats import (bqs_statistic, crossmatch_counts,
-                                edgecount_test, kmd_statistic, mmcm_statistic,
-                                null_moments, petrie_statistic,
-                                rosenbaum_statistic, sc_test, sh_statistic)
-from dsbench.permnull import pattern_counts_from_edges
+from dsbench.graphstats import (bqs_statistic, edgecount_test,
+                                kmd_statistic, mmcm_statistic,
+                                petrie_statistic, rosenbaum_statistic,
+                                sc_test, sh_statistic)
+from dsbench.permnull import moments_from_edges, pattern_counts_from_edges
 
 
 def line_dist(*points):
     return distance_matrix(np.array(points, dtype=float)[:, None])
+
+
+def summary(edges, labels, sizes):
+    """The (counts, mean, cov) pattern summary that Context builds."""
+    mean, cov = moments_from_edges(edges, sum(sizes), sizes)
+    return pattern_counts_from_edges(edges, labels, len(sizes)), mean, cov
 
 
 def enumerate_count_distribution(edges, sizes):
@@ -51,7 +57,8 @@ class TestEdgecountTests:
         labels = np.array([1, 1, 2, 2])
         dist_counts = enumerate_count_distribution(g.edges, (2, 2))
         between = dist_counts[:, 2]
-        value, _ = edgecount_test(g, labels, (2, 2), "fr")
+        value, _ = edgecount_test(summary(g.edges, labels, (2, 2)), (2, 2),
+                                  "fr")
         expected = (1 - between.mean()) / between.std()
         assert abs(value - expected) < 1e-12
 
@@ -73,8 +80,10 @@ class TestEdgecountTests:
             d = distance_matrix(rng.normal(size=(10, 2)))
             g = kmst(d, 2)
             labels = np.array([1] * 4 + [2] * 6)
-            v1, _ = edgecount_test(g, labels, (4, 6), "cf")
-            v2, _ = edgecount_test(g, 3 - labels, (6, 4), "cf")
+            v1, _ = edgecount_test(summary(g.edges, labels, (4, 6)),
+                                   (4, 6), "cf")
+            v2, _ = edgecount_test(summary(g.edges, 3 - labels, (6, 4)),
+                                   (6, 4), "cf")
             assert v1 >= 0.0
             assert abs(v1 - v2) < 1e-9
 
@@ -83,14 +92,14 @@ class TestEdgecountTests:
         d = distance_matrix(rng.normal(size=(8, 2)))
         g = kmst(d, 1)
         labels = np.array([1, 1, 1, 1, 2, 2, 2, 2])
-        mean, cov = null_moments(g, (4, 4))
-        counts = pattern_counts_from_edges(g.edges, labels, 2)
+        counts, mean, cov = summary(g.edges, labels, (4, 4))
         w = np.array([0.5, 0.5])
         zw = (w @ counts[:2] - w @ mean[:2]) / np.sqrt(w @ cov[:2, :2] @ w)
         v = np.array([1.0, -1.0])
         zd = (v @ counts[:2] - v @ mean[:2]) / np.sqrt(v @ cov[:2, :2] @ v)
         for kappa in (1.0, 1.14, 1.31):
-            value, _ = edgecount_test(g, labels, (4, 4), "zc", kappa=kappa)
+            value, _ = edgecount_test((counts, mean, cov), (4, 4), "zc",
+                                      kappa=kappa)
             assert abs(value - max(kappa * zw, abs(zd))) < 1e-12
 
 
@@ -100,7 +109,7 @@ class TestScTest:
         d = distance_matrix(rng.normal(size=(12, 2)))
         g = kmst(d, 5)
         labels = np.array([1] * 6 + [2] * 6)
-        value, _ = sc_test(g, labels, (6, 6), "sa")
+        value, _ = sc_test(summary(g.edges, labels, (6, 6)), (6, 6), "sa")
         assert np.isfinite(value) and value >= 0.0
 
     def test_sa_equals_cf_for_two_samples(self):
@@ -109,8 +118,9 @@ class TestScTest:
             d = distance_matrix(rng.normal(size=(9, 2)))
             g = kmst(d, 2)
             labels = np.array([1] * 4 + [2] * 5)
-            sa, _ = sc_test(g, labels, (4, 5), "sa")
-            cf, _ = edgecount_test(g, labels, (4, 5), "cf")
+            stats = summary(g.edges, labels, (4, 5))
+            sa, _ = sc_test(stats, (4, 5), "sa")
+            cf, _ = edgecount_test(stats, (4, 5), "cf")
             assert abs(sa - cf) < 1e-9
 
     def test_quadratic_form_matches_enumerated_moments(self):
@@ -128,7 +138,7 @@ class TestScTest:
         sw = dw @ np.linalg.pinv(cov[:k, :k]) @ dw
         db = counts[k:] - mean[k:]
         sb = db @ np.linalg.pinv(cov[k:, k:]) @ db
-        value, _ = sc_test(g, labels, sizes, "s")
+        value, _ = sc_test(summary(g.edges, labels, sizes), sizes, "s")
         assert abs(value - (sw + sb)) < 1e-8
 
     def test_separated_samples_extreme_vs_permutations(self):
@@ -139,11 +149,13 @@ class TestScTest:
         d = distance_matrix(x)
         g = kmst(d, 1)
         labels = np.array([1] * 8 + [2] * 8 + [3] * 8)
-        observed, _ = sc_test(g, labels, (8, 8, 8), "s")
+        observed, _ = sc_test(summary(g.edges, labels, (8, 8, 8)),
+                              (8, 8, 8), "s")
         perms = []
         for _ in range(1000):
             perm_labels = rng.permutation(labels)
-            v, _ = sc_test(g, perm_labels, (8, 8, 8), "s")
+            v, _ = sc_test(summary(g.edges, perm_labels, (8, 8, 8)),
+                           (8, 8, 8), "s")
             perms.append(v)
         assert observed >= np.quantile(perms, 0.99)
 
@@ -174,12 +186,14 @@ class TestCrossmatch:
     def test_interleaved_pairs(self):
         d = line_dist(0, 0.1, 10, 10.1)
         m = min_weight_matching(d)
-        assert rosenbaum_statistic(m, np.array([1, 2, 1, 2]), (2, 2)) == 2.0
+        stats = summary(m.pairs, np.array([1, 2, 1, 2]), (2, 2))
+        assert rosenbaum_statistic(stats, (2, 2)) == 2.0
 
     def test_separated_pairs(self):
         d = line_dist(0, 0.1, 10, 10.1)
         m = min_weight_matching(d)
-        assert rosenbaum_statistic(m, np.array([1, 1, 2, 2]), (2, 2)) == 0.0
+        stats = summary(m.pairs, np.array([1, 1, 2, 2]), (2, 2))
+        assert rosenbaum_statistic(stats, (2, 2)) == 0.0
 
     def test_mmcm_monotone_in_rosenbaum_count(self):
         rng = np.random.default_rng(7)
@@ -193,8 +207,9 @@ class TestCrossmatch:
             d = distance_matrix(x)
             m = min_weight_matching(d)
             labels = np.array([1] * n1 + [2] * n2)
-            ros.append(rosenbaum_statistic(m, labels, (n1, n2)))
-            v, _ = mmcm_statistic(m, labels, (n1, n2), n1 + n2)
+            stats = summary(m.pairs, labels, (n1, n2))
+            ros.append(rosenbaum_statistic(stats, (n1, n2)))
+            v, _ = mmcm_statistic(stats, (n1, n2))
             mmcm.append(v)
         # fix the sizes for a clean monotone map: restrict to one size combo
         rho = spearmanr(ros, mmcm).statistic
@@ -209,8 +224,9 @@ class TestCrossmatch:
             d = distance_matrix(x)
             m = min_weight_matching(d)
             labels = np.array([1] * 6 + [2] * 6)
-            ros.append(rosenbaum_statistic(m, labels, (6, 6)))
-            v, _ = mmcm_statistic(m, labels, (6, 6), 12)
+            stats = summary(m.pairs, labels, (6, 6))
+            ros.append(rosenbaum_statistic(stats, (6, 6)))
+            v, _ = mmcm_statistic(stats, (6, 6))
             mmcm.append(v)
         rho = spearmanr(ros, mmcm).statistic
         assert abs(rho) == 1.0
@@ -221,11 +237,11 @@ class TestCrossmatch:
         d = distance_matrix(x)
         m = min_weight_matching(d)
         labels = np.array([1] * 4 + [2] * 4)
-        counts = crossmatch_counts(m, labels, 2)
+        stats = summary(m.pairs, labels, (4, 4))
         dist_counts = enumerate_count_distribution(m.pairs, (4, 4))
         between = dist_counts[:, 2]
-        expected = (counts[2] - between.mean()) / between.std()
-        assert abs(petrie_statistic(m, labels, (4, 4), 8) - expected) < 1e-10
+        expected = (stats[0][2] - between.mean()) / between.std()
+        assert abs(petrie_statistic(stats, (4, 4)) - expected) < 1e-10
 
     def test_mmcm_k4_quadratic_form(self):
         rng = np.random.default_rng(10)
@@ -233,14 +249,16 @@ class TestCrossmatch:
         d = distance_matrix(x)
         m = min_weight_matching(d)
         labels = np.array([1] * 3 + [2] * 3 + [3] * 3 + [4] * 3)
-        value, _ = mmcm_statistic(m, labels, (3, 3, 3, 3), 12)
+        value, _ = mmcm_statistic(summary(m.pairs, labels, (3, 3, 3, 3)),
+                                  (3, 3, 3, 3))
         assert np.isfinite(value) and value >= 0.0
 
     def test_mmcm_k3_unsupported(self):
         d = line_dist(0, 1, 2, 3, 4, 5)
         m = min_weight_matching(d)
         with pytest.raises(UnsupportedConfigError):
-            mmcm_statistic(m, np.array([1, 1, 2, 2, 3, 3]), (2, 2, 2), 6)
+            mmcm_statistic(summary(m.pairs, np.array([1, 1, 2, 2, 3, 3]),
+                                   (2, 2, 2)), (2, 2, 2))
 
 
 class TestKmd:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from dsbench import (clusterstats, graphs, graphstats, kernelstats,
-                     methods)
+                     methods, permnull)
 from dsbench.core import DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample
 from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
                              REGISTRY, Context, default_methods, evaluate)
@@ -88,10 +88,34 @@ class TestEvaluate:
         g1 = ctx.graph("5mst")
         g2 = ctx.graph("5mst")
         assert g1 is g2
-        m1, m2 = ctx.graph_moments("5mst"), ctx.graph_moments("5mst")
+        m1, m2 = ctx.pattern_stats("5mst"), ctx.pattern_stats("5mst")
         assert m1 is m2
         assert ctx.graph("mst") is ctx.graph("1mst")
-        assert ctx.graph_moments("mst") is ctx.graph_moments("1mst")
+        assert ctx.pattern_stats("mst") is ctx.pattern_stats("1mst")
+        assert ctx.pattern_stats("matching") is ctx.pattern_stats("matching")
+
+    def test_pattern_stats_equal_direct_builds(self):
+        ctx = Context(make_ms((6, 7, 5, 8)), seed=7)
+        for spec, edges in (("5mst", ctx.graph("5mst").edges),
+                            ("heuristic_nn", ctx.graph("3nn").edges),
+                            ("matching", ctx.matching.pairs)):
+            counts, mean, cov = ctx.pattern_stats(spec)
+            assert np.array_equal(counts, permnull.pattern_counts_from_edges(
+                edges, ctx.labels, 4))
+            ref_mean, ref_cov = permnull.moments_from_edges(
+                edges, 26, (6, 7, 5, 8))
+            assert np.array_equal(mean, ref_mean)
+            assert np.array_equal(cov, ref_cov)
+
+    def test_pair_madd_equals_direct_build(self):
+        ctx = Context(make_ms((6, 7, 5), p=3), seed=7)
+        cfg = clusterstats.MaddConfig("psi2", "h1")
+        rows = (ctx.labels == 1) | (ctx.labels == 3)
+        rho = ctx.pair_madd(cfg, 1, 3)
+        assert rho is ctx.pair_madd(cfg, 1, 3)
+        assert rho.shape == (11, 11)
+        assert rho.tobytes() == clusterstats.madd(
+            ctx.pooled.values[rows], cfg).tobytes()
 
     def test_knn_graphs_equal_direct_builds(self):
         rng = np.random.default_rng(4)
@@ -123,6 +147,10 @@ class TestEvaluate:
 
         count(clusterstats, "madd")
         count(kernelstats, "moments_from_weights")
+        count(graphstats, "null_moments")
+        count(graphstats, "moments_from_edges")
+        count(permnull, "moments_from_edges")
+        count(methods, "pattern_counts_from_edges")
         count(methods, "kmst")
         count(methods, "edge_order")
         count(methods, "knn_graph")
@@ -134,6 +162,13 @@ class TestEvaluate:
                       for _, cfg in calls["dsbench.clusterstats.madd"]) == [
             ("psi2", "h1"), ("psi3", "h1")]
         assert len(calls["dsbench.kernelstats.moments_from_weights"]) == 1
+        # one pattern summary per edge set: 1-MST, 5-MST and the matching
+        edge_sets = [len(edges) for edges, _ in
+                     calls["dsbench.graphstats.null_moments"]]
+        assert edge_sets == [49, 5 * 49, 25]
+        assert len(calls["dsbench.graphstats.moments_from_edges"]) == 3
+        assert calls["dsbench.permnull.moments_from_edges"] == []
+        assert len(calls["dsbench.methods.pattern_counts_from_edges"]) == 3
         assert sorted(k for _, k in calls["dsbench.methods.kmst"]) == [1, 5]
         # both k-MST builds share one ranking of the edges
         assert len(calls["dsbench.methods.edge_order"]) == 1
@@ -141,3 +176,21 @@ class TestEvaluate:
         # kmd_heuristic_nn (0.1 N = 5 neighbours) and bqs
         assert [k for _, k in calls["dsbench.methods.knn_graph"]] == [49]
         assert calls["dsbench.graphstats.knn_graph"] == []
+
+    def test_four_sample_madds_built_once(self, monkeypatch):
+        builds = []
+        original = clusterstats.madd
+
+        def wrapped(values, cfg):
+            builds.append((cfg.psi, cfg.h, len(values),
+                           hash(values.tobytes())))
+            return original(values, cfg)
+        monkeypatch.setattr(clusterstats, "madd", wrapped)
+        ctx = Context(make_ms((10, 10, 10, 10), p=3), seed=2)
+        for mid in DEFAULT_FOUR_SAMPLE:
+            assert evaluate(mid, ctx).ok, mid
+        # (psi2, h1), (psi3, h1) and (psi3, h2) on the pooled rows, and
+        # (psi2, h1) on each of the 6 sample pairs, shared by afs and ari
+        assert len(builds) == len(set(builds)) == 9
+        assert sorted(rows for _, _, rows, _ in builds) == (
+            [20] * 6 + [40] * 3)
