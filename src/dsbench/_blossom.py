@@ -15,6 +15,19 @@ maximum-cardinality mode on an even number of vertices (odd n gets a phantom
 vertex), where vertex duals are free, so it breaks any pre-matched pair that
 is not in the optimum.
 
+Persistent forest, as in Blossom V: every free vertex is labelled S once and
+stays the root of its alternating tree until an augmentation matches it.  An
+augmentation joins exactly two trees, and only those two are dissolved; every
+other tree keeps its labels, blossoms, tight edges and queue entries.  The
+dissolve is a few array operations: the two trees' zero-dual S-blossoms are
+expanded; their labels (nested blossoms included), ``allowedge`` rows and
+columns and queue entries are cleared; and any sub-label that another tree's
+T-blossom received from them is dropped.  One slack pass then recomputes the
+best edges that pointed into the two trees: each unreached vertex's
+least-slack edge from the remaining S-vertices (the S-vertex of a tight one
+is queued for a rescan), and the least-slack edge of each S-blossom whose
+best edge led into them.
+
 Each scan of an S-vertex computes its whole slack row in one numpy
 expression.  Only the tight or allowed edges reach the Python branch logic;
 the best-edge bookkeeping for the others, the delta search and the dual
@@ -24,9 +37,11 @@ tracing blossoms) stay scalar.
 State layout: vertices are ids 0..n-1, nontrivial blossoms n..2n-1.
 ``label`` values: 0 free, 1 S, 2 T (bit 4 marks breadcrumbs during path
 scans).  ``labeledge[b] = (v, w)`` is the edge through which b received its
-label, with v outside and w inside b; None means none.  ``bestedge[b]`` is
-the least-slack edge from b to another S-blossom (b an S-blossom) or from an
-S-vertex to b (b an unlabelled vertex); (-1, -1) means none.
+label, with v outside and w inside b; -1 means none.  ``root[b]`` is the free
+vertex at the root of the tree of labelled top-level blossom b.
+``bestedge[b]`` is the least-slack edge from b to another S-blossom (b an
+S-blossom) or from an S-vertex to b (b an unlabelled vertex); (-1, -1) means
+none.
 """
 
 import numpy as np
@@ -49,7 +64,8 @@ class _Matcher:
         mutual = np.flatnonzero(nn[nn] == np.arange(n))
         self.mate[mutual] = nn[mutual]
         self.label = np.zeros(nb, dtype=np.int64)
-        self.labeledge = [None] * nb
+        self.labeledge = np.full((nb, 2), -1, dtype=np.int64)
+        self.root = np.full(nb, -1, dtype=np.int64)
         self.bestedge = np.full((nb, 2), -1, dtype=np.int64)
         self.inblossom = np.arange(n, dtype=np.int64)
         self.blossomparent = np.full(nb, -1, dtype=np.int64)
@@ -78,12 +94,15 @@ class _Matcher:
         return out
 
     def assign_label(self, w, t, v):
-        """Label vertex w and its top blossom with t, coming from vertex v."""
+        """Label vertex w and its top blossom with t, coming from vertex v;
+        they join v's tree, or root a new one if v is -1."""
         label, labeledge, bestedge = self.label, self.labeledge, self.bestedge
+        r = self.root[self.inblossom[v]] if v >= 0 else w
         while True:
             b = self.inblossom[w]
             label[w] = label[b] = t
-            labeledge[w] = labeledge[b] = (v, w) if v >= 0 else None
+            self.root[b] = r
+            labeledge[w] = labeledge[b] = (v, w) if v >= 0 else -1
             bestedge[w] = bestedge[b] = -1
             if t == 1:
                 self.queue.extend(self.leaves(b))
@@ -105,10 +124,10 @@ class _Matcher:
                 break
             path.append(b)
             label[b] |= 4
-            if labeledge[b] is None:
+            if labeledge[b, 0] < 0:
                 v = -1
             else:
-                v = labeledge[inblossom[labeledge[b][0]]][0]
+                v = labeledge[inblossom[labeledge[b, 0]], 0]
             if w >= 0:
                 v, w = w, v
         for b in path:
@@ -129,8 +148,8 @@ class _Matcher:
         while bv != bb:
             blossomparent[bv] = b
             path.append(bv)
-            edges.append(labeledge[bv])
-            bv = inblossom[labeledge[bv][0]]
+            edges.append(tuple(labeledge[bv].tolist()))
+            bv = inblossom[labeledge[bv, 0]]
         path.append(bb)
         path.reverse()
         edges.reverse()
@@ -138,13 +157,14 @@ class _Matcher:
         while bw != bb:
             blossomparent[bw] = b
             path.append(bw)
-            x, y = labeledge[bw]
+            x, y = labeledge[bw].tolist()
             edges.append((y, x))
             bw = inblossom[x]
         self.childs[b] = path
         self.endps[b] = edges
         self.label[b] = 1
         labeledge[b] = labeledge[bb]
+        self.root[b] = self.root[bb]
         self.blossomdual[b] = 0.0
         leaves = np.array(self.leaves(b))
         tleaves = leaves[self.label[inblossom[leaves]] == 2]
@@ -213,10 +233,10 @@ class _Matcher:
                 if bs >= n:
                     self.augment_blossom(bs, s)
                 self.mate[s] = j
-                if labeledge[bs] is None:
+                if labeledge[bs, 0] < 0:
                     break
-                bt = inblossom[labeledge[bs][0]]
-                s, j = labeledge[bt]
+                bt = inblossom[labeledge[bs, 0]]
+                s, j = labeledge[bt].tolist()
                 if bt >= n:
                     self.augment_blossom(bt, j)
                 self.mate[j] = s
@@ -239,14 +259,15 @@ class _Matcher:
                     inblossom[self.leaves(s)] = s
             if not endstage and label[b] == 2:
                 # Relabel along the blossom ring, starting at the entry child.
-                entrychild = inblossom[labeledge[b][1]]
+                self.root[childs] = self.root[b]
+                entrychild = inblossom[labeledge[b, 1]]
                 j = childs.index(entrychild)
                 if j & 1:
                     j -= len(childs)
                     jstep = 1
                 else:
                     jstep = -1
-                v, w = labeledge[b]
+                v, w = labeledge[b].tolist()
                 while j != 0:
                     if jstep == 1:
                         p, q = endps[j]
@@ -277,11 +298,11 @@ class _Matcher:
                         if label[vv] != 0:
                             label[vv] = 0
                             label[self.mate[self.blossombase[bv]]] = 0
-                            self.assign_label(vv, 2, labeledge[vv][0])
+                            self.assign_label(vv, 2, labeledge[vv, 0])
                             break
             # recycle
             label[b] = 0
-            labeledge[b] = None
+            labeledge[b] = -1
             self.bestedge[b] = -1
             self.blossombase[b] = -1
             self.childs[b] = self.endps[b] = None
@@ -382,32 +403,82 @@ class _Matcher:
             self.queue.append(v)
         return True
 
+    def dissolve(self, roots):
+        """Unlabel the two trees rooted at ``roots``, which the last
+        augmentation joined, and repair the best edges that led into them."""
+        n, label, labeledge = self.n, self.label, self.labeledge
+        bestedge, inblossom = self.bestedge, self.inblossom
+        gone = (label[inblossom] != 0) & np.isin(self.root[inblossom], roots)
+        # sub-labels inside other trees' T-blossoms that came from the two
+        src = labeledge[:n, 0]
+        dropped = ~gone & (label[:n] != 0) & (src >= 0) & gone[src]
+        src = bestedge[:n, 0]
+        stale = gone | dropped | ((src >= 0) & gone[src])
+        tops = np.unique(inblossom[gone])
+        for b in tops[(tops >= n) & (label[tops] == 1)
+                      & (self.blossomdual[tops] == 0.0)].tolist():
+            self.expand_blossom(b, True)
+        ids = np.flatnonzero(self.blossombase >= 0)
+        ids = ids[gone[self.blossombase[ids]]]
+        label[ids] = 0
+        labeledge[ids] = -1
+        bestedge[ids] = -1
+        label[:n][dropped] = 0
+        labeledge[:n][dropped] = -1
+        self.allowedge[gone] = False
+        self.allowedge[:, gone] = False
+        queue = np.array(self.queue, dtype=np.int64)
+        self.queue = queue[~gone[queue]].tolist()
+        # One slack pass from the remaining S-vertices.  An unreached vertex
+        # keeps its least-slack edge; a tight one has its S-vertex rescanned.
+        toplabel = label[inblossom]
+        svert = np.flatnonzero(toplabel == 1)
+        rows = np.flatnonzero(stale & (toplabel != 1) & (label[:n] == 0))
+        bestedge[rows] = -1
+        dst = bestedge[:, 1]
+        sblossoms = np.flatnonzero(
+            (self.blossomparent == -1) & (self.blossombase >= 0)
+            & (label == 1) & (dst >= 0) & gone[dst])
+        bestedge[sblossoms] = -1
+        if svert.size == 0:
+            return
+        leaves = np.flatnonzero(np.isin(inblossom, sblossoms))
+        both = np.concatenate([rows, leaves])
+        slack = (self.dualvar[both, None] + self.dualvar[svert]
+                 - self.wt2[np.ix_(both, svert)])
+        owner = inblossom[leaves]
+        slack[rows.size:][owner[:, None] == inblossom[svert]] = np.inf
+        k = slack.argmin(axis=1)
+        best = slack[np.arange(both.size), k]
+        bestedge[rows, 0] = svert[k[:rows.size]]
+        bestedge[rows, 1] = rows
+        self.queue.extend(
+            np.unique(svert[k[:rows.size][best[:rows.size] <= 0.0]]).tolist())
+        if leaves.size == 0:
+            return
+        # Each S-blossom keeps its least-slack leaf, the first on ties.
+        k, best = k[rows.size:], best[rows.size:]
+        order = np.lexsort((best, owner))
+        first = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+        first = first[np.isfinite(best[first])]
+        bestedge[owner[first], 0] = leaves[first]
+        bestedge[owner[first], 1] = svert[k[first]]
+
     def run(self):
-        mate, label = self.mate, self.label
-        for _stage in range(self.n):
-            label[:] = 0
-            self.labeledge = [None] * len(self.labeledge)
-            self.bestedge[:] = -1
-            self.allowedge[:] = False
-            self.queue = []
-            for v in np.flatnonzero(mate < 0):
-                if label[self.inblossom[v]] == 0:
-                    self.assign_label(v, 1, -1)
+        free = np.flatnonzero(self.mate < 0)
+        for v in free.tolist():
+            self.assign_label(v, 1, -1)
+        while free.size:
             augmented = False
             while not augmented:
                 while self.queue and not augmented:
                     augmented = self.scan(self.queue.pop())
                 if not augmented and not self.dual_step():
-                    break
-            if not augmented:
-                break
-            # expand S-blossoms whose dual has dropped to zero
-            for b in np.flatnonzero(
-                    (self.blossomparent == -1) & (self.blossombase >= 0)
-                    & self.isblossom & (label == 1)
-                    & (self.blossomdual == 0.0)):
-                self.expand_blossom(b, True)
-        return mate
+                    return self.mate
+            joined = self.mate[free] >= 0
+            self.dissolve(free[joined])
+            free = free[~joined]
+        return self.mate
 
 
 def max_weight_matching_dense(weights):

@@ -132,24 +132,43 @@ def cmd_simulate(args) -> int:
 
 
 def _load_results(dump_dir: Path):
-    manifest = _load_json(str(dump_dir / "manifest.json"))
+    manifest_path = str(dump_dir / "manifest.json")
+    manifest = _load_json(manifest_path)
+    for key in ("reps", "methods", "scenarios"):
+        if key not in manifest:
+            raise ConfigError(f"{manifest_path} has no {key!r} entry")
+    reps = manifest["reps"]
+    if not _is_int(reps) or reps < 1:
+        raise ConfigError(f"{manifest_path}: 'reps' must be a positive "
+                          f"integer, got {reps!r}")
     methods = tuple(manifest["methods"])
     column = {mid: m for m, mid in enumerate(methods)}
     results = []
     for entry in manifest["scenarios"]:
         spec = ScenarioSpec.from_dict(entry["spec"])
-        reps = manifest["reps"]
         values = np.full((reps, len(methods)), np.nan)
         errors = [[""] * len(methods) for _ in range(reps)]
         path = dump_dir / entry["file"]
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)
-            for rep_s, mid, value, err in reader:
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(row) != 4:
+                    raise ConfigError(f"{where} has {len(row)} fields, "
+                                      "expected 4")
+                rep_s, mid, value, err = row
                 if mid not in column:
                     raise ConfigError(f"{path} names method {mid!r}, which "
                                       "is not in the manifest")
-                rep = int(rep_s)
+                try:
+                    rep = int(rep_s)
+                except ValueError:
+                    raise ConfigError(f"{where}: repetition {rep_s!r} is not "
+                                      "an integer") from None
+                if not 0 <= rep < reps:
+                    raise ConfigError(f"{where}: repetition {rep} is outside "
+                                      f"0..{reps - 1}")
                 m = column[mid]
                 if value != "NA":
                     values[rep, m] = float(value)

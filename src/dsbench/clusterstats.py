@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
+from scipy.spatial.distance import pdist, squareform
 
 from .core import MultiSample, UnsupportedConfigError, cross_distances, pool
 
@@ -71,9 +70,10 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
     acc /= p
     phi = _h(cfg.h, acc)
     del acc
-    # sum_m |phi_im - phi_jm| over all m, then drop the m=i and m=j terms;
-    # in place, so that at most three n x n arrays are alive here
-    rho = cdist(phi, phi, "cityblock")
+    # sum_m |phi_im - phi_jm| over all m (one triangle, mirrored), then drop
+    # the m=i and m=j terms; in place, so that at most three n x n arrays are
+    # alive here
+    rho = squareform(pdist(phi, "cityblock"))
     rho -= 2.0 * phi
     rho /= n - 2
     np.fill_diagonal(rho, 0.0)
@@ -406,6 +406,20 @@ def ymrzl(ms: MultiSample, rng) -> float:
     return float((preds != labels[test]).mean())
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x, each tie group given the mean of its first and last
+    rank (``scipy.stats.rankdata``'s default, bitwise: every rank is an
+    integer or a half)."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start = np.r_[True, xs[1:] != xs[:-1]]
+    first = np.flatnonzero(start)
+    last = np.r_[first[1:], x.size] - 1
+    ranks = np.empty(x.size)
+    ranks[order] = ((first + last) / 2.0 + 1.0)[np.cumsum(start) - 1]
+    return ranks
+
+
 def diproperm(ms: MultiSample, univariate: str = "md"):
     """Two-sample statistic of the pooled data projected onto the
     mean-difference direction.  Returns (value, flags)."""
@@ -432,7 +446,7 @@ def diproperm(ms: MultiSample, univariate: str = "md"):
                      / math.sqrt(sp2 * (1 / n1 + 1 / n2))), ()
     if univariate == "auc":
         n1, n2 = len(p1), len(p2)
-        ranks = rankdata(np.concatenate([p1, p2]))
+        ranks = _average_ranks(np.concatenate([p1, p2]))
         u = ranks[n1:].sum() - n2 * (n2 + 1) / 2.0
         return float(u / (n1 * n2)), ()
     raise ValueError(f"unknown univariate statistic {univariate!r}")

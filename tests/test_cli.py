@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dsbench
 from dsbench.cli import main
 from dsbench.datagen import ScenarioSpec
 
@@ -220,6 +224,56 @@ class TestReport:
         err = capsys.readouterr().err
         assert str(scenario) in err and "'mmd'" in err
 
+    @pytest.mark.parametrize("key", ["reps", "methods", "scenarios"])
+    def test_manifest_missing_key_exit_two(self, tmp_path, capsys,
+                                           minimal_config, key):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        del content[key]
+        manifest.write_text(json.dumps(content))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(key) in err
+
+    @pytest.mark.parametrize("reps", ["4", 0, 2.5])
+    def test_manifest_bad_reps_exit_two(self, tmp_path, capsys,
+                                        minimal_config, reps):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["reps"] = reps
+        manifest.write_text(json.dumps(content))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert str(manifest) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        "0,energy,0.5,,extra",  # five fields
+        "0,energy,0.5",         # three fields
+        "1.5,energy,0.5,",      # repetition not an integer
+        "10,energy,0.5,",       # repetition at reps
+        "-1,energy,0.5,",       # negative repetition
+    ], ids=["five_fields", "three_fields", "non_integer_rep", "rep_at_reps",
+            "negative_rep"])
+    def test_malformed_row_exit_two(self, tmp_path, capsys, minimal_config,
+                                    row):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / "scenario_0001.csv"
+        lines = scenario.read_text().splitlines()
+        lines[1] = row
+        scenario.write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert str(scenario) in capsys.readouterr().err
+
     def test_na_written_for_missing_cells(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -300,3 +354,13 @@ class TestBenchCommand:
         rc = main(["bench", "--config", str(cfg), "--out",
                    str(tmp_path / "b")])
         assert rc == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs ~0.2 s of start-up; nothing the CLI runs needs it
+    src = str(Path(dsbench.__file__).resolve().parent.parent)
+    code = "import sys, dsbench.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

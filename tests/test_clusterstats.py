@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+from scipy.stats import rankdata
 
 from dsbench.clusterstats import (PSI_KINDS, MaddConfig, TreeNode,
-                                  _chosen_split, aggregated_fs_ri_statistic,
+                                  _average_ranks, _chosen_split,
+                                  aggregated_fs_ri_statistic,
                                   c2st_knn, cart_fit, cart_predict,
                                   cluster_madd, contingency, diproperm,
                                   dunn_index, fs_from_table, fs_ri_statistic,
@@ -98,7 +100,9 @@ class TestMaddReference:
     @pytest.mark.parametrize("h", ["h1", "h2"])
     def test_bitwise_equal_to_out_of_place_loop(self, psi, h):
         rng = np.random.default_rng(6)
-        for n, p in ((3, 1), (17, 3), (120, 10)):
+        # madd sums one triangle of the profile differences (pdist) and
+        # mirrors it; the reference sums both triangles (cdist)
+        for n, p in ((3, 1), (17, 3), (120, 10), (500, 2)):
             x = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0)
             cfg = MaddConfig(psi, h)
             assert madd(x, cfg).tobytes() == madd_reference(x, cfg).tobytes()
@@ -503,6 +507,17 @@ class TestCart:
                               rng.normal(size=(40, 2))),
                       np.random.default_rng(s)) for s in range(30)]
         assert abs(np.mean(vals) - 0.5) < 0.08
+
+
+class TestAverageRanks:
+    def test_bitwise_equal_to_rankdata(self):
+        rng = np.random.default_rng(8)
+        for x in (rng.normal(size=101),
+                  rng.integers(0, 6, size=200).astype(float),
+                  rng.integers(0, 2, size=7).astype(float),
+                  np.full(9, 2.5), np.array([1.0]),
+                  np.repeat(rng.normal(size=40), 3)):
+            assert _average_ranks(x).tobytes() == rankdata(x).tobytes()
 
 
 class TestDiproperm:

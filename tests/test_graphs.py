@@ -310,6 +310,39 @@ class TestMatching:
         assert (start.mate[start.mate[matched]] == matched).all()
         assert (slack[matched, start.mate[matched]] == 0.0).all()
 
+    @pytest.mark.parametrize("dgp, n, p", [
+        ("t3", 200, 2), ("t3", 61, 50), ("lognormal", 120, 50),
+        ("lognormal", 75, 2), ("chisq1", 151, 2), ("chisq1", 90, 50)])
+    def test_pairs_equal_networkx_on_continuous_data(self, dgp, n, p):
+        # continuous data: the optimum is unique, so the pairs must agree
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(n * p)
+        x = {"t3": lambda: rng.standard_t(3, size=(n, p)),
+             "lognormal": lambda: rng.lognormal(size=(n, p)),
+             "chisq1": lambda: rng.chisquare(1, size=(n, p))}[dgp]()
+        d = squareform(pdist(x))
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(
+            (i, j, d[i, j]) for i in range(n) for j in range(i + 1, n))
+        ref = sorted(tuple(sorted(e)) for e in nx.min_weight_matching(graph))
+        ours = sorted(map(tuple, min_weight_matching(d).pairs.tolist()))
+        assert ours == ref
+
+    def test_trees_kept_across_augmentations(self, monkeypatch):
+        # Relabelling and rescanning every tree after each augmentation
+        # made 2204 scans on this instance; the persistent forest makes 370.
+        calls = []
+        scan = _Matcher.scan
+
+        def counting(self, v):
+            calls.append(v)
+            return scan(self, v)
+        monkeypatch.setattr(_Matcher, "scan", counting)
+        n = 200
+        d = random_dist(np.random.default_rng(11), n)
+        min_weight_matching(d)
+        assert 0 < len(calls) < 5 * n
+
 
 class TestAssignment:
     def test_identity_optimal(self):
