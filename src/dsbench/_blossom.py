@@ -4,16 +4,22 @@ Primal-dual blossom algorithm (Galil's O(n^3) formulation of Edmonds'
 method) on arrays, in numpy.  Only the dense complete-graph case is
 supported, which is all the matching-based statistics need.
 
-Warm start, after the greedy start of Blossom V (Kolmogorov 2009, Math. Prog.
-Comp. 1:43-67): each vertex dual starts at the weight of the vertex's
-heaviest edge (for weights ``D - d``, its nearest neighbour), and every
-mutual-nearest-neighbour pair starts matched.  The duals are feasible in
-floating point and the pre-matched edges have slack exactly 0: rounding is
-monotone, so ``fl(y_u + y_v) >= fl(w_uv + w_uv) = 2 * w_uv`` whenever
-``y_u, y_v >= w_uv``, and doubling is exact.  The search always runs in
-maximum-cardinality mode on an even number of vertices (odd n gets a phantom
-vertex), where vertex duals are free, so it breaks any pre-matched pair that
-is not in the optimum.
+Warm start, the greedy start of Blossom V (Kolmogorov 2009, Math. Prog.
+Comp. 1:43-67), in two stages.  First, each vertex dual starts at the
+weight of the vertex's heaviest edge (for weights ``D - d``, its nearest
+neighbour), and every mutual-nearest-neighbour pair starts matched.  The
+duals are feasible in floating point and these edges have slack exactly 0:
+rounding is monotone, so ``fl(y_u + y_v) >= fl(w_uv + w_uv) = 2 * w_uv``
+whenever ``y_u, y_v >= w_uv``, and doubling is exact.  Second, each vertex
+still free, in index order, lowers its dual to ``max_u fl(2 w_uv - y_u)``
+and is matched to the first free vertex whose edge then has slack exactly
+0.  The lowered dual is kept only if the vertex's whole slack row, computed
+as ``scan`` computes it, stays nonnegative; otherwise the vertex keeps its
+dual and stays free.  So the duals stay feasible and every pre-matched edge
+tight, as the search needs.  The search always runs in maximum-cardinality
+mode on an even number of vertices (odd n gets a phantom vertex), where
+vertex duals are free, so it breaks any pre-matched pair that is not in the
+optimum.
 
 Persistent forest, as in Blossom V: every free vertex is labelled S once and
 stays the root of its alternating tree until an augmentation matches it.  An
@@ -60,9 +66,29 @@ class _Matcher:
         np.fill_diagonal(heaviest, -np.inf)
         nn = heaviest.argmax(axis=1)
         self.dualvar = heaviest[np.arange(n), nn]
-        self.mate = np.full(n, -1, dtype=np.int64)
+        self.mate = mate = np.full(n, -1, dtype=np.int64)
         mutual = np.flatnonzero(nn[nn] == np.arange(n))
-        self.mate[mutual] = nn[mutual]
+        mate[mutual] = nn[mutual]
+        # Greedy stage: each vertex still free lowers its dual to the least
+        # value its edges allow and takes the first free vertex across a
+        # tight edge.  The new dual is kept only if its whole slack row, as
+        # `scan` computes it, is still nonnegative.
+        dualvar, wt2 = self.dualvar, self.wt2
+        for v in np.flatnonzero(mate < 0).tolist():
+            if mate[v] >= 0:
+                continue
+            bound = wt2[v] - dualvar
+            bound[v] = -np.inf
+            yv = bound.max()
+            slack = yv + dualvar - wt2[v]
+            slack[v] = np.inf
+            if slack.min() < 0.0:
+                continue
+            dualvar[v] = yv
+            tight = np.flatnonzero((slack == 0.0) & (mate < 0))
+            if tight.size:
+                mate[v] = tight[0]
+                mate[tight[0]] = v
         self.label = np.zeros(nb, dtype=np.int64)
         self.labeledge = np.full((nb, 2), -1, dtype=np.int64)
         self.root = np.full(nb, -1, dtype=np.int64)

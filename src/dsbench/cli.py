@@ -145,6 +145,10 @@ def _load_results(dump_dir: Path):
     column = {mid: m for m, mid in enumerate(methods)}
     results = []
     for entry in manifest["scenarios"]:
+        for key in ("file", "spec", "index"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ConfigError(f"{manifest_path}: scenario entry "
+                                  f"{entry!r} has no {key!r}")
         spec = ScenarioSpec.from_dict(entry["spec"])
         values = np.full((reps, len(methods)), np.nan)
         errors = [[""] * len(methods) for _ in range(reps)]
@@ -171,7 +175,11 @@ def _load_results(dump_dir: Path):
                                       f"0..{reps - 1}")
                 m = column[mid]
                 if value != "NA":
-                    values[rep, m] = float(value)
+                    try:
+                        values[rep, m] = float(value)
+                    except ValueError:
+                        raise ConfigError(f"{where}: value {value!r} is not "
+                                          "a number") from None
                 errors[rep][m] = err
         results.append(ScenarioResult(
             spec=spec, scenario_index=entry["index"], methods=methods,

@@ -11,7 +11,8 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import MultiSample, UnsupportedConfigError, cross_distances, pool
+from .core import (MultiSample, UnsupportedConfigError, cross_distances, pool,
+                   stable_argsort)
 
 PSI_KINDS = ("psi1", "psi2", "psi3", "psi4", "psi5")
 H_KINDS = ("h1", "h2")
@@ -144,26 +145,26 @@ def ri_from_table(table: np.ndarray) -> float:
 
 
 def dunn_index(rho: np.ndarray, labels: np.ndarray) -> float:
-    """Min inter-cluster distance over max intra-cluster diameter."""
-    clusters = np.unique(labels)
+    """Min inter-cluster distance over max intra-cluster diameter (a
+    singleton has no diameter)."""
+    order = np.argsort(labels)
+    clusters, starts, counts = np.unique(labels[order], return_index=True,
+                                         return_counts=True)
     if len(clusters) < 2:
         raise UnsupportedConfigError("dunn index needs at least two clusters")
-    max_diam = 0.0
-    for c in clusters:
-        members = np.flatnonzero(labels == c)
-        if len(members) > 1:
-            max_diam = max(max_diam,
-                           float(rho[np.ix_(members, members)].max()))
-    min_between = math.inf
-    for i, a in enumerate(clusters):
-        for b in clusters[i + 1:]:
-            ma = np.flatnonzero(labels == a)
-            mb = np.flatnonzero(labels == b)
-            min_between = min(min_between,
-                              float(rho[np.ix_(ma, mb)].min()))
+    # One pass over the rows in label order gives, for each cluster and
+    # point, the max and min over the cluster's rows; a second over those
+    # gives the block of each cluster pair.  Neither depends on the order.
+    rows = rho[order]
+    hi = np.maximum.reduceat(rows, starts, axis=0)[:, order]
+    lo = np.minimum.reduceat(rows, starts, axis=0)[:, order]
+    del rows
+    hi = np.maximum.reduceat(hi, starts, axis=1)
+    lo = np.minimum.reduceat(lo, starts, axis=1)
+    max_diam = max([0.0] + np.diagonal(hi)[counts > 1].tolist())
     if max_diam == 0.0:
         return math.inf
-    return min_between / max_diam
+    return float(lo[np.triu_indices(len(clusters), 1)].min()) / max_diam
 
 
 def _cluster_counts_to_try(k: int) -> range:
@@ -257,7 +258,7 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
     """Majority-vote K-NN; distance ties resolved by training order, vote
     ties by the smaller class label."""
     d = cross_distances(test_x, train_x)
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    order = stable_argsort(d, axis=1)[:, :k]
     votes = train_y[order]
     n_classes = int(train_y.max()) + 1
     preds = np.empty(len(test_x), dtype=np.int64)

@@ -138,6 +138,33 @@ def split(pooled: DataMatrix, sizes) -> tuple[DataMatrix, ...]:
     return tuple(out)
 
 
+def stable_argsort(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.argsort(a, axis, kind="stable")`` for NaN-free `a`, from the
+    faster default sort: each run of equal keys then gets its indices put
+    in ascending order."""
+    a = np.asarray(a).swapaxes(axis, -1)
+    idx = np.argsort(a, axis=-1)
+    keys = np.take_along_axis(a, idx, axis=-1)
+    tied = np.empty(idx.shape, dtype=bool)  # equal to the key before it
+    tied[..., :1] = False
+    np.equal(keys[..., 1:], keys[..., :-1], out=tied[..., 1:])
+    del keys
+    tied = tied.reshape(-1)
+    in_run = tied.copy()  # a line's first key is never tied, so no run
+    in_run[:-1] |= tied[1:]  # crosses into the next line
+    pos = np.flatnonzero(in_run)
+    opens = ~tied[pos]
+    start = pos[opens][np.cumsum(opens) - 1]
+    # runs hold consecutive positions, so one sort of (run start, index)
+    # orders every run at once
+    m = idx.shape[-1]
+    flat = idx.reshape(-1)
+    key = start * m + flat[pos]
+    key.sort()
+    flat[pos] = key % m
+    return flat.reshape(idx.shape).swapaxes(axis, -1)
+
+
 def distance_matrix(x: DataMatrix | np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances, exactly symmetric with zero diagonal."""
     values = x.values if isinstance(x, DataMatrix) else np.asarray(x, float)

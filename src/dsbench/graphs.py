@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
 from ._blossom import max_weight_matching_dense
-from .core import DataMatrix
+from .core import DataMatrix, stable_argsort
 
 KNN_DIRECTED = "knn_directed"
 KMST = "kmst"
@@ -52,7 +52,7 @@ def knn_graph(dist: np.ndarray, k: int) -> Graph:
         raise ValueError(f"k={k} out of range for n={n}")
     d = dist.copy()
     np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    order = stable_argsort(d, axis=1)[:, :k]
     del d
     src = np.repeat(np.arange(n), k)
     edges = np.column_stack([src, order.reshape(-1)])
@@ -64,50 +64,91 @@ def edge_order(dist: np.ndarray) -> np.ndarray:
     (distance, i, j)."""
     # the upper triangle in row-major order, so a stable sort breaks
     # distance ties by (i, j)
-    return np.argsort(squareform(dist, checks=False), kind="stable")
+    return stable_argsort(squareform(dist, checks=False))
 
 
-def kmst(dist: np.ndarray, k: int, order: np.ndarray | None = None) -> Graph:
+class MstLayers:
+    """The successive edge-disjoint minimum spanning trees of one distance
+    matrix, built on demand from its edge ranking `order`: a k-MST asked
+    for after a smaller one only adds the missing layers.
+
+    The state is one dense key matrix, built by the first `grow`: entry
+    (i, j) is ``rank * n + i`` for the rank of edge (i, j) in `order`, and
+    ``m * n`` (m edges) once the edge is used or on the diagonal.  Keys
+    order edges by rank, and a tree's key names the endpoint it came from,
+    so `order` is not kept."""
+
+    def __init__(self, order: np.ndarray, n: int):
+        self.order = order
+        self.n = n
+        self.used = order.size * n
+        self.key = None
+        self.trees: list[np.ndarray] = []  # (n-1, 2) edges i < j, by rank
+
+    def _build_key(self) -> None:
+        n, m = self.n, self.order.size
+        dtype = np.int32 if self.used < 2 ** 31 else np.int64
+        rank = np.empty(m, dtype=dtype)
+        rank[self.order] = np.arange(m, dtype=dtype)
+        self.order = None
+        key = squareform(rank, checks=False)
+        del rank
+        key *= n
+        key += np.arange(n, dtype=dtype)[:, None]
+        np.fill_diagonal(key, self.used)
+        self.key = key
+
+    def grow(self, k: int) -> None:
+        """Build layers until there are k; Prim's algorithm finds each on
+        the key matrix."""
+        if self.key is None:
+            self._build_key()
+        n, used, key = self.n, self.used, self.key
+        while len(self.trees) < k:
+            w = key.copy()
+            w[:, 0] = used
+            best = w[0].copy()
+            chosen = np.empty(n - 1, dtype=key.dtype)
+            reached = np.empty(n - 1, dtype=np.int64)
+            for step in range(n - 1):
+                v = int(np.argmin(best))
+                if best[v] == used:
+                    raise ValueError(
+                        "graph disconnected before completing the layer")
+                chosen[step] = best[v]
+                reached[step] = v
+                best[v] = used
+                w[:, v] = used
+                np.minimum(best, w[v], out=best)
+            del w
+            by_rank = np.argsort(chosen)
+            u = (chosen[by_rank] % n).astype(np.int64)
+            v = reached[by_rank]
+            key[u, v] = used
+            key[v, u] = used
+            self.trees.append(np.column_stack([np.minimum(u, v),
+                                               np.maximum(u, v)]))
+
+
+def kmst(dist: np.ndarray, k: int, order: np.ndarray | None = None,
+         layers: MstLayers | None = None) -> Graph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
     Edges are ranked once by (distance, i, j); `order` is that ranking,
-    `edge_order(dist)`, when the caller already has it.  Each layer is the
-    minimum spanning tree, under that strict order, of the edges no
-    earlier layer used; Prim's algorithm finds it on a dense rank matrix.
+    `edge_order(dist)`, when the caller already has it, and `layers` an
+    `MstLayers` of it that keeps the layers between calls.  Each layer is
+    the minimum spanning tree, under that strict order, of the edges no
+    earlier layer used; Prim's algorithm finds it on a dense key matrix.
     Ranks are distinct, so the tree is unique and is the one Kruskal's
     algorithm picks.  Edges come out layer by layer, each layer in rank
     order."""
     n = dist.shape[0]
     if k < 1 or k > n // 2:
         raise ValueError(f"k={k} infeasible for n={n}")
-    if order is None:
-        order = edge_order(dist)
-    m = order.size  # the rank of a used edge, and of the diagonal
-    inverse = np.empty(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
-    inverse[order] = np.arange(m)
-    rank = squareform(inverse, checks=False)
-    np.fill_diagonal(rank, m)
-    iu, ju = np.triu_indices(n, 1)
-    edges = np.empty((k, n - 1), dtype=np.int64)  # ranks, then triu indices
-    for layer in range(k):
-        w = rank.copy()
-        w[:, 0] = m
-        key = w[0].copy()
-        chosen = edges[layer]
-        for step in range(n - 1):
-            v = int(np.argmin(key))
-            if key[v] == m:
-                raise ValueError(
-                    "graph disconnected before completing the layer")
-            chosen[step] = key[v]
-            key[v] = m
-            w[:, v] = m
-            np.minimum(key, w[v], out=key)
-        chosen[:] = order[np.sort(chosen)]
-        rank[iu[chosen], ju[chosen]] = m
-        rank[ju[chosen], iu[chosen]] = m
-    edges = edges.ravel()
-    return Graph(n, np.column_stack([iu[edges], ju[edges]]), KMST, k=k,
+    if layers is None:
+        layers = MstLayers(edge_order(dist) if order is None else order, n)
+    layers.grow(k)
+    return Graph(n, np.concatenate(layers.trees[:k]), KMST, k=k,
                  layer=np.repeat(np.arange(k, dtype=np.int64), n - 1))
 
 

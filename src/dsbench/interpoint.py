@@ -151,40 +151,70 @@ def wasserstein1(ms: MultiSample, dist: np.ndarray) -> float:
     return float(cost[np.arange(n1), sigma].mean())
 
 
-def _bd_two_sample(dxx: np.ndarray, dxy: np.ndarray, dyy: np.ndarray) -> float:
-    """Empirical ball divergence of two samples from their distance blocks."""
-    n = dxx.shape[0]
-    m = dyy.shape[0]
-    a_term = 0.0
-    for i in range(n):
-        own = np.sort(dxx[i])
-        other = np.sort(dxy[i])
-        radii = dxx[i]
-        ax = np.searchsorted(own, radii, side="right") / n
-        ay = np.searchsorted(other, radii, side="right") / m
-        a_term += float(((ax - ay) ** 2).sum())
-    a_term /= n * n
-    c_term = 0.0
-    for k in range(m):
-        own = np.sort(dyy[k])
-        other = np.sort(dxy[:, k])
-        radii = dyy[k]
-        cy = np.searchsorted(own, radii, side="right") / m
-        cx = np.searchsorted(other, radii, side="right") / n
-        c_term += float(((cx - cy) ** 2).sum())
-    c_term /= m * m
-    return a_term + c_term
+def _ball_shares(sample, rows, nearest, run_end, at_zero):
+    """Share of `sample` (a slice of the pooled points) inside the ball
+    around each point of `rows` through each point of its `nearest` row,
+    and inside its radius-0 ball.  Counts are prefix counts along the row
+    read at the end of each run of equal distances, plus the point itself
+    when it is in `sample`."""
+    member = np.zeros(nearest.shape[1] + 1, dtype=bool)
+    member[sample] = True
+    count = np.cumsum(member[nearest], axis=1, dtype=np.int32)
+    # counts never fall along a row, so the next run end holds the least
+    # count from here on
+    count[~run_end] = np.iinfo(np.int32).max
+    count = np.minimum.accumulate(count[:, ::-1], axis=1)[:, ::-1]
+    own = int(sample == rows)
+    count += own
+    size = sample.stop - sample.start
+    return count / size, np.where(at_zero, count[:, 0], own) / size
 
 
-def ball_divergence(ms: MultiSample, dist: np.ndarray) -> float:
-    """Sum of the pairwise empirical ball divergences over all sample pairs."""
+def _ball_rows(dist, order, rows, pair):
+    """Sum, over the points of `rows` (one sample of the `pair`), of the
+    squared differences between the two samples' ball shares over the
+    radii to the points of the same sample: one row sum per point, in
+    column order, accumulated in point order."""
+    nearest = order[rows]
+    d = np.take_along_axis(dist[rows], nearest, axis=1)
+    run_end = np.ones(nearest.shape, dtype=bool)
+    np.not_equal(d[:, 1:], d[:, :-1], out=run_end[:, :-1])
+    at_zero = d[:, 0] == 0.0
+    del d
+    (fa, sa), (fb, sb) = (_ball_shares(s, rows, nearest, run_end, at_zero)
+                          for s in pair)
+    fa -= fb
+    del fb
+    fa **= 2
+    # back to column order; a point's own column holds its radius-0 term
+    terms = np.empty((nearest.shape[0], dist.shape[0]))
+    np.put_along_axis(terms, nearest, fa, axis=1)
+    del fa
+    terms[np.arange(nearest.shape[0]), np.arange(rows.start, rows.stop)] = (
+        (sa - sb) ** 2)
+    total = 0.0
+    for v in terms[:, rows].sum(axis=1).tolist():
+        total += v
+    return total
+
+
+def ball_divergence(ms: MultiSample, dist: np.ndarray,
+                    order: np.ndarray) -> float:
+    """Sum of the pairwise empirical ball divergences over all sample pairs.
+
+    `order` is the pooled neighbour order (row i: the other points, nearest
+    first).  The number of a sample's points in the ball around point i
+    through point j is the count of that sample's points in row i up to
+    the last point as far from i as j, plus i itself."""
     sl = _slices(ms.sizes)
     total = 0.0
     for i in range(ms.k):
         for j in range(i + 1, ms.k):
-            total += _bd_two_sample(dist[sl[i], sl[i]],
-                                    dist[sl[i], sl[j]],
-                                    dist[sl[j], sl[j]])
+            pair = (sl[i], sl[j])
+            part = 0.0
+            for rows, n in zip(pair, (ms.sizes[i], ms.sizes[j])):
+                part += _ball_rows(dist, order, rows, pair) / (n * n)
+            total += part
     return float(total)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import clusterstats, graphstats, interpoint, kernelstats
 from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
-from .graphs import (KNN_DIRECTED, Graph, Matching, edge_order, kmst,
-                     knn_graph, min_weight_matching)
+from .graphs import (KNN_DIRECTED, Graph, Matching, MstLayers, edge_order,
+                     kmst, knn_graph, min_weight_matching)
 from .permnull import pattern_counts_from_edges
 
 
@@ -32,8 +32,8 @@ class Context:
         self.pooled = pooled
         self.labels = labels
         self._dist = None
-        self._edge_order: np.ndarray | None = None
         self._neighbour_order: np.ndarray | None = None
+        self._mst_layers: MstLayers | None = None
         self._graphs: dict = {}
         self._pattern_stats: dict = {}
         self._matching: Matching | None = None
@@ -62,14 +62,6 @@ class Context:
         raise ValueError(f"unknown graph spec {spec!r}")
 
     @property
-    def edge_order(self) -> np.ndarray:
-        """The pooled edges ranked by (distance, i, j), shared by every
-        k-MST build."""
-        if self._edge_order is None:
-            self._edge_order = edge_order(self.dist)
-        return self._edge_order
-
-    @property
     def neighbour_order(self) -> np.ndarray:
         """(N, N-1) int32 array: row i lists the other nodes nearest first,
         ties to the lower index (the targets of the (N-1)-NN graph)."""
@@ -85,8 +77,13 @@ class Context:
         if key not in self._graphs:
             kind, k = key
             if kind == "mst":
+                # one ranking of the edges; every k-MST extends the layers
+                # of the smaller ones
+                if self._mst_layers is None:
+                    self._mst_layers = MstLayers(edge_order(self.dist),
+                                                 self.ms.total_n)
                 self._graphs[key] = kmst(self.dist, k,
-                                         order=self.edge_order)
+                                         layers=self._mst_layers)
             else:
                 # a stable sort's first k neighbours are the K-NN graph
                 n = self.ms.total_n
@@ -219,7 +216,8 @@ _register("ds", DISSIMILARITY,
 _register("wasserstein", DISSIMILARITY,
           lambda c: interpoint.wasserstein1(c.ms, c.dist))
 _register("ball", DISSIMILARITY,
-          lambda c: interpoint.ball_divergence(c.ms, c.dist), max_k=99)
+          lambda c: interpoint.ball_divergence(c.ms, c.dist,
+                                               c.neighbour_order), max_k=99)
 _register("lhz", DISSIMILARITY, lambda c: interpoint.lhz(c.ms))
 _register("engineer", DISSIMILARITY,
           lambda c: interpoint.engineer_metric(c.ms))

@@ -274,6 +274,35 @@ class TestReport:
         assert rc == 2
         assert str(scenario) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["file", "spec", "index"])
+    def test_scenario_entry_missing_key_exit_two(self, tmp_path, capsys,
+                                                 minimal_config, key):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        del content["scenarios"][1][key]
+        manifest.write_text(json.dumps(content))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(key) in err
+
+    def test_non_numeric_value_exit_two(self, tmp_path, capsys,
+                                        minimal_config):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / "scenario_0001.csv"
+        lines = scenario.read_text().splitlines()
+        lines[1] = "0,energy,abc,"
+        scenario.write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and "'abc'" in err
+
     def test_na_written_for_missing_cells(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

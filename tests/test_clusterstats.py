@@ -224,7 +224,50 @@ class TestFsRi:
         assert ari == 0.0  # the separated pairs cluster perfectly
 
 
+def dunn_reference(rho, labels):
+    """Dunn index with one np.ix_ block per cluster and cluster pair."""
+    clusters = np.unique(labels)
+    max_diam = 0.0
+    for c in clusters:
+        members = np.flatnonzero(labels == c)
+        if len(members) > 1:
+            max_diam = max(max_diam,
+                           float(rho[np.ix_(members, members)].max()))
+    min_between = math.inf
+    for i, a in enumerate(clusters):
+        for b in clusters[i + 1:]:
+            ma = np.flatnonzero(labels == a)
+            mb = np.flatnonzero(labels == b)
+            min_between = min(min_between, float(rho[np.ix_(ma, mb)].min()))
+    if max_diam == 0.0:
+        return math.inf
+    return min_between / max_diam
+
+
 class TestDunn:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 60), st.integers(2, 8),
+           st.sampled_from(["random", "symmetric", "rounded"]))
+    def test_equals_ix_blocks(self, seed, n, ell, kind):
+        rng = np.random.default_rng(seed)
+        rho = rng.random((n, n))
+        if kind != "random":
+            rho = rho + rho.T
+            np.fill_diagonal(rho, 0.0)
+        if kind == "rounded":
+            rho = np.round(rho, 1)
+        labels = rng.integers(0, min(ell, n), n) * 3  # not 0..l-1
+        if len(np.unique(labels)) < 2:
+            labels[0], labels[-1] = 0, 3
+        assert dunn_index(rho, labels) == dunn_reference(rho, labels)
+
+    def test_equals_ix_blocks_on_madd(self):
+        rng = np.random.default_rng(7)
+        rho = madd(rng.normal(size=(80, 3)), MaddConfig("psi2", "h1"))
+        for ell in (2, 3, 5, 8):
+            labels, _ = cluster_madd(rho, ell, rng)
+            assert dunn_index(rho, labels) == dunn_reference(rho, labels)
+
     def test_two_tight_far_clusters(self):
         x = np.concatenate([np.zeros((4, 1)), np.full((4, 1), 100.0)])
         x = x + np.linspace(0, 0.1, 8)[:, None]

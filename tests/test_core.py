@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from dsbench.core import (DISSIMILARITY, DataMatrix, DimensionError,
                           MultiSample, StatValue, distance_matrix, pool,
-                          split)
+                          split, stable_argsort)
 
 
 def ms_from(*mats):
@@ -110,3 +110,37 @@ class TestStatValue:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
             StatValue("m", 1.0, "sideways")
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize("name, a", [
+        ("random", np.random.default_rng(0).normal(size=500)),
+        ("tied", np.random.default_rng(1).integers(0, 4, 300).astype(float)),
+        ("all_equal", np.full(40, 2.5)),
+        ("inf", np.array([np.inf, 1.0, -np.inf, np.inf, 1.0, -np.inf, 0.0])),
+        ("single", np.array([3.0])),
+        ("empty", np.array([])),
+        ("int", np.random.default_rng(2).integers(0, 3, 50)),
+        ("random_2d", np.random.default_rng(3).normal(size=(20, 30))),
+        ("tied_2d", np.random.default_rng(4).integers(0, 3, (20, 30))
+         .astype(float)),
+        ("all_equal_2d", np.zeros((6, 9))),
+        ("inf_2d", np.where(np.eye(8, dtype=bool), np.inf,
+                            np.random.default_rng(5).integers(0, 2, (8, 8))
+                            .astype(float))),
+    ])
+    def test_equals_stable_kind(self, name, a):
+        for axis in range(-a.ndim, a.ndim):
+            ours = stable_argsort(a, axis=axis)
+            assert np.array_equal(ours, np.argsort(a, axis=axis,
+                                                   kind="stable")), axis
+
+    @settings(max_examples=30, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12),
+                                        st.integers(1, 12)),
+                  elements=st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0,
+                                            np.inf])))
+    def test_equals_stable_kind_on_tie_heavy_input(self, a):
+        for axis in (0, 1):
+            assert np.array_equal(stable_argsort(a, axis=axis),
+                                  np.argsort(a, axis=axis, kind="stable"))

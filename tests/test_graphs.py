@@ -9,8 +9,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from dsbench._blossom import _Matcher
 from dsbench.core import distance_matrix
-from dsbench.graphs import (assignment, edge_order, halton_grid, kmst,
-                            knn_graph, min_weight_matching)
+from dsbench.graphs import (MstLayers, assignment, edge_order, halton_grid,
+                            kmst, knn_graph, min_weight_matching)
 
 
 def random_dist(rng, n, p=2):
@@ -169,6 +169,26 @@ class TestKmst:
         assert np.array_equal(g.edges, edges)
         assert np.array_equal(g.layer, layer)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(4, 60), st.booleans())
+    def test_resumed_layers_equal_fresh_build(self, seed, n, lattice):
+        rng = np.random.default_rng(seed)
+        d = lattice_dist(rng, n, side=3) if lattice else random_dist(rng, n)
+        k = min(5, n // 2)
+        try:
+            fresh = kmst(d, k)
+        except ValueError:
+            return
+        layers = MstLayers(edge_order(d), n)
+        first = kmst(d, 1, layers=layers)
+        assert np.array_equal(first.edges, kmst(d, 1).edges)
+        resumed = kmst(d, k, layers=layers)
+        assert len(layers.trees) == k
+        assert np.array_equal(resumed.edges, fresh.edges)
+        assert np.array_equal(resumed.layer, fresh.layer)
+        # asking again for fewer layers reuses them
+        assert np.array_equal(kmst(d, 1, layers=layers).edges, first.edges)
+
     def test_star_second_layer_disconnected(self):
         # the first layer is the star; the centre has no edge left
         angles = 2 * np.pi * np.arange(3) / 3
@@ -309,6 +329,33 @@ class TestMatching:
         assert matched.size >= 2
         assert (start.mate[start.mate[matched]] == matched).all()
         assert (slack[matched, start.mate[matched]] == 0.0).all()
+
+    @staticmethod
+    def mutual_nn_matched(w):
+        heaviest = w.copy()
+        np.fill_diagonal(heaviest, -np.inf)
+        nn = heaviest.argmax(axis=1)
+        return int((nn[nn] == np.arange(w.shape[0])).sum())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 60), st.booleans())
+    def test_greedy_stage_extends_mutual_pairs(self, seed, n, lattice):
+        rng = np.random.default_rng(seed)
+        d = lattice_dist(rng, n) if lattice else random_dist(rng, n)
+        w = d.max() - d
+        start = _Matcher(w)
+        assert (start.mate >= 0).sum() >= self.mutual_nn_matched(w)
+        again = _Matcher(w)
+        assert np.array_equal(start.mate, again.mate)
+        assert start.dualvar.tobytes() == again.dualvar.tobytes()
+
+    def test_greedy_stage_matches_more_than_mutual_pairs(self):
+        # N=100 p=2 normal: mutual nearest neighbours leave 44 vertices
+        # free, the greedy stage 18
+        d = random_dist(np.random.default_rng(1), 100)
+        w = d.max() - d
+        free = int((_Matcher(w).mate < 0).sum())
+        assert free < 100 - self.mutual_nn_matched(w)
 
     @pytest.mark.parametrize("dgp, n, p", [
         ("t3", 200, 2), ("t3", 61, 50), ("lognormal", 120, 50),

@@ -11,6 +11,7 @@ from dsbench.interpoint import (ball_divergence, bf_statistic, bg2,
                                 bg_partition, disco, ds_rank_energy, energy,
                                 engineer_metric, g_alpha, lhz, phi_kernel,
                                 wasserstein1)
+from dsbench.methods import Context
 
 
 def make_ms(*arrays):
@@ -26,6 +27,11 @@ def make_ms(*arrays):
 def pooled_dist(ms):
     z, _ = pool(ms)
     return distance_matrix(z)
+
+
+def ball(ms):
+    ctx = Context(ms)
+    return ball_divergence(ms, ctx.dist, ctx.neighbour_order)
 
 
 def energy_triple_sum(x, y):
@@ -237,17 +243,58 @@ def ball_divergence_brute(x, y):
     return a_term / n ** 2 + c_term / m ** 2
 
 
+def ball_divergence_loop(ms, dist):
+    """Reference: for each point, sort its two distance rows and count
+    with searchsorted; pairwise row sums added in point order."""
+    total = 0.0
+    starts = np.cumsum((0,) + ms.sizes)
+    for a in range(ms.k):
+        for b in range(a + 1, ms.k):
+            sa = slice(starts[a], starts[a + 1])
+            sb = slice(starts[b], starts[b + 1])
+            dxx, dxy, dyy = dist[sa, sa], dist[sa, sb], dist[sb, sb]
+            n, m = dxx.shape[0], dyy.shape[0]
+            a_term = 0.0
+            for i in range(n):
+                ax = np.searchsorted(np.sort(dxx[i]), dxx[i], "right") / n
+                ay = np.searchsorted(np.sort(dxy[i]), dxx[i], "right") / m
+                a_term += float(((ax - ay) ** 2).sum())
+            c_term = 0.0
+            for j in range(m):
+                cy = np.searchsorted(np.sort(dyy[j]), dyy[j], "right") / m
+                cx = np.searchsorted(np.sort(dxy[:, j]), dyy[j], "right") / n
+                c_term += float(((cx - cy) ** 2).sum())
+            total += a_term / (n * n) + c_term / (m * m)
+    return float(total)
+
+
 class TestBallDivergence:
+    @pytest.mark.parametrize("sizes", [(30, 30), (9, 41), (12, 12, 12, 12),
+                                       (3, 17, 8, 25)])
+    @pytest.mark.parametrize("data", ["normal", "lattice", "duplicates"])
+    def test_bitwise_equal_to_loop_reference(self, sizes, data):
+        rng = np.random.default_rng(sum(sizes))
+        if data == "normal":
+            xs = [rng.normal(size=(n, 3)) for n in sizes]
+        elif data == "lattice":
+            xs = [rng.integers(0, 3, size=(n, 2)).astype(float)
+                  for n in sizes]
+        else:
+            base = rng.normal(size=(4, 2))
+            xs = [base[rng.integers(0, 4, n)] for n in sizes]
+        ms = make_ms(*xs)
+        assert ball(ms) == ball_divergence_loop(ms, pooled_dist(ms))
+
     def test_identical_zero(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 2))
         ms = make_ms(x, x)
-        assert ball_divergence(ms, pooled_dist(ms)) == 0.0
+        assert ball(ms) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(10)
         ms = make_ms(rng.normal(size=(4, 2)), rng.normal(size=(7, 2)))
-        assert ball_divergence(ms, pooled_dist(ms)) >= 0.0
+        assert ball(ms) >= 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -255,19 +302,19 @@ class TestBallDivergence:
             x = rng.normal(size=(3, 1))
             y = rng.normal(size=(3, 1))
             ms = make_ms(x, y)
-            assert abs(ball_divergence(ms, pooled_dist(ms))
+            assert abs(ball(ms)
                        - ball_divergence_brute(x, y)) < 1e-12
 
     def test_k_sample_sums_pairs(self):
         rng = np.random.default_rng(12)
         xs = [rng.normal(size=(4, 2)) for _ in range(3)]
         ms = make_ms(*xs)
-        total = ball_divergence(ms, pooled_dist(ms))
+        total = ball(ms)
         parts = 0.0
         for i in range(3):
             for j in range(i + 1, 3):
                 sub = make_ms(xs[i], xs[j])
-                parts += ball_divergence(sub, pooled_dist(sub))
+                parts += ball(sub)
         assert abs(total - parts) < 1e-12
 
 
@@ -334,8 +381,9 @@ class TestSharedInvariants:
         ms = make_ms(x, y)
         ms_p = make_ms(x[rng.permutation(6)], y[rng.permutation(5)])
         d, dp = pooled_dist(ms), pooled_dist(ms_p)
-        for fn in (energy, bg2, ball_divergence):
+        for fn in (energy, bg2):
             assert abs(fn(ms, d) - fn(ms_p, dp)) < 1e-10
+        assert abs(ball(ms) - ball(ms_p)) < 1e-10
         assert abs(lhz(ms) - lhz(ms_p)) < 1e-10
 
     @settings(max_examples=15, deadline=None)
@@ -363,7 +411,7 @@ class TestSharedInvariants:
         assert energy(ms, d) >= 0.0
         assert bg2(ms, d) >= 0.0
         assert disco(ms, d, 0.7).between >= 0.0
-        assert ball_divergence(ms, d) >= 0.0
+        assert ball(ms) >= 0.0
         assert lhz(ms) >= 0.0
         assert engineer_metric(ms) >= 0.0
         for kind in ("log", "fraca", "fracb", "bahr", "cramer"):

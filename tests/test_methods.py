@@ -177,6 +177,24 @@ class TestEvaluate:
         assert [k for _, k in calls["dsbench.methods.knn_graph"]] == [49]
         assert calls["dsbench.graphstats.knn_graph"] == []
 
+    def test_kmst_resumes_from_first_layer(self, monkeypatch):
+        layers = []
+        grow = graphs.MstLayers.grow
+
+        def counting(self, k):
+            before = len(self.trees)
+            grow(self, k)
+            layers.append(len(self.trees) - before)
+        monkeypatch.setattr(graphs.MstLayers, "grow", counting)
+        ctx = Context(make_ms((30, 30)), seed=1)
+        one = ctx.graph("1mst")
+        five = ctx.graph("5mst")
+        assert layers == [1, 4]
+        fresh = graphs.kmst(ctx.dist, 5)
+        assert np.array_equal(five.edges, fresh.edges)
+        assert np.array_equal(five.layer, fresh.layer)
+        assert np.array_equal(one.edges, graphs.kmst(ctx.dist, 1).edges)
+
     def test_four_sample_madds_built_once(self, monkeypatch):
         builds = []
         original = clusterstats.madd
