@@ -72,10 +72,11 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
     phi = _h(cfg.h, acc)
     del acc
     # sum_m |phi_im - phi_jm| over all m (one triangle, mirrored), then drop
-    # the m=i and m=j terms; in place, so that at most three n x n arrays are
-    # alive here
+    # the m=i and m=j terms; in place, so that at most two n x n arrays and
+    # one triangle are alive here (doubling is exact)
     rho = squareform(pdist(phi, "cityblock"))
-    rho -= 2.0 * phi
+    phi *= 2.0
+    rho -= phi
     rho /= n - 2
     np.fill_diagonal(rho, 0.0)
     return rho

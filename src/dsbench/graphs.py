@@ -130,23 +130,23 @@ class MstLayers:
                                                np.maximum(u, v)]))
 
 
-def kmst(dist: np.ndarray, k: int, order: np.ndarray | None = None,
-         layers: MstLayers | None = None) -> Graph:
+def kmst(dist: np.ndarray, k: int, layers: MstLayers | None = None) -> Graph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
-    Edges are ranked once by (distance, i, j); `order` is that ranking,
-    `edge_order(dist)`, when the caller already has it, and `layers` an
-    `MstLayers` of it that keeps the layers between calls.  Each layer is
-    the minimum spanning tree, under that strict order, of the edges no
-    earlier layer used; Prim's algorithm finds it on a dense key matrix.
-    Ranks are distinct, so the tree is unique and is the one Kruskal's
-    algorithm picks.  Edges come out layer by layer, each layer in rank
-    order."""
+    Edges are ranked once by (distance, i, j).  `layers`, if given, is an
+    `MstLayers` of that ranking, `MstLayers(edge_order(dist), n)`, which
+    keeps the layers between calls.  Each layer is the minimum spanning
+    tree, under that strict order, of the edges no earlier layer used;
+    Prim's algorithm finds it on a dense key matrix.  Ranks are distinct,
+    so the tree is unique and is the one Kruskal's algorithm picks.  Edges
+    come out layer by layer, each layer in rank order."""
     n = dist.shape[0]
     if k < 1 or k > n // 2:
         raise ValueError(f"k={k} infeasible for n={n}")
     if layers is None:
-        layers = MstLayers(edge_order(dist) if order is None else order, n)
+        layers = MstLayers(edge_order(dist), n)
+    elif layers.n != n:
+        raise ValueError(f"layers of {layers.n} nodes for n={n}")
     layers.grow(k)
     return Graph(n, np.concatenate(layers.trees[:k]), KMST, k=k,
                  layer=np.repeat(np.arange(k, dtype=np.int64), n - 1))

@@ -151,51 +151,70 @@ def wasserstein1(ms: MultiSample, dist: np.ndarray) -> float:
     return float(cost[np.arange(n1), sigma].mean())
 
 
-def _ball_shares(sample, rows, nearest, run_end, at_zero):
-    """Share of `sample` (a slice of the pooled points) inside the ball
-    around each point of `rows` through each point of its `nearest` row,
-    and inside its radius-0 ball.  Counts are prefix counts along the row
-    read at the end of each run of equal distances, plus the point itself
-    when it is in `sample`."""
-    member = np.zeros(nearest.shape[1] + 1, dtype=bool)
-    member[sample] = True
-    count = np.cumsum(member[nearest], axis=1, dtype=np.int32)
-    # counts never fall along a row, so the next run end holds the least
-    # count from here on
-    count[~run_end] = np.iinfo(np.int32).max
-    count = np.minimum.accumulate(count[:, ::-1], axis=1)[:, ::-1]
-    own = int(sample == rows)
-    count += own
-    size = sample.stop - sample.start
-    return count / size, np.where(at_zero, count[:, 0], own) / size
+_BALL_BLOCK = 2 ** 18
 
 
-def _ball_rows(dist, order, rows, pair):
-    """Sum, over the points of `rows` (one sample of the `pair`), of the
-    squared differences between the two samples' ball shares over the
-    radii to the points of the same sample: one row sum per point, in
-    column order, accumulated in point order."""
+def _ball_rows(dist, order, sample_of, sizes, a, rows, cols):
+    """Row sums for the points `rows` of sample `a` (whose points are the
+    pooled `cols`): entry (s, i) sums, over the points j of `a` in column
+    order, the squared difference between the shares of `a` and of sample
+    s in the ball around i through j (radius 0 for j = i).
+
+    The ball holds i and the points of i's `order` row up to the end of
+    j's run of equal distances.  Those run ends, and the end of a run at
+    distance 0, are the row's query positions; one `bincount` over
+    (sample, row, queries before the position) and a running sum over the
+    queries count every sample's points in every ball."""
+    k, n_a = len(sizes), cols.stop - cols.start
     nearest = order[rows]
+    n_rows, width = nearest.shape
     d = np.take_along_axis(dist[rows], nearest, axis=1)
-    run_end = np.ones(nearest.shape, dtype=bool)
-    np.not_equal(d[:, 1:], d[:, :-1], out=run_end[:, :-1])
+    run_end = np.ones(d.size, dtype=bool)
+    np.not_equal(d[:, 1:], d[:, :-1], out=run_end.reshape(d.shape)[:, :-1])
     at_zero = d[:, 0] == 0.0
     del d
-    (fa, sa), (fb, sb) = (_ball_shares(s, rows, nearest, run_end, at_zero)
-                          for s in pair)
-    fa -= fb
-    del fb
-    fa **= 2
-    # back to column order; a point's own column holds its radius-0 term
-    terms = np.empty((nearest.shape[0], dist.shape[0]))
-    np.put_along_axis(terms, nearest, fa, axis=1)
-    del fa
-    terms[np.arange(nearest.shape[0]), np.arange(rows.start, rows.stop)] = (
-        (sa - sb) ** 2)
-    total = 0.0
-    for v in terms[:, rows].sum(axis=1).tolist():
-        total += v
-    return total
+    # a row's last position ends a run, so runs can be numbered over the
+    # flattened rows; the run holding a position ends at ends[run]
+    ends = np.flatnonzero(run_end)
+    run = np.cumsum(run_end, dtype=np.int32)
+    run -= run_end
+    del run_end
+    n_q = n_a + 1  # a row has at most n_a query positions
+    key = (sample_of * (n_rows * n_q))[nearest].ravel()
+    q = np.flatnonzero(key == a * n_rows * n_q)  # a's other points
+    query = np.zeros(key.size, dtype=bool)
+    query[ends[run[q]]] = True
+    query[ends[run[np.flatnonzero(at_zero) * width]]] = True
+    del ends, run
+    query = query.reshape(n_rows, width)
+    before = np.cumsum(query, axis=1, dtype=np.int32)
+    before -= query
+    del query
+    key = key.reshape(n_rows, width)
+    key += (np.arange(n_rows) * n_q)[:, None]
+    key += before
+    # cum[s, i, m]: points of s in row i up to its m-th query position
+    cum = np.bincount(key.ravel(), minlength=k * n_rows * n_q)
+    del key
+    cum = cum.reshape(k, n_rows, n_q)
+    np.cumsum(cum, axis=2, out=cum)
+    # the query of each (row, column of a); the diagonal's is 0
+    at = np.repeat(np.arange(n_rows) * n_q, n_a)
+    at[np.repeat(np.arange(n_rows) * n_a, n_a - 1)
+       + (nearest.ravel()[q] - cols.start)] += before.ravel()[q]
+    del before
+    counts = np.take(cum.reshape(k, -1), at.reshape(n_rows, n_a), axis=1)
+    del cum
+    # the radius-0 ball holds a zero-distance run only if the row has one
+    diag = np.arange(n_rows)
+    counts[:, diag, diag + (rows.start - cols.start)] *= at_zero
+    counts[a] += 1  # i itself
+    shares = counts / np.asarray(sizes)[:, None, None]
+    del counts
+    diff = shares[a] - shares
+    del shares
+    diff **= 2
+    return diff.sum(axis=2)
 
 
 def ball_divergence(ms: MultiSample, dist: np.ndarray,
@@ -205,16 +224,28 @@ def ball_divergence(ms: MultiSample, dist: np.ndarray,
     `order` is the pooled neighbour order (row i: the other points, nearest
     first).  The number of a sample's points in the ball around point i
     through point j is the count of that sample's points in row i up to
-    the last point as far from i as j, plus i itself."""
+    the last point as far from i as j, plus i itself.  Each sample's rows
+    are taken once for every pair, in blocks of rows whose (sample, row,
+    column of the sample) counts and (row, neighbour) keys together hold
+    at most about `_BALL_BLOCK` entries."""
     sl = _slices(ms.sizes)
+    sample_of = np.repeat(np.arange(ms.k), ms.sizes)
+    sums = []  # (k,) per sample: its row sums against each sample
+    for a, cols in enumerate(sl):
+        n_a = ms.sizes[a]
+        step = max(1, _BALL_BLOCK // (ms.k * n_a + len(order)))
+        part = np.concatenate([
+            _ball_rows(dist, order, sample_of, ms.sizes, a,
+                       slice(r, min(r + step, cols.stop)), cols)
+            for r in range(cols.start, cols.stop, step)], axis=1)
+        # a running sum adds the points one by one in point order, which
+        # fixes the last bits of the result
+        sums.append(np.cumsum(part, axis=1)[:, -1].tolist())
     total = 0.0
     for i in range(ms.k):
         for j in range(i + 1, ms.k):
-            pair = (sl[i], sl[j])
-            part = 0.0
-            for rows, n in zip(pair, (ms.sizes[i], ms.sizes[j])):
-                part += _ball_rows(dist, order, rows, pair) / (n * n)
-            total += part
+            n, m = ms.sizes[i], ms.sizes[j]
+            total += sums[i][j] / (n * n) + sums[j][i] / (m * m)
     return float(total)
 
 

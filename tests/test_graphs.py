@@ -165,7 +165,7 @@ class TestKmst:
             edges, layer = kruskal_kmst(d, k)
         except ValueError:
             return
-        g = kmst(d, k, order=edge_order(d))
+        g = kmst(d, k, layers=MstLayers(edge_order(d), n))
         assert np.array_equal(g.edges, edges)
         assert np.array_equal(g.layer, layer)
 
@@ -188,6 +188,12 @@ class TestKmst:
         assert np.array_equal(resumed.layer, fresh.layer)
         # asking again for fewer layers reuses them
         assert np.array_equal(kmst(d, 1, layers=layers).edges, first.edges)
+
+    def test_layers_of_another_size_rejected(self):
+        rng = np.random.default_rng(0)
+        d, other = random_dist(rng, 8), random_dist(rng, 9)
+        with pytest.raises(ValueError, match="layers of 9 nodes"):
+            kmst(d, 1, layers=MstLayers(edge_order(other), 9))
 
     def test_star_second_layer_disconnected(self):
         # the first layer is the star; the centre has no edge left

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsbench import interpoint
 from dsbench.core import (DataMatrix, MultiSample, UnsupportedConfigError,
                           distance_matrix, pool)
 from dsbench.interpoint import (ball_divergence, bf_statistic, bg2,
@@ -282,6 +283,17 @@ class TestBallDivergence:
         else:
             base = rng.normal(size=(4, 2))
             xs = [base[rng.integers(0, 4, n)] for n in sizes]
+        ms = make_ms(*xs)
+        assert ball(ms) == ball_divergence_loop(ms, pooled_dist(ms))
+
+    @pytest.mark.parametrize("block", [1, 200, 600])
+    @pytest.mark.parametrize("sizes", [(13, 20), (5, 1, 9, 4, 6, 2, 8)])
+    def test_row_blocks_bitwise_equal_to_loop_reference(self, monkeypatch,
+                                                        block, sizes):
+        # rows taken a few (or one) at a time give the same sums
+        monkeypatch.setattr(interpoint, "_BALL_BLOCK", block)
+        rng = np.random.default_rng(block)
+        xs = [rng.integers(0, 3, size=(n, 2)).astype(float) for n in sizes]
         ms = make_ms(*xs)
         assert ball(ms) == ball_divergence_loop(ms, pooled_dist(ms))
 
