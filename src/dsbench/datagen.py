@@ -4,12 +4,19 @@ Four distribution families (normal, t with 3 df, log-normal, chi-squared
 with 1 df), each calibrated so every variable has mean 0 or 1 and variance
 one under the null.  Deviations alter location, scale, correlation, tail
 weight, or the outcome-generating model for the optional binary target.
+
+Tables decide each part of a scenario: `_STEPS` how a grouping spreads the
+deviation over the k samples, `_DEVIATIONS` each deviation's base level,
+the draw keyword that takes the level and its valid range, `_FAMILIES`
+each family's draw and deviations, `_WEIGHTS` the group sizes, and `GRIDS`
+the desk and full factorial designs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -22,49 +29,59 @@ DEVIATIONS = (
     "skew_kurtosis", "ogm_sign", "ogm_size", "ogm_different",
 )
 GROUPINGS_K4 = ("3+1", "2+2", "2+1+1", "1+1+1+1")
-
-# Deviation grids for the full factorial design.
-SHIFT_GRID = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
-SCALE_GRID = (1 / 10, 1 / 3, 1 / 2, 2 / 3, 4 / 5, 5 / 4, 3 / 2, 2.0, 3.0, 10.0)
-CORR_GRID_K2 = (0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8)
-CORR_GRID_K4 = (0.05, 0.1, 0.2, 0.3)
-NORMAL_VS_T_GRID = (30.0, 20.0, 10.0, 5.0, 3.0)
-KURTOSIS_GRID = (3.05, 3.1, 3.2, 3.3, 3.4)       # deviating df
-KURTOSIS_STEP_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)  # df increment per group
-SKEWKURT_GRID = (1.1, 1.5, 2.0, 3.0, 4.0, 5.0)
-SKEWKURT_STEP_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 4.0)
-
-N_GRID_K2 = (50, 100, 200, 500, 1000)
-N_GRID_K4 = (100, 200, 400)
-P_GRID = (2, 10, 50)
 BALANCES = ("balanced", "unbalanced")
+_OGM_DEVIATIONS = ("ogm_sign", "ogm_size", "ogm_different")
 
-# Thinned grids for desk-scale runs.
-DESK_SHIFT_GRID = (0.25, 0.75, 1.5)
-DESK_SCALE_GRID = (1 / 3, 2 / 3, 3 / 2, 3.0)
-DESK_CORR_GRID_K2 = (0.1, 0.3, 0.6)
-DESK_CORR_GRID_K4 = (0.1, 0.3)
-DESK_NORMAL_VS_T_GRID = (20.0, 5.0, 3.0)
-DESK_KURTOSIS_GRID = (3.1, 3.3)
-DESK_KURTOSIS_STEP_GRID = (0.1, 0.3)
-DESK_SKEWKURT_GRID = (1.5, 3.0, 5.0)
-DESK_SKEWKURT_STEP_GRID = (0.5, 2.0, 4.0)
-DESK_N_GRID_K2 = (50, 100, 200)
-DESK_N_GRID_K4 = (100, 200)
-DESK_P_GRID = (2, 10)
+# Number of deviation steps each sample takes from the base level.
+_STEPS = {"1+1": (0, 1), "3+1": (0, 0, 0, 1), "2+2": (0, 0, 1, 1),
+          "2+1+1": (0, 0, 1, 2), "1+1+1+1": (0, 1, 2, 3)}
+
+# Group sizes as shares of N.
+_WEIGHTS = {(2, "balanced"): (0.5, 0.5), (2, "unbalanced"): (0.2, 0.8),
+            (4, "balanced"): (0.25, 0.25, 0.25, 0.25),
+            (4, "unbalanced"): (0.1, 0.2, 0.3, 0.4)}
+
+# Magnitudes per deviation, with N and p, of the full factorial design and
+# of its thinned desk-scale version.  A '_k4' entry replaces the plain one
+# for k=4; a '_step' entry holds the per-group steps of the stepwise
+# groupings '2+1+1' and '1+1+1+1'.
+GRIDS = {
+    "full": dict(
+        shift=(0.1, 0.25, 0.5, 0.75, 1.0, 1.5),
+        scale=(1 / 10, 1 / 3, 1 / 2, 2 / 3, 4 / 5, 5 / 4, 3 / 2, 2.0, 3.0,
+               10.0),
+        correlation=(0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8),
+        correlation_k4=(0.05, 0.1, 0.2, 0.3),
+        normal_vs_t=(30.0, 20.0, 10.0, 5.0, 3.0),
+        kurtosis=(3.05, 3.1, 3.2, 3.3, 3.4),           # deviating df
+        kurtosis_step=(0.05, 0.1, 0.2, 0.3, 0.4),      # df increment
+        skew_kurtosis=(1.1, 1.5, 2.0, 3.0, 4.0, 5.0),
+        skew_kurtosis_step=(0.1, 0.5, 1.0, 2.0, 3.0, 4.0),
+        n_k2=(50, 100, 200, 500, 1000), n_k4=(100, 200, 400),
+        p=(2, 10, 50)),
+    "desk": dict(
+        shift=(0.25, 0.75, 1.5), scale=(1 / 3, 2 / 3, 3 / 2, 3.0),
+        correlation=(0.1, 0.3, 0.6), correlation_k4=(0.1, 0.3),
+        normal_vs_t=(20.0, 5.0, 3.0), kurtosis=(3.1, 3.3),
+        kurtosis_step=(0.1, 0.3), skew_kurtosis=(1.5, 3.0, 5.0),
+        skew_kurtosis_step=(0.5, 2.0, 4.0), n_k2=(50, 100, 200),
+        n_k4=(100, 200), p=(2, 10)),
+}
+SHIFT_GRID = GRIDS["full"]["shift"]
+SCALE_GRID = GRIDS["full"]["scale"]
+CORR_GRID_K2 = GRIDS["full"]["correlation"]
+CORR_GRID_K4 = GRIDS["full"]["correlation_k4"]
+N_GRID_K4 = GRIDS["full"]["n_k4"]
+
+# The study cases: (k, groupings, with_target).
+_CASES = {"two_sample": (2, ("1+1",), False),
+          "two_sample_target": (2, ("1+1",), True),
+          "four_sample": (4, GROUPINGS_K4, False)}
 
 # Log-normal null parameters solved from mean-1 / variance-1 constraints:
 # exp(mu + s2/2) = 1 and (exp(s2) - 1) exp(2 mu + s2) = 1.
 _LN_SIGMA2 = math.log(2.0)
 _LN_MU = -math.log(2.0) / 2.0
-
-_VALID_PAIRS = {
-    "normal": {"null", "shift", "scale", "correlation", "normal_vs_t"},
-    "lognormal": {"null", "shift", "scale"},
-    "t3": {"null", "shift", "scale", "correlation", "kurtosis"},
-    "chisq1": {"null", "skew_kurtosis"},
-}
-_OGM_DEVIATIONS = ("ogm_sign", "ogm_size", "ogm_different")
 
 
 class ConfigError(ValueError):
@@ -85,6 +102,11 @@ def scale_factor(p: int, s: float) -> float:
     return s ** (1.0 / p)
 
 
+# Multiple of the base slope per outcome-model variant; "different" is
+# sign-flipped and four times steeper, a hyperplane unrelated to the null.
+_OGM_SLOPES = {"null": 1.0, "sign": -1.0, "size": 0.5, "different": -4.0}
+
+
 @dataclass(frozen=True)
 class OgmSpec:
     """Logistic outcome-generating model: eta = -1/2 + x beta."""
@@ -95,7 +117,7 @@ class OgmSpec:
     def __post_init__(self):
         if self.p % 2 != 0:
             raise ConfigError("outcome model needs an even variable count")
-        if self.variant not in ("null", "sign", "size", "different"):
+        if self.variant not in _OGM_SLOPES:
             raise ConfigError(f"unknown OGM variant {self.variant!r}")
 
     @property
@@ -106,15 +128,7 @@ class OgmSpec:
     def beta(self) -> np.ndarray:
         half = self.p // 2
         base = 0.5 * np.concatenate([np.ones(half), -np.ones(half)])
-        if self.variant == "null":
-            return base
-        if self.variant == "sign":
-            return -base
-        if self.variant == "size":
-            return base / 2.0
-        # "different": sign-flipped and four times steeper, a hyperplane
-        # unrelated to the null model.
-        return -4.0 * base
+        return _OGM_SLOPES[self.variant] * base
 
 
 @dataclass(frozen=True)
@@ -138,26 +152,41 @@ class ScenarioSpec:
             raise ConfigError(f"unknown deviation {self.deviation!r}")
         if self.balance not in BALANCES:
             raise ConfigError(f"unknown balance {self.balance!r}")
-        if self.k == 2:
-            if self.grouping != "1+1":
-                raise ConfigError("k=2 requires grouping '1+1'")
-        elif self.k == 4:
-            if self.grouping not in GROUPINGS_K4:
-                raise ConfigError(f"bad k=4 grouping {self.grouping!r}")
-        else:
+        if self.k not in (2, 4):
             raise ConfigError("k must be 2 or 4")
+        if len(_STEPS.get(self.grouping, ())) != self.k:
+            raise ConfigError(
+                f"grouping {self.grouping!r} does not split {self.k} samples")
         if self.deviation in _OGM_DEVIATIONS:
             if not self.with_target or self.k != 2:
                 raise ConfigError(
                     "outcome-model deviations need with_target and k=2")
         elif self.deviation != "null":
-            if self.deviation not in _VALID_PAIRS[self.dgp]:
+            if self.deviation not in _FAMILIES[self.dgp].deviations:
                 raise ConfigError(
                     f"deviation {self.deviation!r} undefined for {self.dgp}")
             if self.deviation == "normal_vs_t" and self.k != 2:
                 raise ConfigError("normal_vs_t is a two-sample deviation")
         if self.with_target and self.p % 2 != 0:
             raise ConfigError("target scenarios need even p")
+        for name in ("n_total", "p"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"scenario {name!r} must be at least 1, "
+                                  f"got {getattr(self, name)!r}")
+        if not math.isfinite(self.magnitude):
+            raise ConfigError(f"scenario 'magnitude' must be finite, "
+                              f"got {self.magnitude!r}")
+        if self.deviation in _DEVIATIONS:
+            dev = _DEVIATIONS[self.deviation]
+            low, high = dev.bounds(self.p)
+            for level in deviation_levels(self):
+                # the base level is valid even where it is a limit, as
+                # normal_vs_t's infinite df is
+                if level != dev.base and not low < level < high:
+                    raise ConfigError(
+                        f"scenario 'magnitude' {self.magnitude!r} gives "
+                        f"{self.deviation} level {level!r}, outside "
+                        f"({low:g}, {high:g}) at p={self.p}")
 
     @property
     def scenario_id(self) -> str:
@@ -197,124 +226,80 @@ class ScenarioSpec:
 
 def sample_sizes(spec: ScenarioSpec) -> tuple[int, ...]:
     """Group sizes implied by (N, k, balance); rejects non-integral splits."""
-    n = spec.n_total
-    if spec.k == 2:
-        pi = 0.5 if spec.balance == "balanced" else 0.2
-        n1 = pi * n
-        if abs(n1 - round(n1)) > 1e-9:
-            raise ConfigError(f"non-integral split {pi} * {n}")
-        n1 = int(round(n1))
-        return (n1, n - n1)
-    if spec.balance == "balanced":
-        weights = (0.25, 0.25, 0.25, 0.25)
-    else:
-        weights = (0.1, 0.2, 0.3, 0.4)
     sizes = []
-    for w in weights:
-        ni = w * n
+    for w in _WEIGHTS[spec.k, spec.balance]:
+        ni = w * spec.n_total
         if abs(ni - round(ni)) > 1e-9:
-            raise ConfigError(f"non-integral split {w} * {n}")
+            raise ConfigError(f"non-integral split {w} * {spec.n_total}")
         sizes.append(int(round(ni)))
     return tuple(sizes)
 
 
-def _deviation_levels(spec: ScenarioSpec) -> tuple[float, ...]:
-    """The deviating parameter value for each of the k samples.
-
-    For shift the level is delta, for scale the factor s, for correlation
-    rho, for kurtosis / skew-kurtosis the df of the t / chi-squared
-    distribution, and for normal_vs_t the df of the deviating sample."""
-    dev = spec.deviation
-    if dev == "normal_vs_t":
-        return (0.0, spec.magnitude)  # first level unused (normal sample)
-    if dev == "shift":
-        base = 0.0
-    elif dev == "scale":
-        base = 1.0
-    elif dev == "correlation":
-        base = 0.0
-    elif dev == "kurtosis":
-        base = 3.0
-    elif dev == "skew_kurtosis":
-        base = 1.0
-    else:
-        raise ConfigError(f"no deviation levels for {dev!r}")
-    m = spec.magnitude
-    if spec.k == 2:
-        return (base, m)
-    if spec.grouping == "3+1":
-        return (base, base, base, m)
-    if spec.grouping == "2+2":
-        return (base, base, m, m)
-    raise AssertionError("stepwise groupings are handled separately")
+class _Deviation(NamedTuple):
+    base: float    # level of a sample that does not deviate
+    keyword: str   # argument of the family's draw that takes the level
+    bounds: Callable[[int], tuple[float, float]]  # open valid range, given p
 
 
-def _levels_stepwise(spec: ScenarioSpec) -> tuple[float, ...]:
-    """Per-sample levels for the '2+1+1' and '1+1+1+1' groupings."""
-    dev = spec.deviation
-    m = spec.magnitude
-    if dev == "shift":
-        base, combine = 0.0, lambda b, s: b + s
-    elif dev == "scale":
-        base, combine = 1.0, lambda b, s: b * s
-    elif dev == "correlation":
-        base, combine = 0.0, lambda b, s: b + s
-    elif dev == "kurtosis":
-        base, combine = 3.0, lambda b, s: b + s
-    elif dev == "skew_kurtosis":
-        base, combine = 1.0, lambda b, s: b + s
-    else:
-        raise ConfigError(f"no stepwise levels for {dev!r}")
-    if spec.grouping == "2+1+1":
-        if dev == "scale":
-            return (base, base, m, m * m)
-        return (base, base, combine(base, m), combine(base, 2 * m))
-    # 1+1+1+1: level of sample j is the (j-1)-fold step
-    if dev == "scale":
-        return tuple(m ** j for j in range(4))
-    return tuple(combine(base, j * m) for j in range(4))
+_DEVIATIONS = {
+    "shift": _Deviation(0.0, "shift", lambda p: (-math.inf, math.inf)),
+    "scale": _Deviation(1.0, "scale", lambda p: (0.0, math.inf)),
+    # the equicorrelation matrix is positive definite on this range
+    "correlation": _Deviation(0.0, "rho",
+                              lambda p: (-1.0 / max(p - 1, 1), 1.0)),
+    "kurtosis": _Deviation(3.0, "df", lambda p: (2.0, math.inf)),
+    # infinite df draws the normal sample the t sample is compared with
+    "normal_vs_t": _Deviation(math.inf, "df", lambda p: (2.0, math.inf)),
+    "skew_kurtosis": _Deviation(1.0, "df", lambda p: (0.0, math.inf)),
+}
 
 
 def deviation_levels(spec: ScenarioSpec) -> tuple[float, ...]:
-    if spec.k == 2 or spec.grouping in ("3+1", "2+2"):
-        return _deviation_levels(spec)
-    return _levels_stepwise(spec)
+    """The deviating parameter value for each of the k samples.
+
+    For shift the level is delta, for scale the factor s, for correlation
+    rho, and for kurtosis, normal_vs_t and skew-kurtosis the df of the t or
+    chi-squared distribution.  In a two-level grouping the magnitude is the
+    deviating level; in '2+1+1' and '1+1+1+1' it is a step, which scale
+    multiplies and the other deviations add."""
+    if spec.deviation not in _DEVIATIONS:
+        raise ConfigError(f"no deviation levels for {spec.deviation!r}")
+    base = _DEVIATIONS[spec.deviation].base
+    m = spec.magnitude
+    steps = _STEPS[spec.grouping]
+    if max(steps) == 1:
+        return tuple(m if j else base for j in steps)
+    if spec.deviation != "scale":
+        return tuple(base + j * m for j in steps)
+    try:
+        return tuple(m ** j for j in steps)  # base 1
+    except OverflowError:
+        raise ConfigError(f"scenario 'magnitude' {m!r} overflows the "
+                          f"{spec.grouping} scale steps") from None
 
 
 def _equicorrelation(p: int, rho: float) -> np.ndarray:
     return rho * np.ones((p, p)) + (1 - rho) * np.eye(p)
 
 
-def _draw_normal(rng, n, p, shift=0.0, scale=1.0, rho=0.0):
+def _draw_t(rng, n, p, df=math.inf, shift=0.0, scale=1.0, rho=0.0):
+    """Multivariate t via normal over sqrt(chi2/df); infinite df is normal.
+
+    The dispersion is (df-2)/df * I so every component has variance one;
+    the scale factor multiplies the variables themselves."""
     z = rng.standard_normal((n, p))
     if rho != 0.0:
         chol = np.linalg.cholesky(_equicorrelation(p, rho))
         z = z @ chol.T
+    if df != math.inf:
+        z = z * math.sqrt((df - 2.0) / df)
+        u = rng.chisquare(df, size=n)
+        z = z / np.sqrt(u / df)[:, None]
     if scale != 1.0:
         z = z * scale_factor(p, scale)
     if shift != 0.0:
         z = z + shift_offset(p, shift)
     return z
-
-
-def _draw_t(rng, n, p, df, shift=0.0, scale=1.0, rho=0.0, var_one=True):
-    """Multivariate t via normal over sqrt(chi2/df).
-
-    With var_one the dispersion is (df-2)/df * I so every component has
-    variance one; the scale factor multiplies the variables themselves."""
-    disp_factor = (df - 2.0) / df if var_one else 1.0
-    z = rng.standard_normal((n, p))
-    if rho != 0.0:
-        chol = np.linalg.cholesky(_equicorrelation(p, rho))
-        z = z @ chol.T
-    z = z * math.sqrt(disp_factor)
-    u = rng.chisquare(df, size=n)
-    x = z / np.sqrt(u / df)[:, None]
-    if scale != 1.0:
-        x = x * scale_factor(p, scale)
-    if shift != 0.0:
-        x = x + shift_offset(p, shift)
-    return x
 
 
 def _draw_lognormal(rng, n, p, shift=0.0, scale=1.0):
@@ -333,48 +318,28 @@ def _draw_chisq(rng, n, p, df):
     return (x - df) / math.sqrt(2.0 * df)
 
 
-def _draw_sample(rng, spec: ScenarioSpec, j: int, level: float) -> np.ndarray:
-    """Draw sample j (0-based) of the scenario at the given deviation level."""
-    n = sample_sizes(spec)[j]
-    p = spec.p
-    dev = spec.deviation
-    if dev == "normal_vs_t":
-        if j == 0:
-            return _draw_normal(rng, n, p)
-        return _draw_t(rng, n, p, df=level)
-    if spec.dgp == "normal":
-        if dev in ("null",) or dev in _OGM_DEVIATIONS:
-            return _draw_normal(rng, n, p)
-        if dev == "shift":
-            return _draw_normal(rng, n, p, shift=level)
-        if dev == "scale":
-            return _draw_normal(rng, n, p, scale=level)
-        if dev == "correlation":
-            return _draw_normal(rng, n, p, rho=level)
-    elif spec.dgp == "t3":
-        if dev in ("null",) or dev in _OGM_DEVIATIONS:
-            return _draw_t(rng, n, p, df=3.0)
-        if dev == "shift":
-            return _draw_t(rng, n, p, df=3.0, shift=level)
-        if dev == "scale":
-            return _draw_t(rng, n, p, df=3.0, scale=level)
-        if dev == "correlation":
-            return _draw_t(rng, n, p, df=3.0, rho=level)
-        if dev == "kurtosis":
-            return _draw_t(rng, n, p, df=level)
-    elif spec.dgp == "lognormal":
-        if dev in ("null",) or dev in _OGM_DEVIATIONS:
-            return _draw_lognormal(rng, n, p)
-        if dev == "shift":
-            return _draw_lognormal(rng, n, p, shift=level)
-        if dev == "scale":
-            return _draw_lognormal(rng, n, p, scale=level)
-    elif spec.dgp == "chisq1":
-        if dev in ("null",) or dev in _OGM_DEVIATIONS:
-            return _draw_chisq(rng, n, p, df=1.0)
-        if dev == "skew_kurtosis":
-            return _draw_chisq(rng, n, p, df=level)
-    raise ConfigError(f"cannot draw {spec.dgp} with deviation {dev}")
+class _Family(NamedTuple):
+    draw: Callable       # draw(rng, n, p, **null_args, keyword=level)
+    null_args: dict
+    deviations: tuple    # the non-outcome deviations defined for it
+
+
+_FAMILIES = {
+    "normal": _Family(_draw_t, {},
+                      ("correlation", "normal_vs_t", "scale", "shift")),
+    "t3": _Family(_draw_t, {"df": 3.0},
+                  ("correlation", "kurtosis", "scale", "shift")),
+    "lognormal": _Family(_draw_lognormal, {}, ("scale", "shift")),
+    "chisq1": _Family(_draw_chisq, {"df": 1.0}, ("skew_kurtosis",)),
+}
+
+
+def _draw_sample(rng, spec: ScenarioSpec, n: int, level) -> np.ndarray:
+    """Draw n observations of the scenario's family at a deviation level."""
+    draw, args, _ = _FAMILIES[spec.dgp]
+    if spec.deviation in _DEVIATIONS:
+        args = {**args, _DEVIATIONS[spec.deviation].keyword: level}
+    return draw(rng, n, spec.p, **args)
 
 
 def gen_target(x: np.ndarray, ogm: OgmSpec, rng) -> np.ndarray:
@@ -386,21 +351,20 @@ def gen_target(x: np.ndarray, ogm: OgmSpec, rng) -> np.ndarray:
 
 def sample_scenario(spec: ScenarioSpec, rng) -> MultiSample:
     """Draw one repetition of the scenario. rng is a numpy Generator."""
-    if spec.deviation == "null" or spec.deviation in _OGM_DEVIATIONS:
-        levels = tuple(0.0 for _ in range(spec.k))
-    else:
+    if spec.deviation in _DEVIATIONS:
         levels = deviation_levels(spec)
-    mats = [_draw_sample(rng, spec, j, levels[j]) for j in range(spec.k)]
+    else:
+        levels = (None,) * spec.k
+    mats = [_draw_sample(rng, spec, n, level)
+            for n, level in zip(sample_sizes(spec), levels)]
     target = None
     if spec.with_target:
-        variant_by_dev = {"ogm_sign": "sign", "ogm_size": "size",
-                          "ogm_different": "different"}
-        dev_variant = variant_by_dev.get(spec.deviation, "null")
-        labels = []
-        for j, x in enumerate(mats):
-            variant = dev_variant if j == spec.k - 1 else "null"
-            labels.append(gen_target(x, OgmSpec(spec.p, variant), rng))
-        target = np.concatenate(labels)
+        # the outcome-model deviation applies to the last sample only
+        last = (spec.deviation.removeprefix("ogm_")
+                if spec.deviation in _OGM_DEVIATIONS else "null")
+        variants = ["null"] * (spec.k - 1) + [last]
+        target = np.concatenate([gen_target(x, OgmSpec(spec.p, v), rng)
+                                 for x, v in zip(mats, variants)])
     return MultiSample(tuple(DataMatrix(x) for x in mats), target=target)
 
 
@@ -411,93 +375,44 @@ def rng_for(master_seed: int, scenario_index: int, rep: int):
     return np.random.default_rng(ss)
 
 
-def _grids(full: bool):
-    if full:
-        return dict(
-            shift=SHIFT_GRID, scale=SCALE_GRID, corr_k2=CORR_GRID_K2,
-            corr_k4=CORR_GRID_K4, normal_vs_t=NORMAL_VS_T_GRID,
-            kurtosis=KURTOSIS_GRID, kurtosis_step=KURTOSIS_STEP_GRID,
-            skewkurt=SKEWKURT_GRID, skewkurt_step=SKEWKURT_STEP_GRID,
-            n_k2=N_GRID_K2, n_k4=N_GRID_K4, p=P_GRID)
-    return dict(
-        shift=DESK_SHIFT_GRID, scale=DESK_SCALE_GRID,
-        corr_k2=DESK_CORR_GRID_K2, corr_k4=DESK_CORR_GRID_K4,
-        normal_vs_t=DESK_NORMAL_VS_T_GRID, kurtosis=DESK_KURTOSIS_GRID,
-        kurtosis_step=DESK_KURTOSIS_STEP_GRID, skewkurt=DESK_SKEWKURT_GRID,
-        skewkurt_step=DESK_SKEWKURT_STEP_GRID, n_k2=DESK_N_GRID_K2,
-        n_k4=DESK_N_GRID_K4, p=DESK_P_GRID)
-
-
-def _magnitude_grid(g, dgp, deviation, k, grouping):
-    if deviation == "shift":
-        return g["shift"]
-    if deviation == "scale":
-        return g["scale"]
-    if deviation == "correlation":
-        return g["corr_k2"] if k == 2 else g["corr_k4"]
-    if deviation == "normal_vs_t":
-        return g["normal_vs_t"]
-    if deviation == "kurtosis":
-        if k == 4 and grouping in ("2+1+1", "1+1+1+1"):
-            return g["kurtosis_step"]
-        return g["kurtosis"]
-    if deviation == "skew_kurtosis":
-        if k == 4 and grouping in ("2+1+1", "1+1+1+1"):
-            return g["skewkurt_step"]
-        return g["skewkurt"]
-    raise ConfigError(deviation)
+def _magnitudes(grid: dict, deviation: str, grouping: str) -> tuple:
+    """A grid's magnitudes for a deviation under a grouping: its '_step'
+    entry for a stepwise grouping, else its '_k4' entry for k=4, else the
+    plain entry."""
+    steps = _STEPS[grouping]
+    keys = [f"{deviation}_k{len(steps)}", deviation]
+    if max(steps) > 1:
+        keys.insert(0, f"{deviation}_step")
+    return next(grid[key] for key in keys if key in grid)
 
 
 def scenario_grid(case: str, full: bool = False) -> list[ScenarioSpec]:
     """Full factorial scenario list for one of the three study cases.
 
     case is one of 'two_sample', 'two_sample_target', 'four_sample'."""
-    g = _grids(full)
-    specs: list[ScenarioSpec] = []
-    if case == "two_sample":
-        for dgp in DGPS:
-            devs = sorted(_VALID_PAIRS[dgp] - {"null"})
-            for p in g["p"]:
-                for n in g["n_k2"]:
-                    for bal in BALANCES:
-                        specs.append(ScenarioSpec(dgp, "null", 0.0, n, p, bal))
-                        for dev in devs:
-                            for m in _magnitude_grid(g, dgp, dev, 2, "1+1"):
-                                specs.append(ScenarioSpec(
-                                    dgp, dev, float(m), n, p, bal))
-    elif case == "two_sample_target":
-        for dgp in DGPS:
-            devs = sorted(_VALID_PAIRS[dgp] - {"null"})
-            for p in g["p"]:
-                if p % 2 != 0:
-                    continue
-                for n in g["n_k2"]:
-                    for bal in BALANCES:
-                        specs.append(ScenarioSpec(
-                            dgp, "null", 0.0, n, p, bal, with_target=True))
-                        for dev in devs:
-                            for m in _magnitude_grid(g, dgp, dev, 2, "1+1"):
-                                specs.append(ScenarioSpec(
-                                    dgp, dev, float(m), n, p, bal,
-                                    with_target=True))
-                        for dev in _OGM_DEVIATIONS:
-                            specs.append(ScenarioSpec(
-                                dgp, dev, 0.0, n, p, bal, with_target=True))
-    elif case == "four_sample":
-        for dgp in DGPS:
-            devs = sorted((_VALID_PAIRS[dgp] - {"null", "normal_vs_t"}))
-            for p in g["p"]:
-                for n in g["n_k4"]:
-                    for bal in BALANCES:
-                        specs.append(ScenarioSpec(
-                            dgp, "null", 0.0, n, p, bal, k=4, grouping="3+1"))
-                        for grouping in GROUPINGS_K4:
-                            for dev in devs:
-                                for m in _magnitude_grid(g, dgp, dev, 4,
-                                                         grouping):
-                                    specs.append(ScenarioSpec(
-                                        dgp, dev, float(m), n, p, bal, k=4,
-                                        grouping=grouping))
-    else:
+    if case not in _CASES:
         raise ConfigError(f"unknown case {case!r}")
+    k, groupings, with_target = _CASES[case]
+    grid = GRIDS["full" if full else "desk"]
+    specs: list[ScenarioSpec] = []
+    for dgp in DGPS:
+        # normal_vs_t compares two samples only
+        devs = [dev for dev in _FAMILIES[dgp].deviations
+                if k == 2 or dev != "normal_vs_t"]
+        for p in grid["p"]:
+            if with_target and p % 2 != 0:
+                continue
+            for n in grid[f"n_k{k}"]:
+                for bal in BALANCES:
+                    cell = dict(n_total=n, p=p, balance=bal, k=k,
+                                with_target=with_target)
+                    specs.append(ScenarioSpec(dgp, "null", 0.0,
+                                              grouping=groupings[0], **cell))
+                    specs += [ScenarioSpec(dgp, dev, float(m), grouping=g,
+                                           **cell)
+                              for g in groupings for dev in devs
+                              for m in _magnitudes(grid, dev, g)]
+                    if with_target:
+                        specs += [ScenarioSpec(dgp, dev, 0.0, **cell)
+                                  for dev in _OGM_DEVIATIONS]
     return specs

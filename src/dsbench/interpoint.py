@@ -62,13 +62,7 @@ def bf_statistic(ms: MultiSample, dist: np.ndarray, kind: str) -> float:
     """Two-sample energy-form statistic with phi(squared distance)."""
     if ms.k != 2:
         raise UnsupportedConfigError("bf statistic is two-sample only")
-    sl = _slices(ms.sizes)
-    n1, n2 = ms.sizes
-    phi = phi_kernel(kind, dist ** 2)
-    g12 = phi[sl[0], sl[1]].mean()
-    g11 = phi[sl[0], sl[0]].mean()
-    g22 = phi[sl[1], sl[1]].mean()
-    return float(n1 * n2 / (n1 + n2) * (2 * g12 - g11 - g22))
+    return energy(ms, phi_kernel(kind, dist ** 2))
 
 
 def bg2(ms: MultiSample, dist: np.ndarray) -> float:

@@ -91,6 +91,26 @@ class TestSimulate:
         assert rc == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, key", [
+        (dict(n_total=0), "n_total"), (dict(p=-1), "p"),
+        (dict(deviation="shift", magnitude=float("nan")), "magnitude"),
+        (dict(deviation="scale", magnitude=0.0), "magnitude"),
+        (dict(deviation="normal_vs_t", magnitude=2.0), "magnitude"),
+        (dict(deviation="normal_vs_t", magnitude=1.0), "magnitude"),
+        (dict(dgp="t3", deviation="kurtosis", magnitude=1.5), "magnitude"),
+        (dict(dgp="chisq1", deviation="skew_kurtosis", magnitude=0.0),
+         "magnitude"),
+        (dict(deviation="correlation", magnitude=-0.5, p=10), "magnitude")])
+    def test_out_of_range_scenario_exit_two(self, tmp_path, capsys, fields,
+                                            key):
+        scenario = dict(null_spec().to_dict(), **fields)
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"methods": ["energy"], "reps": 2, "scenarios": [scenario]}))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, message", [
         ("methods", {"energy": 1}, "'methods' must be a list"),
         ("methods", "energy", "'methods' must be a list"),

@@ -51,6 +51,57 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec(deviation="ogm_sign")
 
+    @pytest.mark.parametrize("kw, field", [
+        (dict(n_total=0), "n_total"), (dict(n_total=-4), "n_total"),
+        (dict(p=0), "p"),
+        (dict(deviation="shift", magnitude=math.nan), "magnitude"),
+        (dict(deviation="shift", magnitude=math.inf), "magnitude"),
+        (dict(magnitude=-math.inf), "magnitude"),
+        (dict(deviation="scale", magnitude=0.0), "magnitude"),
+        (dict(deviation="scale", magnitude=-2.0), "magnitude"),
+        (dict(dgp="lognormal", deviation="scale", magnitude=0.0),
+         "magnitude"),
+        (dict(deviation="scale", magnitude=1e200, k=4, grouping="1+1+1+1"),
+         "magnitude"),
+        (dict(deviation="scale", magnitude=1e200, k=4, grouping="2+1+1"),
+         "magnitude"),
+        (dict(deviation="normal_vs_t", magnitude=2.0), "magnitude"),
+        (dict(deviation="normal_vs_t", magnitude=1.0), "magnitude"),
+        (dict(dgp="t3", deviation="kurtosis", magnitude=2.0), "magnitude"),
+        (dict(dgp="t3", deviation="kurtosis", magnitude=-0.5, k=4,
+              grouping="1+1+1+1"), "magnitude"),
+        (dict(dgp="chisq1", deviation="skew_kurtosis", magnitude=0.0),
+         "magnitude"),
+        (dict(dgp="chisq1", deviation="skew_kurtosis", magnitude=-1.0),
+         "magnitude"),
+        (dict(deviation="correlation", magnitude=1.0), "magnitude"),
+        (dict(deviation="correlation", magnitude=-0.2, p=10), "magnitude"),
+        (dict(dgp="t3", deviation="correlation", magnitude=0.4, k=4,
+              grouping="1+1+1+1"), "magnitude"),
+    ])
+    def test_out_of_range_value_names_field(self, kw, field):
+        with pytest.raises(ConfigError, match=repr(field)):
+            spec(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(deviation="correlation", magnitude=-0.1, p=10),
+        dict(deviation="correlation", magnitude=0.99),
+        dict(deviation="normal_vs_t", magnitude=2.5),
+        dict(dgp="t3", deviation="kurtosis", magnitude=2.1),
+        dict(dgp="chisq1", deviation="skew_kurtosis", magnitude=0.2),
+        dict(deviation="scale", magnitude=1e-3),
+    ])
+    def test_in_range_value_draws(self, kw):
+        ms = sample_scenario(spec(**kw), rng_for(3, 0, 0))
+        assert all(np.abs(x.values).max() > 1e-6 for x in ms.samples)
+
+    @pytest.mark.parametrize("case", [
+        "two_sample", "two_sample_target", "four_sample"])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_every_grid_spec_valid(self, case, full):
+        # building a spec validates it; no grid value may be rejected
+        assert scenario_grid(case, full)
+
     def test_roundtrip_dict(self):
         s = spec(deviation="shift", magnitude=0.5)
         assert ScenarioSpec.from_dict(s.to_dict()) == s
@@ -149,6 +200,20 @@ class TestGroupings:
         s = spec(deviation="shift", magnitude=0.5, k=4, grouping="1+1+1+1",
                  n_total=100)
         assert deviation_levels(s) == (0.0, 0.5, 1.0, 1.5)
+
+    def test_levels_2plus1plus1_additive_steps(self):
+        s = ScenarioSpec("chisq1", "skew_kurtosis", 0.5, 100, 2, "balanced",
+                         k=4, grouping="2+1+1")
+        assert deviation_levels(s) == (1.0, 1.0, 1.5, 2.0)
+
+    def test_levels_all_distinct_scale_powers(self):
+        s = spec(deviation="scale", magnitude=2.0, k=4, grouping="1+1+1+1",
+                 n_total=100)
+        assert deviation_levels(s) == (1.0, 2.0, 4.0, 8.0)
+
+    def test_levels_normal_vs_t_base_is_normal(self):
+        s = spec(deviation="normal_vs_t", magnitude=5.0)
+        assert deviation_levels(s) == (math.inf, 5.0)
 
     def test_levels_kurtosis_steps(self):
         s = ScenarioSpec("t3", "kurtosis", 0.1, 100, 2, "balanced", k=4,
