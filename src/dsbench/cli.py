@@ -37,11 +37,17 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path} must hold a JSON object")
@@ -125,9 +131,7 @@ def cmd_simulate(args) -> int:
         manifest["scenarios"].append(
             {"index": index, "id": spec.scenario_id, "file": fname,
              "spec": spec.to_dict()})
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     return 0
 
 
@@ -208,15 +212,8 @@ def cmd_report(args) -> int:
                 "balance", "grouping", "with_target", "k", "method", "pesr"),
                pesr_rows)
     if not rows:
-        print("warning: no alternative scenarios in dump; "
-              "only pesr.csv was written", file=sys.stderr)
-        for name in ("meandiff.csv", "acceptable.csv"):
-            _write_csv(out / name, _GROUP_FIELDS + ("method", name[:-4]), [])
-        for name, payload in (("cover.json", []), ("tree.json", None)):
-            with open(out / name, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return 0
+        print("warning: no alternative scenarios in dump; the report "
+              "tables are empty", file=sys.stderr)
     diffs = mean_diff_to_ideal(rows)
     _write_csv(out / "meandiff.csv",
                _GROUP_FIELDS + ("method", "mean_diff"),
@@ -227,15 +224,10 @@ def cmd_report(args) -> int:
                [(*g, m, int(ok))
                 for (g, m), ok in sorted(cover.items())])
     tie = overall_mean_diff(diffs)
-    order = greedy_cover(cover, tie)
-    with open(out / "cover.json", "w", encoding="utf-8") as fh:
-        json.dump([{"method": m, "new_groups": g, "cumulative_coverage": c}
-                   for m, g, c in order], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    tree = choice_tree(cover, tie)
-    with open(out / "tree.json", "w", encoding="utf-8") as fh:
-        json.dump(tree, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "cover.json",
+                [{"method": m, "new_groups": g, "cumulative_coverage": c}
+                 for m, g, c in greedy_cover(cover, tie)])
+    _write_json(out / "tree.json", choice_tree(cover, tie))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Clustering-based tests (MADD + k-medoids, FS/RI family) and
-classifier-based statistics (K-NN two-sample test, tree classification
-error, projected mean-difference)."""
+classifier-based statistics (K-NN two-sample test on the pooled neighbour
+table, tree classification error, projected mean-difference)."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import (MultiSample, UnsupportedConfigError, cross_distances, pool,
-                   stable_argsort)
+from .core import MultiSample, UnsupportedConfigError, pool
 
 PSI_KINDS = ("psi1", "psi2", "psi3", "psi4", "psi5")
 H_KINDS = ("h1", "h2")
@@ -254,34 +253,31 @@ def _stratified_split(labels: np.ndarray, rng):
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def knn_predict(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
-                k: int) -> np.ndarray:
-    """Majority-vote K-NN; distance ties resolved by training order, vote
-    ties by the smaller class label."""
-    d = cross_distances(test_x, train_x)
-    order = stable_argsort(d, axis=1)[:, :k]
-    votes = train_y[order]
-    n_classes = int(train_y.max()) + 1
-    preds = np.empty(len(test_x), dtype=np.int64)
-    for i in range(len(test_x)):
-        counts = np.bincount(votes[i], minlength=n_classes)
-        preds[i] = int(np.argmax(counts))
-    return preds
+def c2st_knn(order: np.ndarray, labels: np.ndarray, rng) -> float:
+    """Test-set accuracy of a K-NN classifier for the sample membership.
 
-
-def c2st_knn(ms: MultiSample, rng) -> float:
-    """Test-set accuracy of a K-NN classifier for the sample membership."""
-    if ms.total_n < 10:
+    `order` is the pooled neighbour table (row i: the other points, nearest
+    first, ties to the lower index).  A test point's neighbours are the
+    first K training points of its row; the majority label wins, a vote
+    tie going to the smaller label."""
+    if len(labels) < 10:
         raise UnsupportedConfigError("c2st needs at least ten points")
-    z, labels = pool(ms)
     train, test = _stratified_split(labels, rng)
     if len(test) == 0:
         raise UnsupportedConfigError("empty test split")
-    train_labels = labels[train]
-    if len(np.unique(train_labels)) < ms.k:
+    k = int(labels.max())
+    if len(np.unique(labels[train])) < k:
         raise UnsupportedConfigError("a class is missing from the training split")
-    k = max(1, int(math.isqrt(len(train))))
-    preds = knn_predict(z.values[train], train_labels, z.values[test], k)
+    n_votes = max(1, int(math.isqrt(len(train))))
+    is_train = np.zeros(len(labels), dtype=bool)
+    is_train[train] = True
+    rows = order[test]
+    # every test row holds all the training points, in its own order
+    nearest = rows[is_train[rows]].reshape(len(test), len(train))
+    votes = labels[nearest[:, :n_votes]]
+    cell = np.arange(len(test))[:, None] * (k + 1) + votes
+    counts = np.bincount(cell.ravel(), minlength=len(test) * (k + 1))
+    preds = np.argmax(counts.reshape(len(test), k + 1), axis=1)
     return float((preds == labels[test]).mean())
 
 

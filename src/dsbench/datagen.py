@@ -146,6 +146,13 @@ class ScenarioSpec:
     with_target: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("int", "float"):
+                try:
+                    float(getattr(self, f.name))
+                except OverflowError:
+                    raise ConfigError(f"scenario {f.name!r} is beyond the "
+                                      "float range") from None
         if self.dgp not in DGPS:
             raise ConfigError(f"unknown dgp {self.dgp!r}")
         if self.deviation not in DEVIATIONS:
@@ -187,6 +194,15 @@ class ScenarioSpec:
                         f"scenario 'magnitude' {self.magnitude!r} gives "
                         f"{self.deviation} level {level!r}, outside "
                         f"({low:g}, {high:g}) at p={self.p}")
+                if self.deviation == "correlation" and level != dev.base:
+                    try:
+                        _correlation_factor(self.p, level)
+                    except np.linalg.LinAlgError:
+                        raise ConfigError(
+                            f"scenario 'magnitude' {self.magnitude!r} gives "
+                            f"correlation {level!r}, whose equicorrelation "
+                            f"matrix at p={self.p} has no Cholesky "
+                            "factor") from None
 
     @property
     def scenario_id(self) -> str:
@@ -278,8 +294,10 @@ def deviation_levels(spec: ScenarioSpec) -> tuple[float, ...]:
                           f"{spec.grouping} scale steps") from None
 
 
-def _equicorrelation(p: int, rho: float) -> np.ndarray:
-    return rho * np.ones((p, p)) + (1 - rho) * np.eye(p)
+def _correlation_factor(p: int, rho: float) -> np.ndarray:
+    """Cholesky factor of the p x p equicorrelation matrix; raises
+    `LinAlgError` where it is not numerically positive definite."""
+    return np.linalg.cholesky(rho * np.ones((p, p)) + (1 - rho) * np.eye(p))
 
 
 def _draw_t(rng, n, p, df=math.inf, shift=0.0, scale=1.0, rho=0.0):
@@ -289,8 +307,7 @@ def _draw_t(rng, n, p, df=math.inf, shift=0.0, scale=1.0, rho=0.0):
     the scale factor multiplies the variables themselves."""
     z = rng.standard_normal((n, p))
     if rho != 0.0:
-        chol = np.linalg.cholesky(_equicorrelation(p, rho))
-        z = z @ chol.T
+        z = z @ _correlation_factor(p, rho).T
     if df != math.inf:
         z = z * math.sqrt((df - 2.0) / df)
         u = rng.chisquare(df, size=n)

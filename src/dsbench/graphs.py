@@ -16,7 +16,6 @@ from ._blossom import max_weight_matching_dense
 from .core import DataMatrix, stable_argsort
 
 KNN_DIRECTED = "knn_directed"
-KMST = "kmst"
 
 
 @dataclass(frozen=True)
@@ -24,13 +23,12 @@ class Graph:
     """Edge list on nodes 0..n_nodes-1.
 
     For undirected kinds edges satisfy i < j; directed K-NN keeps i -> j as
-    stored.  layer[e] holds the MST layer (0-based) for kmst graphs."""
+    stored."""
 
     n_nodes: int
     edges: np.ndarray  # (m, 2) int
     kind: str
     k: int = 1
-    layer: np.ndarray | None = None
 
     @property
     def n_edges(self) -> int:
@@ -45,18 +43,26 @@ class Matching:
     weight: float
 
 
-def knn_graph(dist: np.ndarray, k: int) -> Graph:
-    """Directed K-nearest-neighbour graph; ties go to the lower index."""
+def knn_graph(dist: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) int32 neighbour table: row i holds i's k nearest other nodes,
+    nearest first, ties to the lower index."""
     n = dist.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range for n={n}")
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    order = stable_argsort(d, axis=1)[:, :k]
-    del d
-    src = np.repeat(np.arange(n), k)
-    edges = np.column_stack([src, order.reshape(-1)])
-    return Graph(n, edges.astype(np.int64, copy=False), KNN_DIRECTED, k=k)
+    order = stable_argsort(dist, axis=1).astype(np.int32)
+    # each row holds its own node once, among its zero-distance ties;
+    # dropping it leaves the other nodes in (distance, index) order
+    others = order[order != np.arange(n, dtype=np.int32)[:, None]]
+    del order
+    return np.ascontiguousarray(others.reshape(n, n - 1)[:, :k])
+
+
+def knn_from_table(table: np.ndarray, k: int) -> Graph:
+    """Directed K-NN graph of the first k columns of a `knn_graph` table."""
+    n = table.shape[0]
+    edges = np.column_stack([np.repeat(np.arange(n), k),
+                             table[:, :k].reshape(-1)])
+    return Graph(n, edges, KNN_DIRECTED, k=k)
 
 
 def edge_order(dist: np.ndarray) -> np.ndarray:
@@ -148,8 +154,7 @@ def kmst(dist: np.ndarray, k: int, layers: MstLayers | None = None) -> Graph:
     elif layers.n != n:
         raise ValueError(f"layers of {layers.n} nodes for n={n}")
     layers.grow(k)
-    return Graph(n, np.concatenate(layers.trees[:k]), KMST, k=k,
-                 layer=np.repeat(np.arange(k, dtype=np.int64), n - 1))
+    return Graph(n, np.concatenate(layers.trees[:k]), "kmst", k=k)
 
 
 def min_weight_matching(dist: np.ndarray) -> Matching:

@@ -273,7 +273,9 @@ def _dimension_features(group: tuple) -> tuple[float, float, float]:
 def choice_tree(cover: dict, tie_break: dict[str, float] | None = None):
     """Decision tree predicting the best-covering method from (N, p,
     balance), grown to purity; leaves annotated with the proportion of
-    their groups covered by the leaf's method."""
+    their groups covered by the leaf's method.  None for an empty cover."""
+    if not cover:
+        return None
     tie_break = tie_break or {}
     cells: dict = {}
     for (group, method), ok in cover.items():

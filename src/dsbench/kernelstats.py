@@ -30,13 +30,11 @@ def median_bandwidth(dist: np.ndarray) -> tuple[float, tuple[str, ...]]:
     return h, ()
 
 
-def gram(dist: np.ndarray, bandwidth: float | None = None) -> GramMatrix:
+def gram(dist: np.ndarray) -> GramMatrix:
     """Gaussian kernel matrix exp(-d^2 / (2 h^2)) with the median heuristic."""
     if dist.shape[0] < 2:
         raise UnsupportedConfigError("gram needs at least two points")
-    flags: tuple[str, ...] = ()
-    if bandwidth is None:
-        bandwidth, flags = median_bandwidth(dist)
+    bandwidth, flags = median_bandwidth(dist)
     k = np.exp(-(dist ** 2) / (2.0 * bandwidth ** 2))
     return GramMatrix(values=k, bandwidth=bandwidth, flags=flags)
 
@@ -63,9 +61,9 @@ def mmd_ustat(gram_matrix: GramMatrix, sizes) -> float:
     return alpha + beta - 2.0 * gamma
 
 
-def block_mmd(ms: MultiSample, gram_matrix: GramMatrix,
-              block: int | None = None) -> float:
-    """Mean of per-block unbiased MMD^2 estimates over disjoint blocks.
+def block_mmd(ms: MultiSample, gram_matrix: GramMatrix) -> float:
+    """Mean of per-block unbiased MMD^2 estimates over disjoint blocks of
+    floor(sqrt(min(n1, n2))) points per sample.
 
     Blocks are taken in input order; the bandwidth comes from the pooled
     Gram matrix so all blocks share one kernel."""
@@ -73,8 +71,7 @@ def block_mmd(ms: MultiSample, gram_matrix: GramMatrix,
         raise UnsupportedConfigError("block mmd is two-sample only")
     n1, n2 = ms.sizes
     nmin = min(n1, n2)
-    if block is None:
-        block = int(np.sqrt(nmin))
+    block = int(np.sqrt(nmin))
     if block < 2:
         raise UnsupportedConfigError("block size below two")
     nblocks = nmin // block
@@ -102,8 +99,11 @@ class GpkComponents:
     z_w: dict
 
 
-def gpk_components(gram_matrix: GramMatrix, sizes,
-                   r_values=(1.0, 1.2, 0.8)) -> GpkComponents:
+# The weights r of the Z_W combinations that gpk_statistic reads.
+_GPK_R = (1.0, 1.2, 0.8)
+
+
+def gpk_components(gram_matrix: GramMatrix, sizes) -> GpkComponents:
     """alpha/beta with exact permutation moments and their standardized
     combinations."""
     if len(sizes) != 2:
@@ -132,7 +132,7 @@ def gpk_components(gram_matrix: GramMatrix, sizes,
 
     d_vec = np.array([n1 * (n1 - 1.0), -n2 * (n2 - 1.0)])
     z_d = z_of(d_vec)
-    z_w = {r: z_of(np.array([r * n1 / n, n2 / n])) for r in r_values}
+    z_w = {r: z_of(np.array([r * n1 / n, n2 / n])) for r in _GPK_R}
     return GpkComponents(alpha=alpha, beta=beta, gamma=gamma, mean=mean_ab,
                          cov=cov_ab, z_d=z_d, z_w=z_w)
 

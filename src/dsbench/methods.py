@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -16,8 +17,8 @@ import numpy as np
 from . import clusterstats, graphstats, interpoint, kernelstats
 from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
-from .graphs import (KNN_DIRECTED, Graph, Matching, MstLayers, edge_order,
-                     kmst, knn_graph, min_weight_matching)
+from .graphs import (Graph, Matching, MstLayers, edge_order, kmst,
+                     knn_from_table, knn_graph, min_weight_matching)
 from .permnull import pattern_counts_from_edges
 
 
@@ -28,24 +29,14 @@ class Context:
     def __init__(self, ms: MultiSample, seed: int = 0):
         self.ms = ms
         self.seed = seed
-        pooled, labels = pool(ms)
-        self.pooled = pooled
-        self.labels = labels
-        self._dist = None
-        self._neighbour_order: np.ndarray | None = None
-        self._mst_layers: MstLayers | None = None
+        self.pooled, self.labels = pool(ms)
         self._graphs: dict = {}
         self._pattern_stats: dict = {}
-        self._matching: Matching | None = None
-        self._gram = None
-        self._gpk = None
         self._madd: dict = {}
 
-    @property
+    @cached_property
     def dist(self) -> np.ndarray:
-        if self._dist is None:
-            self._dist = _distance_matrix(self.pooled)
-        return self._dist
+        return _distance_matrix(self.pooled)
 
     def _graph_key(self, spec: str) -> tuple[str, int]:
         """Resolve '1mst', '5mst', '1nn', '5nn', 'heuristic_nn' or 'mst' to
@@ -61,44 +52,30 @@ class Context:
             return "nn", min(int(spec[:-2]), n - 1)
         raise ValueError(f"unknown graph spec {spec!r}")
 
-    @property
+    @cached_property
     def neighbour_order(self) -> np.ndarray:
-        """(N, N-1) int32 array: row i lists the other nodes nearest first,
-        ties to the lower index (the targets of the (N-1)-NN graph)."""
-        if self._neighbour_order is None:
-            n = self.ms.total_n
-            full = knn_graph(self.dist, n - 1)
-            self._neighbour_order = full.edges[:, 1].reshape(
-                n, n - 1).astype(np.int32)
-        return self._neighbour_order
+        """(N, N-1) int32 neighbour table: row i lists the other nodes
+        nearest first, ties to the lower index."""
+        return knn_graph(self.dist, self.ms.total_n - 1)
+
+    @cached_property
+    def mst_layers(self) -> MstLayers:
+        """One ranking of the edges; every k-MST extends the layers of the
+        smaller ones."""
+        return MstLayers(edge_order(self.dist), self.ms.total_n)
 
     def graph(self, spec: str) -> Graph:
         key = self._graph_key(spec)
         if key not in self._graphs:
             kind, k = key
-            if kind == "mst":
-                # one ranking of the edges; every k-MST extends the layers
-                # of the smaller ones
-                if self._mst_layers is None:
-                    self._mst_layers = MstLayers(edge_order(self.dist),
-                                                 self.ms.total_n)
-                self._graphs[key] = kmst(self.dist, k,
-                                         layers=self._mst_layers)
-            else:
-                # a stable sort's first k neighbours are the K-NN graph
-                n = self.ms.total_n
-                edges = np.column_stack(
-                    [np.repeat(np.arange(n), k),
-                     self.neighbour_order[:, :k].reshape(-1)])
-                self._graphs[key] = Graph(n, edges.astype(np.int64),
-                                          KNN_DIRECTED, k=k)
+            self._graphs[key] = (
+                kmst(self.dist, k, layers=self.mst_layers) if kind == "mst"
+                else knn_from_table(self.neighbour_order, k))
         return self._graphs[key]
 
-    @property
+    @cached_property
     def matching(self) -> Matching:
-        if self._matching is None:
-            self._matching = min_weight_matching(self.dist)
-        return self._matching
+        return min_weight_matching(self.dist)
 
     def pattern_stats(self, spec: str):
         """(counts, mean, cov): label-pattern counts of the edges of graph
@@ -112,17 +89,13 @@ class Context:
             self._pattern_stats[key] = (counts, mean, cov)
         return self._pattern_stats[key]
 
-    @property
+    @cached_property
     def gram(self) -> kernelstats.GramMatrix:
-        if self._gram is None:
-            self._gram = kernelstats.gram(self.dist)
-        return self._gram
+        return kernelstats.gram(self.dist)
 
-    @property
+    @cached_property
     def gpk(self) -> kernelstats.GpkComponents:
-        if self._gpk is None:
-            self._gpk = kernelstats.gpk_components(self.gram, self.ms.sizes)
-        return self._gpk
+        return kernelstats.gpk_components(self.gram, self.ms.sizes)
 
     def madd(self, cfg: clusterstats.MaddConfig) -> np.ndarray:
         key = (cfg.psi, cfg.h)
@@ -329,7 +302,8 @@ for _variant in ("afs", "ari"):
                       min_k=3, max_k=99)
 
 _register("c2st_knn", DISSIMILARITY,
-          lambda c: clusterstats.c2st_knn(c.ms, c.method_rng("c2st_knn")),
+          lambda c: clusterstats.c2st_knn(c.neighbour_order, c.labels,
+                                          c.method_rng("c2st_knn")),
           max_k=99)
 _register("ymrzl", SIMILARITY,
           lambda c: clusterstats.ymrzl(c.ms, c.method_rng("ymrzl")))

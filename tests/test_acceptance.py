@@ -16,7 +16,8 @@ from dsbench.cli import main as cli_main
 from dsbench.core import DataMatrix, MultiSample, distance_matrix, pool
 from dsbench.datagen import (SCALE_GRID, SHIFT_GRID, ScenarioSpec,
                              scale_factor, shift_offset)
-from dsbench.graphs import assignment, knn_graph, min_weight_matching
+from dsbench.graphs import (assignment, knn_from_table, knn_graph,
+                            min_weight_matching)
 from dsbench.graphstats import (kmd_statistic, mmcm_statistic,
                                 rosenbaum_statistic, sh_statistic)
 from dsbench.harness import bench, greedy_cover, pesr, run_scenario, scale_bench
@@ -258,7 +259,7 @@ def test_criterion_5_identity_suites():
         x = np.concatenate([rng.normal(size=(n1, 2)),
                             rng.normal(size=(n2, 2)) + rng.uniform(0, 3)])
         d = distance_matrix(x)
-        g = knn_graph(d, k_nn)
+        g = knn_from_table(knn_graph(d, k_nn), k_nn)
         labels = np.array([1] * n1 + [2] * n2)
         etas.append(kmd_statistic(g, labels, (n1, n2)))
         ells.append(sh_statistic(g, labels, (n1, n2)))

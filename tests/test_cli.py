@@ -67,6 +67,17 @@ class TestSimulate:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_overlong_integer_exit_two(self, tmp_path, capsys):
+        # json refuses to convert an integer of more than 4300 digits
+        scenario = json.dumps(null_spec().to_dict()).replace(
+            '"n_total": 20', '"n_total": ' + "9" * 5000)
+        (tmp_path / "c.json").write_text(
+            '{"methods": ["energy"], "scenarios": [' + scenario + "]}")
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "c.json is not valid JSON" in capsys.readouterr().err
+
     def test_unknown_scenario_key_exit_two(self, tmp_path, capsys):
         scenario = dict(null_spec().to_dict(), colour="red")
         (tmp_path / "c.json").write_text(json.dumps(
@@ -100,7 +111,15 @@ class TestSimulate:
         (dict(dgp="t3", deviation="kurtosis", magnitude=1.5), "magnitude"),
         (dict(dgp="chisq1", deviation="skew_kurtosis", magnitude=0.0),
          "magnitude"),
-        (dict(deviation="correlation", magnitude=-0.5, p=10), "magnitude")])
+        (dict(deviation="correlation", magnitude=-0.5, p=10), "magnitude"),
+        # in range, but the equicorrelation matrix has no Cholesky factor
+        (dict(deviation="correlation", magnitude=0.9999999999999999, p=50),
+         "magnitude"),
+        # integers beyond the float range
+        (dict(deviation="shift", magnitude=10 ** 400), "magnitude"),
+        (dict(deviation="shift", magnitude=0.5, n_total=10 ** 400),
+         "n_total"),
+        (dict(deviation="correlation", magnitude=0.1, p=10 ** 400), "p")])
     def test_out_of_range_scenario_exit_two(self, tmp_path, capsys, fields,
                                             key):
         scenario = dict(null_spec().to_dict(), **fields)
@@ -208,6 +227,24 @@ class TestReport:
         assert "warning" in capsys.readouterr().err
         pesr = (tmp_path / "rep" / "pesr.csv").read_text().splitlines()
         assert len(pesr) == 1  # header only
+
+    def test_null_only_report_has_the_full_report_headers(self, tmp_path,
+                                                          minimal_config):
+        null_only = write_config(tmp_path / "c.json", [null_spec()],
+                                 ["energy", "engineer"])
+        for cfg, name in ((minimal_config, "full"), (null_only, "null")):
+            main(["simulate", "--config", cfg, "--seed", "2",
+                  "--out", str(tmp_path / name / "dump")])
+            assert main(["report", "--dump", str(tmp_path / name / "dump"),
+                         "--out", str(tmp_path / name / "rep")]) == 0
+        for fname in ("pesr.csv", "meandiff.csv", "acceptable.csv"):
+            full, null = (
+                (tmp_path / name / "rep" / fname).read_text().splitlines()
+                for name in ("full", "null"))
+            assert len(full) > 1 and null == full[:1]
+        rep = tmp_path / "null" / "rep"
+        assert json.loads((rep / "cover.json").read_text()) == []
+        assert json.loads((rep / "tree.json").read_text()) is None
 
     def test_report_deterministic(self, tmp_path, minimal_config):
         main(["simulate", "--config", minimal_config, "--seed", "5",

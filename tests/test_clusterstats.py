@@ -9,13 +9,15 @@ from scipy.stats import rankdata
 
 from dsbench.clusterstats import (PSI_KINDS, MaddConfig, TreeNode,
                                   _average_ranks, _chosen_split,
+                                  _stratified_split,
                                   aggregated_fs_ri_statistic,
                                   c2st_knn, cart_fit, cart_predict,
                                   cluster_madd, contingency, diproperm,
                                   dunn_index, fs_from_table, fs_ri_statistic,
                                   madd, ri_from_table, ymrzl)
 from dsbench.core import (DataMatrix, MultiSample, UnsupportedConfigError,
-                          pool)
+                          distance_matrix, pool)
+from dsbench.graphs import knn_graph
 
 
 def make_ms(*arrays):
@@ -291,36 +293,75 @@ class TestDunn:
         assert dunn_index(rho, np.array([0, 1, 2])) == math.inf
 
 
+def c2st(ms, rng):
+    """c2st_knn on the pooled neighbour table of ms, as Context builds it."""
+    z, labels = pool(ms)
+    return c2st_knn(knn_graph(distance_matrix(z), ms.total_n - 1), labels,
+                    rng)
+
+
+def reference_c2st(ms, rng):
+    """The K-NN classifier on distances of its own: a cdist block from the
+    test to the training points, a stable sort of each row (ties to the
+    earlier training point) and a per-row bincount vote (ties to the
+    smaller label)."""
+    z, labels = pool(ms)
+    train, test = _stratified_split(labels, rng)
+    k = max(1, int(math.isqrt(len(train))))
+    d = cdist(z.values[test], z.values[train])
+    votes = labels[train][np.argsort(d, axis=1, kind="stable")[:, :k]]
+    preds = [int(np.argmax(np.bincount(v, minlength=labels.max() + 1)))
+             for v in votes]
+    return float((np.array(preds) == labels[test]).mean())
+
+
 class TestC2st:
     def test_separated_accuracy_one(self):
         rng = np.random.default_rng(9)
         ms = make_ms(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) + 50)
-        assert c2st_knn(ms, np.random.default_rng(0)) == 1.0
+        assert c2st(ms, np.random.default_rng(0)) == 1.0
 
     def test_null_balanced_near_half(self):
         rng = np.random.default_rng(10)
-        vals = [c2st_knn(make_ms(rng.normal(size=(50, 2)),
-                                 rng.normal(size=(50, 2))),
-                         np.random.default_rng(s)) for s in range(30)]
+        vals = [c2st(make_ms(rng.normal(size=(50, 2)),
+                             rng.normal(size=(50, 2))),
+                     np.random.default_rng(s)) for s in range(30)]
         assert abs(np.mean(vals) - 0.5) < 0.07
 
     def test_null_unbalanced_near_majority(self):
         rng = np.random.default_rng(11)
-        vals = [c2st_knn(make_ms(rng.normal(size=(20, 2)),
-                                 rng.normal(size=(80, 2))),
-                         np.random.default_rng(s)) for s in range(30)]
+        vals = [c2st(make_ms(rng.normal(size=(20, 2)),
+                             rng.normal(size=(80, 2))),
+                     np.random.default_rng(s)) for s in range(30)]
         assert abs(np.mean(vals) - 0.8) < 0.07
 
     def test_k4_supported(self):
         rng = np.random.default_rng(12)
         ms = make_ms(*[rng.normal(size=(10, 2)) + 20 * i for i in range(4)])
-        assert c2st_knn(ms, np.random.default_rng(1)) == 1.0
+        assert c2st(ms, np.random.default_rng(1)) == 1.0
 
     def test_small_n_rejected(self):
         rng = np.random.default_rng(13)
         ms = make_ms(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)))
         with pytest.raises(UnsupportedConfigError):
-            c2st_knn(ms, np.random.default_rng(0))
+            c2st(ms, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_equals_classifier_on_own_distances(self, k):
+        # lattice points and repeated rows tie many distances, so both
+        # the neighbour order and the votes are decided by tie rules
+        rng = np.random.default_rng(k)
+        for case in range(130):
+            sizes = rng.integers(2, 16, size=k)
+            if sizes.sum() < 10:
+                sizes[0] += 10
+            p = int(rng.integers(1, 4))
+            x = rng.integers(0, 3, size=(int(sizes.sum()), p)).astype(float)
+            if case % 2:
+                x = x[rng.integers(0, len(x) // 2, size=len(x))]
+            ms = make_ms(*np.split(x, np.cumsum(sizes)[:-1]))
+            assert (c2st(ms, np.random.default_rng(case))
+                    == reference_c2st(ms, np.random.default_rng(case)))
 
 
 def gini_reference(counts):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from dsbench._blossom import _Matcher
 from dsbench.core import distance_matrix
 from dsbench.graphs import (MstLayers, assignment, edge_order, halton_grid,
-                            kmst, knn_graph, min_weight_matching)
+                            kmst, knn_from_table, knn_graph,
+                            min_weight_matching)
 
 
 def random_dist(rng, n, p=2):
@@ -47,31 +48,55 @@ def lattice_dist(rng, n, p=2, side=4):
     return squareform(pdist(rng.integers(0, side, size=(n, p)).astype(float)))
 
 
+def reference_knn_table(dist, k):
+    """The neighbour table from a stable sort of each row with the
+    diagonal set to infinity."""
+    d = dist.copy()
+    np.fill_diagonal(d, np.inf)
+    return np.argsort(d, axis=1, kind="stable")[:, :k]
+
+
 class TestKnn:
     def test_line_example(self):
         d = distance_matrix(np.array([[0.0], [1.0], [3.0]]))
-        g = knn_graph(d, 1)
-        assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 0), (2, 1)]
+        assert knn_graph(d, 1).tolist() == [[1], [0], [1]]
+        g = knn_from_table(knn_graph(d, 1), 1)
+        assert g.edges.tolist() == [[0, 1], [1, 0], [2, 1]]
 
     def test_complete_when_k_max(self):
         d = random_dist(np.random.default_rng(0), 5)
-        g = knn_graph(d, 4)
-        assert g.n_edges == 20
+        table = knn_graph(d, 4)
+        assert table.shape == (5, 4) and table.dtype == np.int32
+        assert knn_from_table(table, 4).n_edges == 20
+        for i, row in enumerate(table.tolist()):
+            assert sorted(row) == [j for j in range(5) if j != i]
 
     def test_tie_goes_to_lower_index(self):
         # point 0 equidistant from 1 and 2
         d = distance_matrix(np.array([[0.0], [1.0], [-1.0]]))
-        g = knn_graph(d, 1)
-        out0 = [j for i, j in g.edges.tolist() if i == 0]
-        assert out0 == [1]
+        assert knn_graph(d, 1)[0].tolist() == [1]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 12), st.integers(1, 3))
     def test_out_degree_exactly_k(self, seed, n, k):
         d = random_dist(np.random.default_rng(seed), n)
-        g = knn_graph(d, k)
+        g = knn_from_table(knn_graph(d, k), k)
         deg = np.bincount(g.edges[:, 0], minlength=n)
         assert (deg == k).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 40), st.integers(2, 4),
+           st.booleans())
+    def test_equals_stable_sort_with_ties(self, seed, n, side, duplicates):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, side, size=(n, 2)).astype(float)
+        if duplicates:  # zero distances off the diagonal
+            x = x[rng.integers(0, max(1, n // 3), size=n)]
+        d = squareform(pdist(x))
+        for k in {1, n // 2, n - 1}:
+            table = knn_graph(d, k)
+            assert table.dtype == np.int32 and table.flags.c_contiguous
+            assert np.array_equal(table, reference_knn_table(d, k))
 
     def test_k_out_of_range(self):
         d = random_dist(np.random.default_rng(1), 4)
@@ -81,14 +106,14 @@ class TestKnn:
 
 def kruskal_kmst(dist, k):
     """Reference k-MST: Kruskal with union-find over the edges sorted by
-    (distance, i, j), skipping edges of earlier layers.  Returns (edges,
-    layer) as the int64 arrays kmst builds."""
+    (distance, i, j), skipping edges of earlier layers.  Returns the int64
+    edge array kmst builds, layer by layer."""
     n = dist.shape[0]
     iu, ju = np.triu_indices(n, 1)
     order = (iu * n + ju)[np.lexsort((ju, iu, dist[iu, ju]))]
     used = np.zeros(n * n, dtype=bool)
-    edges, layers = [], []
-    for layer in range(k):
+    edges = []
+    for _ in range(k):
         parent = list(range(n))
 
         def find(x):
@@ -114,22 +139,19 @@ def kruskal_kmst(dist, k):
         for f in chosen:
             used[f] = True
             edges.append(divmod(f, n))
-            layers.append(layer)
-    return (np.array(edges, dtype=np.int64),
-            np.array(layers, dtype=np.int64))
+    return np.array(edges, dtype=np.int64)
 
 
 def assert_kmst_matches_kruskal(dist, k):
     try:
-        edges, layer = kruskal_kmst(dist, k)
+        edges = kruskal_kmst(dist, k)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
             kmst(dist, k)
         return
     g = kmst(dist, k)
-    assert g.edges.dtype == edges.dtype and g.layer.dtype == layer.dtype
+    assert g.edges.dtype == edges.dtype
     assert np.array_equal(g.edges, edges)
-    assert np.array_equal(g.layer, layer)
 
 
 class TestKmst:
@@ -162,12 +184,11 @@ class TestKmst:
         d = lattice_dist(np.random.default_rng(seed), n, side=3)
         k = min(k, n // 2)
         try:
-            edges, layer = kruskal_kmst(d, k)
+            edges = kruskal_kmst(d, k)
         except ValueError:
             return
         g = kmst(d, k, layers=MstLayers(edge_order(d), n))
         assert np.array_equal(g.edges, edges)
-        assert np.array_equal(g.layer, layer)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 60), st.booleans())
@@ -185,7 +206,6 @@ class TestKmst:
         resumed = kmst(d, k, layers=layers)
         assert len(layers.trees) == k
         assert np.array_equal(resumed.edges, fresh.edges)
-        assert np.array_equal(resumed.layer, fresh.layer)
         # asking again for fewer layers reuses them
         assert np.array_equal(kmst(d, 1, layers=layers).edges, first.edges)
 
@@ -224,8 +244,11 @@ class TestKmst:
         g = kmst(d, 2)
         assert g.n_edges == 2 * 7
         assert len({tuple(e) for e in g.edges.tolist()}) == g.n_edges
-        for layer in (0, 1):
-            assert (g.layer == layer).sum() == 7
+        # edges come layer by layer, each layer a spanning tree
+        for layer in (g.edges[:7], g.edges[7:]):
+            tree = np.zeros((8, 8))
+            tree[layer[:, 0], layer[:, 1]] = 1.0
+            assert connected_components(tree, directed=False)[0] == 1
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(3, 20))

@@ -5,12 +5,18 @@ import pytest
 from scipy.stats import spearmanr
 
 from dsbench.core import UnsupportedConfigError, distance_matrix
-from dsbench.graphs import Graph, kmst, knn_graph, min_weight_matching
+from dsbench.graphs import (Graph, kmst, knn_from_table, knn_graph,
+                            min_weight_matching)
 from dsbench.graphstats import (bqs_statistic, edgecount_test,
                                 kmd_statistic, mmcm_statistic,
                                 petrie_statistic, rosenbaum_statistic,
                                 sc_test, sh_statistic)
 from dsbench.permnull import moments_from_edges, pattern_counts_from_edges
+
+
+def knn(dist, k):
+    """The directed K-NN graph of a distance matrix."""
+    return knn_from_table(knn_graph(dist, k), k)
 
 
 def line_dist(*points):
@@ -162,11 +168,11 @@ class TestScTest:
 
 class TestNearestNeighbourTests:
     def test_sh_separated(self):
-        g = knn_graph(line_dist(0, 1, 10, 11), 1)
+        g = knn(line_dist(0, 1, 10, 11), 1)
         assert sh_statistic(g, np.array([1, 1, 2, 2]), (2, 2)) == 1.0
 
     def test_sh_interleaved(self):
-        g = knn_graph(line_dist(0, 1, 2, 3), 1)
+        g = knn(line_dist(0, 1, 2, 3), 1)
         assert sh_statistic(g, np.array([1, 2, 1, 2]), (2, 2)) == 0.0
 
     def test_bqs_equals_summing_sh_numerators(self):
@@ -176,10 +182,9 @@ class TestNearestNeighbourTests:
         labels = np.array([1] * 5 + [2] * 7)
         direct = 0.0
         for k in range(1, 12):
-            g = knn_graph(d, k)
+            g = knn(d, k)
             direct += (labels[g.edges[:, 0]] == labels[g.edges[:, 1]]).sum()
-        order = knn_graph(d, 11).edges[:, 1].reshape(12, 11)
-        assert bqs_statistic(order, labels, (5, 7)) == direct
+        assert bqs_statistic(knn_graph(d, 11), labels, (5, 7)) == direct
 
 
 class TestCrossmatch:
@@ -264,7 +269,7 @@ class TestCrossmatch:
 class TestKmd:
     def test_separated_is_one(self):
         d = line_dist(0, 1, 10, 11)
-        g = knn_graph(d, 1)
+        g = knn(d, 1)
         assert kmd_statistic(g, np.array([1, 1, 2, 2]), (2, 2)) == 1.0
 
     def test_shuffled_labels_near_zero(self):
@@ -273,7 +278,7 @@ class TestKmd:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(200, 2))
             d = distance_matrix(x)
-            g = knn_graph(d, 20)
+            g = knn(d, 20)
             labels = rng.permutation(np.array([1] * 100 + [2] * 100))
             if abs(kmd_statistic(g, labels, (100, 100))) < 0.1:
                 hits += 1
@@ -287,7 +292,7 @@ class TestKmd:
             x = np.concatenate([rng.normal(size=(n1, 2)),
                                 rng.normal(size=(n2, 2)) + rng.uniform(0, 3)])
             d = distance_matrix(x)
-            g = knn_graph(d, k)
+            g = knn(d, k)
             labels = np.array([1] * n1 + [2] * n2)
             eta = kmd_statistic(g, labels, (n1, n2))
             ell = sh_statistic(g, labels, (n1, n2))
@@ -310,7 +315,7 @@ class TestKmd:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(14, 2))
         d = distance_matrix(x)
-        g = knn_graph(d, 3)
+        g = knn(d, 3)
         labels = np.array([1] * 6 + [2] * 8)
         a = kmd_statistic(g, labels, (6, 8))
         b = kmd_statistic(g, 3 - labels, (8, 6))

@@ -362,10 +362,6 @@ class TestEngineer:
         ms = make_ms([1.0, 2.0], [1.0, 2.0])
         assert engineer_metric(ms) == 0.0
 
-    def test_q_one(self):
-        ms = make_ms([0.0, 0.0], [2.0, 2.0])
-        assert engineer_metric(ms, q=1.0) == 2.0
-
 
 class TestBgPartition:
     def test_two_cell_example(self):

@@ -5,9 +5,9 @@ import pytest
 
 from dsbench.core import (DataMatrix, MultiSample, UnsupportedConfigError,
                           distance_matrix, pool)
-from dsbench.kernelstats import (FALLBACK_BANDWIDTH_FLAG, block_mmd,
-                                 gpk_components, gpk_statistic, gram,
-                                 mmd_ustat)
+from dsbench.kernelstats import (FALLBACK_BANDWIDTH_FLAG, GramMatrix,
+                                 block_mmd, gpk_components, gpk_statistic,
+                                 gram, mmd_ustat)
 from dsbench.permnull import pattern_sums
 
 
@@ -29,11 +29,6 @@ class TestGram:
     def test_median_bandwidth_line(self):
         d = distance_matrix(np.array([[0.0], [1.0], [2.0]]))
         assert gram(d).bandwidth == 1.0
-
-    def test_large_bandwidth_limit(self):
-        d = distance_matrix(np.array([[0.0], [1.0], [2.0]]))
-        g = gram(d, bandwidth=1e8)
-        assert np.abs(g.values - 1.0).max() < 1e-10
 
     def test_identical_points_fallback(self):
         d = np.zeros((3, 3))
@@ -94,11 +89,17 @@ class TestMmd:
 
 
 class TestBlockMmd:
-    def test_single_block_equals_mmd(self):
+    def test_blocks_equal_mmd_of_sub_samples(self):
+        # sizes 9 and 11 give three blocks of three points per sample
         rng = np.random.default_rng(5)
-        ms = make_ms(rng.normal(size=(9, 2)), rng.normal(size=(9, 2)))
+        ms = make_ms(rng.normal(size=(9, 2)), rng.normal(size=(11, 2)))
         g = pooled_gram(ms)
-        assert block_mmd(ms, g, block=9) == mmd_ustat(g, (9, 9))
+        per_block = []
+        for b in range(3):
+            rows = np.r_[3 * b:3 * b + 3, 9 + 3 * b:9 + 3 * b + 3]
+            sub = GramMatrix(g.values[np.ix_(rows, rows)], g.bandwidth)
+            per_block.append(mmd_ustat(sub, (3, 3)))
+        assert block_mmd(ms, g) == float(np.mean(per_block))
 
     def test_null_mean_near_zero(self):
         rng = np.random.default_rng(6)

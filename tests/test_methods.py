@@ -122,15 +122,20 @@ class TestEvaluate:
         a, b = rng.normal(size=(13, 2)), rng.normal(size=(17, 2))
         b[:4] = a[:4]  # tied and zero distances
         ctx = Context(MultiSample((DataMatrix(a), DataMatrix(b))), seed=3)
+        d = ctx.dist.copy()
+        np.fill_diagonal(d, np.inf)
+        reference = np.argsort(d, axis=1, kind="stable")[:, :-1]
+        assert ctx.neighbour_order.dtype == np.int32
+        assert np.array_equal(ctx.neighbour_order, reference)
         for spec, k in (("1nn", 1), ("5nn", 5), ("heuristic_nn", 3),
                         ("29nn", 29), ("99nn", 29)):
             g = ctx.graph(spec)
-            ref = graphs.knn_graph(ctx.dist, k)
-            assert (g.n_nodes, g.kind, g.k) == (ref.n_nodes, ref.kind, ref.k)
-            assert g.edges.dtype == ref.edges.dtype
+            ref = graphs.knn_from_table(graphs.knn_graph(ctx.dist, k), k)
+            assert (g.n_nodes, g.kind, g.k) == (30, graphs.KNN_DIRECTED, k)
+            assert g.edges.dtype == ref.edges.dtype == np.int64
             assert np.array_equal(g.edges, ref.edges)
-        full = graphs.knn_graph(ctx.dist, 29).edges
-        assert np.array_equal(ctx.neighbour_order, full[:, 1].reshape(30, 29))
+            assert np.array_equal(g.edges[:, 1].reshape(30, k),
+                                  reference[:, :k])
 
     def test_shared_structures_built_once(self, monkeypatch):
         calls = {}
@@ -192,7 +197,6 @@ class TestEvaluate:
         assert layers == [1, 4]
         fresh = graphs.kmst(ctx.dist, 5)
         assert np.array_equal(five.edges, fresh.edges)
-        assert np.array_equal(five.layer, fresh.layer)
         assert np.array_equal(one.edges, graphs.kmst(ctx.dist, 1).edges)
 
     def test_four_sample_madds_built_once(self, monkeypatch):
