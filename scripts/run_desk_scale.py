@@ -36,8 +36,7 @@ def build_config(case: str, reps: int, full: bool, max_scenarios: int | None,
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--case", default="two_sample",
-                        choices=["two_sample", "two_sample_target",
-                                 "four_sample"])
+                        choices=["two_sample", "four_sample"])
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=2)

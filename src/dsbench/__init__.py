@@ -3,14 +3,14 @@ benchmark harness (data generators, method registry, PESR pipeline)."""
 
 from .core import (DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample,
                    StatValue, distance_matrix, pool, split)
-from .datagen import OgmSpec, ScenarioSpec, sample_scenario, scenario_grid
+from .datagen import ScenarioSpec, sample_scenario, scenario_grid
 from .harness import (bench, greedy_cover, mean_diff_to_ideal, pesr,
                       pesr_table, run_scenario)
 from .methods import REGISTRY, Context, default_methods, evaluate
 
 __all__ = [
     "DISSIMILARITY", "SIMILARITY", "DataMatrix", "MultiSample", "StatValue",
-    "distance_matrix", "pool", "split", "OgmSpec", "ScenarioSpec",
+    "distance_matrix", "pool", "split", "ScenarioSpec",
     "sample_scenario", "scenario_grid", "bench", "greedy_cover",
     "mean_diff_to_ideal", "pesr", "pesr_table", "run_scenario", "REGISTRY",
     "Context", "default_methods", "evaluate",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import ConfigError, ScenarioSpec
+from .datagen import MAX_ENTRIES, ConfigError, ScenarioSpec
 from .harness import (MissingNullError, ScenarioResult, acceptable, bench,
                       choice_tree, greedy_cover, mean_diff_to_ideal,
                       overall_mean_diff, pesr_table, run_scenario,
@@ -112,6 +112,11 @@ def cmd_simulate(args) -> int:
     reps = _positive_int("reps", args.reps if args.reps is not None
                          else config.get("reps", 500))
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
+    for spec in specs:
+        if spec.n_total ** 2 > MAX_ENTRIES:
+            raise ConfigError(f"scenario 'n_total' {spec.n_total} needs an "
+                              "N x N distance matrix of more than "
+                              f"{MAX_ENTRIES} entries")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),
@@ -138,17 +143,16 @@ def cmd_simulate(args) -> int:
 def _load_results(dump_dir: Path):
     manifest_path = str(dump_dir / "manifest.json")
     manifest = _load_json(manifest_path)
-    for key in ("reps", "methods", "scenarios"):
-        if key not in manifest:
-            raise ConfigError(f"{manifest_path} has no {key!r} entry")
-    reps = manifest["reps"]
-    if not _is_int(reps) or reps < 1:
-        raise ConfigError(f"{manifest_path}: 'reps' must be a positive "
-                          f"integer, got {reps!r}")
-    methods = tuple(manifest["methods"])
+    try:
+        reps = _positive_int("reps", manifest.get("reps"))
+        methods = tuple(_required(manifest, "methods"))
+        _check_methods(methods)
+        entries = _required(manifest, "scenarios")
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
     column = {mid: m for m, mid in enumerate(methods)}
     results = []
-    for entry in manifest["scenarios"]:
+    for entry in entries:
         for key in ("file", "spec", "index"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ConfigError(f"{manifest_path}: scenario entry "

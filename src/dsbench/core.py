@@ -50,13 +50,9 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class MultiSample:
-    """Ordered collection of k samples over a shared variable space.
-
-    target, when present, holds one binary label per pooled observation
-    (concatenated in sample order)."""
+    """Ordered collection of k samples over a shared variable space."""
 
     samples: tuple[DataMatrix, ...]
-    target: np.ndarray | None = None
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -68,13 +64,6 @@ class MultiSample:
                 raise DimensionError(
                     f"variable counts differ: {s.p} != {p}")
         object.__setattr__(self, "samples", samples)
-        if self.target is not None:
-            t = np.asarray(self.target, dtype=np.int64)
-            if t.shape != (self.total_n,):
-                raise DimensionError(
-                    f"target length {t.shape} != pooled size {self.total_n}")
-            t.flags.writeable = False
-            object.__setattr__(self, "target", t)
 
     @property
     def k(self) -> int:

@@ -2,8 +2,8 @@
 
 Four distribution families (normal, t with 3 df, log-normal, chi-squared
 with 1 df), each calibrated so every variable has mean 0 or 1 and variance
-one under the null.  Deviations alter location, scale, correlation, tail
-weight, or the outcome-generating model for the optional binary target.
+one under the null.  Deviations alter location, scale, correlation or tail
+weight.
 
 Tables decide each part of a scenario: `_STEPS` how a grouping spreads the
 deviation over the k samples, `_DEVIATIONS` each deviation's base level,
@@ -19,18 +19,14 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DataMatrix, MultiSample
 
 DGPS = ("normal", "t3", "lognormal", "chisq1")
-DEVIATIONS = (
-    "null", "shift", "scale", "correlation", "kurtosis", "normal_vs_t",
-    "skew_kurtosis", "ogm_sign", "ogm_size", "ogm_different",
-)
+DEVIATIONS = ("null", "shift", "scale", "correlation", "kurtosis",
+              "normal_vs_t", "skew_kurtosis")
 GROUPINGS_K4 = ("3+1", "2+2", "2+1+1", "1+1+1+1")
 BALANCES = ("balanced", "unbalanced")
-_OGM_DEVIATIONS = ("ogm_sign", "ogm_size", "ogm_different")
 
 # Number of deviation steps each sample takes from the base level.
 _STEPS = {"1+1": (0, 1), "3+1": (0, 0, 0, 1), "2+2": (0, 0, 1, 1),
@@ -73,10 +69,12 @@ CORR_GRID_K2 = GRIDS["full"]["correlation"]
 CORR_GRID_K4 = GRIDS["full"]["correlation_k4"]
 N_GRID_K4 = GRIDS["full"]["n_k4"]
 
-# The study cases: (k, groupings, with_target).
-_CASES = {"two_sample": (2, ("1+1",), False),
-          "two_sample_target": (2, ("1+1",), True),
-          "four_sample": (4, GROUPINGS_K4, False)}
+# The study cases: (k, groupings).
+_CASES = {"two_sample": (2, ("1+1",)), "four_sample": (4, GROUPINGS_K4)}
+
+# Most entries one array of a scenario may hold: the N x p draw, the p x p
+# correlation factor and, where statistics run, the N x N distance matrix.
+MAX_ENTRIES = 2 ** 31
 
 # Log-normal null parameters solved from mean-1 / variance-1 constraints:
 # exp(mu + s2/2) = 1 and (exp(s2) - 1) exp(2 mu + s2) = 1.
@@ -102,35 +100,6 @@ def scale_factor(p: int, s: float) -> float:
     return s ** (1.0 / p)
 
 
-# Multiple of the base slope per outcome-model variant; "different" is
-# sign-flipped and four times steeper, a hyperplane unrelated to the null.
-_OGM_SLOPES = {"null": 1.0, "sign": -1.0, "size": 0.5, "different": -4.0}
-
-
-@dataclass(frozen=True)
-class OgmSpec:
-    """Logistic outcome-generating model: eta = -1/2 + x beta."""
-
-    p: int
-    variant: str = "null"  # null | sign | size | different
-
-    def __post_init__(self):
-        if self.p % 2 != 0:
-            raise ConfigError("outcome model needs an even variable count")
-        if self.variant not in _OGM_SLOPES:
-            raise ConfigError(f"unknown OGM variant {self.variant!r}")
-
-    @property
-    def intercept(self) -> float:
-        return -0.5
-
-    @property
-    def beta(self) -> np.ndarray:
-        half = self.p // 2
-        base = 0.5 * np.concatenate([np.ones(half), -np.ones(half)])
-        return _OGM_SLOPES[self.variant] * base
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One cell of the simulation design."""
@@ -143,6 +112,7 @@ class ScenarioSpec:
     balance: str
     k: int = 2
     grouping: str = "1+1"
+    # kept in the dump format; no statistic reads a target, so it is false
     with_target: bool = False
 
     def __post_init__(self):
@@ -153,6 +123,9 @@ class ScenarioSpec:
                 except OverflowError:
                     raise ConfigError(f"scenario {f.name!r} is beyond the "
                                       "float range") from None
+        if self.with_target:
+            raise ConfigError("scenario 'with_target' must be false: no "
+                              "statistic reads a target")
         if self.dgp not in DGPS:
             raise ConfigError(f"unknown dgp {self.dgp!r}")
         if self.deviation not in DEVIATIONS:
@@ -164,22 +137,25 @@ class ScenarioSpec:
         if len(_STEPS.get(self.grouping, ())) != self.k:
             raise ConfigError(
                 f"grouping {self.grouping!r} does not split {self.k} samples")
-        if self.deviation in _OGM_DEVIATIONS:
-            if not self.with_target or self.k != 2:
-                raise ConfigError(
-                    "outcome-model deviations need with_target and k=2")
-        elif self.deviation != "null":
+        if self.deviation != "null":
             if self.deviation not in _FAMILIES[self.dgp].deviations:
                 raise ConfigError(
                     f"deviation {self.deviation!r} undefined for {self.dgp}")
             if self.deviation == "normal_vs_t" and self.k != 2:
                 raise ConfigError("normal_vs_t is a two-sample deviation")
-        if self.with_target and self.p % 2 != 0:
-            raise ConfigError("target scenarios need even p")
         for name in ("n_total", "p"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"scenario {name!r} must be at least 1, "
                                   f"got {getattr(self, name)!r}")
+        sample_sizes(self)
+        if self.n_total * self.p > MAX_ENTRIES:
+            raise ConfigError(f"scenario 'n_total' x 'p' = {self.n_total} x "
+                              f"{self.p} draws more than {MAX_ENTRIES} "
+                              "entries")
+        if self.deviation == "correlation" and self.p ** 2 > MAX_ENTRIES:
+            raise ConfigError(f"scenario 'p' {self.p} needs a p x p "
+                              "correlation factor of more than "
+                              f"{MAX_ENTRIES} entries")
         if not math.isfinite(self.magnitude):
             raise ConfigError(f"scenario 'magnitude' must be finite, "
                               f"got {self.magnitude!r}")
@@ -207,13 +183,11 @@ class ScenarioSpec:
     @property
     def scenario_id(self) -> str:
         parts = [f"k{self.k}", self.dgp, self.deviation]
-        if self.deviation != "null" and self.deviation not in _OGM_DEVIATIONS:
+        if self.deviation != "null":
             parts.append(f"m{self.magnitude:g}")
         parts += [f"N{self.n_total}", f"p{self.p}", self.balance]
         if self.k == 4:
             parts.append(self.grouping.replace("+", ""))
-        if self.with_target:
-            parts.append("tgt")
         return "-".join(parts)
 
     def to_dict(self) -> dict:
@@ -246,7 +220,9 @@ def sample_sizes(spec: ScenarioSpec) -> tuple[int, ...]:
     for w in _WEIGHTS[spec.k, spec.balance]:
         ni = w * spec.n_total
         if abs(ni - round(ni)) > 1e-9:
-            raise ConfigError(f"non-integral split {w} * {spec.n_total}")
+            raise ConfigError(f"scenario 'n_total' {spec.n_total} has the "
+                              f"non-integral group size {w} * "
+                              f"{spec.n_total}")
         sizes.append(int(round(ni)))
     return tuple(sizes)
 
@@ -338,7 +314,7 @@ def _draw_chisq(rng, n, p, df):
 class _Family(NamedTuple):
     draw: Callable       # draw(rng, n, p, **null_args, keyword=level)
     null_args: dict
-    deviations: tuple    # the non-outcome deviations defined for it
+    deviations: tuple    # the deviations defined for it
 
 
 _FAMILIES = {
@@ -359,13 +335,6 @@ def _draw_sample(rng, spec: ScenarioSpec, n: int, level) -> np.ndarray:
     return draw(rng, n, spec.p, **args)
 
 
-def gen_target(x: np.ndarray, ogm: OgmSpec, rng) -> np.ndarray:
-    """Binary labels from the logistic outcome model."""
-    eta = ogm.intercept + x @ ogm.beta
-    prob = expit(eta)
-    return (rng.random(x.shape[0]) < prob).astype(np.int64)
-
-
 def sample_scenario(spec: ScenarioSpec, rng) -> MultiSample:
     """Draw one repetition of the scenario. rng is a numpy Generator."""
     if spec.deviation in _DEVIATIONS:
@@ -374,15 +343,7 @@ def sample_scenario(spec: ScenarioSpec, rng) -> MultiSample:
         levels = (None,) * spec.k
     mats = [_draw_sample(rng, spec, n, level)
             for n, level in zip(sample_sizes(spec), levels)]
-    target = None
-    if spec.with_target:
-        # the outcome-model deviation applies to the last sample only
-        last = (spec.deviation.removeprefix("ogm_")
-                if spec.deviation in _OGM_DEVIATIONS else "null")
-        variants = ["null"] * (spec.k - 1) + [last]
-        target = np.concatenate([gen_target(x, OgmSpec(spec.p, v), rng)
-                                 for x, v in zip(mats, variants)])
-    return MultiSample(tuple(DataMatrix(x) for x in mats), target=target)
+    return MultiSample(tuple(DataMatrix(x) for x in mats))
 
 
 def rng_for(master_seed: int, scenario_index: int, rep: int):
@@ -404,12 +365,12 @@ def _magnitudes(grid: dict, deviation: str, grouping: str) -> tuple:
 
 
 def scenario_grid(case: str, full: bool = False) -> list[ScenarioSpec]:
-    """Full factorial scenario list for one of the three study cases.
+    """Full factorial scenario list for one of the two study cases.
 
-    case is one of 'two_sample', 'two_sample_target', 'four_sample'."""
+    case is 'two_sample' or 'four_sample'."""
     if case not in _CASES:
         raise ConfigError(f"unknown case {case!r}")
-    k, groupings, with_target = _CASES[case]
+    k, groupings = _CASES[case]
     grid = GRIDS["full" if full else "desk"]
     specs: list[ScenarioSpec] = []
     for dgp in DGPS:
@@ -417,19 +378,13 @@ def scenario_grid(case: str, full: bool = False) -> list[ScenarioSpec]:
         devs = [dev for dev in _FAMILIES[dgp].deviations
                 if k == 2 or dev != "normal_vs_t"]
         for p in grid["p"]:
-            if with_target and p % 2 != 0:
-                continue
             for n in grid[f"n_k{k}"]:
                 for bal in BALANCES:
-                    cell = dict(n_total=n, p=p, balance=bal, k=k,
-                                with_target=with_target)
+                    cell = dict(n_total=n, p=p, balance=bal, k=k)
                     specs.append(ScenarioSpec(dgp, "null", 0.0,
                                               grouping=groupings[0], **cell))
                     specs += [ScenarioSpec(dgp, dev, float(m), grouping=g,
                                            **cell)
                               for g in groupings for dev in devs
                               for m in _magnitudes(grid, dev, g)]
-                    if with_target:
-                        specs += [ScenarioSpec(dgp, dev, 0.0, **cell)
-                                  for dev in _OGM_DEVIATIONS]
     return specs

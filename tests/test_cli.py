@@ -119,7 +119,14 @@ class TestSimulate:
         (dict(deviation="shift", magnitude=10 ** 400), "magnitude"),
         (dict(deviation="shift", magnitude=0.5, n_total=10 ** 400),
          "n_total"),
-        (dict(deviation="correlation", magnitude=0.1, p=10 ** 400), "p")])
+        (dict(deviation="correlation", magnitude=0.1, p=10 ** 400), "p"),
+        # arrays beyond MAX_ENTRIES: the p x p factor, the N x p draw and
+        # the N x N distance matrix
+        (dict(deviation="correlation", magnitude=0.1, p=10 ** 9), "p"),
+        (dict(deviation="shift", magnitude=0.5, p=10 ** 12), "p"),
+        (dict(n_total=10 ** 6), "n_total"),
+        # no statistic reads a target
+        (dict(with_target=True), "with_target")])
     def test_out_of_range_scenario_exit_two(self, tmp_path, capsys, fields,
                                             key):
         scenario = dict(null_spec().to_dict(), **fields)
@@ -129,6 +136,20 @@ class TestSimulate:
                    "--seed", "1", "--out", str(tmp_path / "d")])
         assert rc == 2
         assert repr(key) in capsys.readouterr().err
+
+    def test_non_integral_split_exit_two_before_any_scenario(self, tmp_path,
+                                                             capsys):
+        # 0.2 * 21 is no whole group size
+        scenarios = [null_spec().to_dict(),
+                     dict(null_spec().to_dict(), deviation="shift",
+                          magnitude=0.5, n_total=21, balance="unbalanced")]
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"methods": ["energy"], "reps": 2, "scenarios": scenarios}))
+        rc = main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--seed", "1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "'n_total'" in capsys.readouterr().err
+        assert not list((tmp_path / "d").glob("*.csv"))
 
     @pytest.mark.parametrize("key, value, message", [
         ("methods", {"energy": 1}, "'methods' must be a list"),
@@ -295,6 +316,23 @@ class TestReport:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and repr(key) in err
+
+    @pytest.mark.parametrize("methods, message", [
+        (5, "'methods' must be a list"),
+        (["energy", "engineer", "nope"], "unknown method id 'nope'")])
+    def test_manifest_bad_methods_exit_two(self, tmp_path, capsys,
+                                           minimal_config, methods, message):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["methods"] = methods
+        manifest.write_text(json.dumps(content))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and message in err
 
     @pytest.mark.parametrize("reps", ["4", 0, 2.5])
     def test_manifest_bad_reps_exit_two(self, tmp_path, capsys,

@@ -41,12 +41,6 @@ class TestMultiSample:
         with pytest.raises(DimensionError):
             ms_from(np.ones((2, 2)), np.ones((2, 3)))
 
-    def test_target_length_checked(self):
-        with pytest.raises(DimensionError):
-            MultiSample((DataMatrix(np.ones((2, 2))),
-                         DataMatrix(np.ones((3, 2)))),
-                        target=np.array([0, 1]))
-
 
 class TestPool:
     def test_sizes_and_labels(self):

@@ -8,10 +8,10 @@ import pytest
 
 from dsbench.core import pool
 from dsbench.datagen import (CORR_GRID_K2, CORR_GRID_K4, DGPS, N_GRID_K4,
-                             SCALE_GRID, SHIFT_GRID, ConfigError, OgmSpec,
-                             ScenarioSpec, deviation_levels, gen_target,
-                             rng_for, sample_scenario, sample_sizes,
-                             scale_factor, scenario_grid, shift_offset)
+                             SCALE_GRID, SHIFT_GRID, ConfigError,
+                             ScenarioSpec, deviation_levels, rng_for,
+                             sample_scenario, sample_sizes, scale_factor,
+                             scenario_grid, shift_offset)
 
 
 def spec(**kw):
@@ -33,8 +33,9 @@ class TestSampleSizes:
         assert sample_sizes(spec(n_total=50)) == (25, 25)
 
     def test_non_integral_split_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_sizes(spec(n_total=55))
+        # when the spec is built, before any draw
+        with pytest.raises(ConfigError, match="'n_total'"):
+            spec(n_total=55)
 
 
 class TestSpecValidation:
@@ -47,8 +48,10 @@ class TestSpecValidation:
             spec(deviation="normal_vs_t", magnitude=5.0, k=4,
                  grouping="3+1")
 
-    def test_ogm_needs_target(self):
-        with pytest.raises(ConfigError):
+    def test_with_target_rejected(self):
+        with pytest.raises(ConfigError, match="'with_target'"):
+            spec(with_target=True)
+        with pytest.raises(ConfigError, match="unknown deviation"):
             spec(deviation="ogm_sign")
 
     @pytest.mark.parametrize("kw, field", [
@@ -78,6 +81,10 @@ class TestSpecValidation:
         (dict(deviation="correlation", magnitude=-0.2, p=10), "magnitude"),
         (dict(dgp="t3", deviation="correlation", magnitude=0.4, k=4,
               grouping="1+1+1+1"), "magnitude"),
+        # arrays beyond MAX_ENTRIES: the N x p draw, the p x p factor
+        (dict(deviation="shift", magnitude=0.5, p=10 ** 12), "p"),
+        (dict(deviation="correlation", magnitude=0.1, n_total=2,
+              p=10 ** 6), "p"),
     ])
     def test_out_of_range_value_names_field(self, kw, field):
         with pytest.raises(ConfigError, match=repr(field)):
@@ -95,8 +102,7 @@ class TestSpecValidation:
         ms = sample_scenario(spec(**kw), rng_for(3, 0, 0))
         assert all(np.abs(x.values).max() > 1e-6 for x in ms.samples)
 
-    @pytest.mark.parametrize("case", [
-        "two_sample", "two_sample_target", "four_sample"])
+    @pytest.mark.parametrize("case", ["two_sample", "four_sample"])
     @pytest.mark.parametrize("full", [False, True])
     def test_every_grid_spec_valid(self, case, full):
         # building a spec validates it; no grid value may be rejected
@@ -221,30 +227,6 @@ class TestGroupings:
         assert deviation_levels(s) == (3.0, 3.1, 3.2, 3.3)
 
 
-class TestOgm:
-    def test_logistic_at_origin(self):
-        ogm = OgmSpec(p=2)
-        rng = rng_for(9, 0, 0)
-        x = np.zeros((200_000, 2))
-        y = gen_target(x, ogm, rng)
-        expected = math.exp(-0.5) / (1 + math.exp(-0.5))
-        assert abs(y.mean() - expected) < 0.01
-
-    def test_sign_variant_negates(self):
-        assert (OgmSpec(4, "sign").beta == -OgmSpec(4).beta).all()
-
-    def test_size_variant_halves(self):
-        assert (OgmSpec(4, "size").beta == OgmSpec(4).beta / 2).all()
-
-    def test_different_variant_differs(self):
-        assert not np.allclose(OgmSpec(4, "different").beta, OgmSpec(4).beta)
-
-    def test_target_attached(self):
-        s = spec(deviation="ogm_sign", with_target=True, n_total=50)
-        ms = sample_scenario(s, rng_for(10, 0, 0))
-        assert ms.target is not None and len(ms.target) == 50
-
-
 class TestGrids:
     def test_shift_grid_values(self):
         assert SHIFT_GRID == (0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
@@ -270,10 +252,9 @@ class TestGrids:
         assert {s.grouping for s in grid if s.deviation != "null"} == {
             "3+1", "2+2", "2+1+1", "1+1+1+1"}
 
-    def test_target_grid_marks_target(self):
-        grid = scenario_grid("two_sample_target")
-        assert all(s.with_target for s in grid)
-        assert any(s.deviation == "ogm_different" for s in grid)
+    def test_target_grid_rejected(self):
+        with pytest.raises(ConfigError, match="'two_sample_target'"):
+            scenario_grid("two_sample_target")
 
 
 class TestReproducibility:
@@ -291,7 +272,7 @@ class TestReproducibility:
         assert not (a.samples[0].values == b.samples[0].values).all()
 
 
-CASES = ("two_sample", "two_sample_target", "four_sample")
+CASES = ("two_sample", "four_sample")
 
 
 def all_grids():
@@ -303,11 +284,11 @@ class TestPinnedGeneration:
     """sha256 digests of every grid and of one draw of every grid spec.
 
     The golden dumps cover only the normal null and shift, so these pin the
-    other families, deviations, stepwise groupings and outcome-model
-    targets.  A refactor of datagen must leave both digests unchanged."""
+    other families, deviations and stepwise groupings.  A refactor of
+    datagen must leave both digests unchanged."""
 
-    GRID_DIGEST = "ae98318371bd48e0ac9893228531626fca853e7714fda30e36e554f74b309b57"
-    DRAW_DIGEST = "aa91a7ee808d9a8fdcad5f26d47a32b73e9d2ae58ce700ca78ea7b54b3aec5b9"
+    GRID_DIGEST = "e1e5ffa0e449e3d6498def148c416cd3fab4be45360acceeedcc1c799c4290b0"
+    DRAW_DIGEST = "1c571678d2b7b58884511af1e79171e2b00cfcb6f9cacc9601ccc9649ffa445f"
 
     def test_grid_lists(self):
         dump = [[case, full, [s.to_dict() for s in specs]]
@@ -324,6 +305,4 @@ class TestPinnedGeneration:
             ms = sample_scenario(s, rng_for(2024, i, 0))
             for sample in ms.samples:
                 digest.update(sample.values.tobytes())
-            if ms.target is not None:
-                digest.update(ms.target.tobytes())
         assert digest.hexdigest() == self.DRAW_DIGEST

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,8 @@ from dsbench.datagen import ScenarioSpec
 from dsbench.harness import (MeanDiffRow, PesrRow, acceptable, bench,
                              choice_tree, greedy_cover, mean_diff_to_ideal,
                              pesr, pesr_table, run_scenario, scale_bench)
-from dsbench.methods import REGISTRY
+from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
+                             REGISTRY)
 
 
 def spec(**kw):
@@ -257,6 +259,29 @@ class TestRunScenario:
     def test_unknown_method_rejected(self):
         with pytest.raises(KeyError):
             run_scenario(spec(), ("no_such_method",), 2, 0)
+
+
+class TestPinnedAtPaperScale:
+    """sha256 of `values.tobytes()` plus `repr(errors)` of one repetition,
+    seed 1, of the largest two-sample and four-sample cells of the design.
+
+    The N=20 goldens never reach the paths that run only at scale: the
+    `_BALL_BLOCK` row blocks, the matching's greedy stage with hundreds of
+    free vertices, MADD at N=1000.  A change that moves a digest must say
+    why; a numpy or scipy upgrade re-pins them on its own."""
+
+    @pytest.mark.parametrize("cell, methods, digest", [
+        (dict(n_total=1000, p=50), DEFAULT_TWO_SAMPLE,
+         "73467c6b04a3364e4512b509fab387f4859da43da6b85d5a16ad8159c238975e"),
+        (dict(n_total=400, p=50, k=4, grouping="1+1+1+1"),
+         DEFAULT_FOUR_SAMPLE,
+         "4475ddfc2a0b3af2a33eb6674de378b287fc2bca8213bfd99e5482c9b75edb11"),
+    ], ids=["two_n1000_p50", "four_n400_p50"])
+    def test_values_and_errors(self, cell, methods, digest):
+        r = run_scenario(spec(deviation="shift", magnitude=0.5, **cell),
+                         methods, 1, 1)
+        payload = r.values.tobytes() + repr(r.errors).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestPesrTable:
