@@ -64,7 +64,7 @@ def main() -> int:
 
     rc = cli_main(["simulate", "--config", str(cfg_path),
                    "--seed", str(args.seed), "--out", str(out / "dump"),
-                   "--jobs", str(args.jobs), "--reps", str(args.reps)])
+                   "--jobs", str(args.jobs)])
     if rc != 0:
         return rc
     rc = cli_main(["report", "--dump", str(out / "dump"),

@@ -2,7 +2,7 @@
 benchmark harness (data generators, method registry, PESR pipeline)."""
 
 from .core import (DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample,
-                   StatValue, distance_matrix, pool, split)
+                   StatValue, distance_matrix, pool)
 from .datagen import ScenarioSpec, sample_scenario, scenario_grid
 from .harness import (bench, greedy_cover, mean_diff_to_ideal, pesr,
                       pesr_table, run_scenario)
@@ -10,7 +10,7 @@ from .methods import REGISTRY, Context, default_methods, evaluate
 
 __all__ = [
     "DISSIMILARITY", "SIMILARITY", "DataMatrix", "MultiSample", "StatValue",
-    "distance_matrix", "pool", "split", "ScenarioSpec",
+    "distance_matrix", "pool", "ScenarioSpec",
     "sample_scenario", "scenario_grid", "bench", "greedy_cover",
     "mean_diff_to_ideal", "pesr", "pesr_table", "run_scenario", "REGISTRY",
     "Context", "default_methods", "evaluate",

@@ -17,8 +17,7 @@ from .harness import (MissingNullError, ScenarioResult, acceptable, bench,
                       scale_bench)
 from .methods import REGISTRY
 
-_GROUP_FIELDS = ("dgp", "deviation", "n", "p", "balance", "grouping",
-                 "with_target", "k")
+_GROUP_FIELDS = ("dgp", "deviation", "n", "p", "balance", "grouping", "k")
 
 
 def _fmt(x) -> str:
@@ -109,8 +108,7 @@ def cmd_simulate(args) -> int:
     config = _load_json(args.config)
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
-    reps = _positive_int("reps", args.reps if args.reps is not None
-                         else config.get("reps", 500))
+    reps = _positive_int("reps", config.get("reps", 500))
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
     for spec in specs:
         if spec.n_total ** 2 > MAX_ENTRIES:
@@ -209,11 +207,11 @@ def cmd_report(args) -> int:
     for row in rows:
         s = row.spec
         pesr_rows.append((s.scenario_id, s.dgp, s.deviation, s.magnitude,
-                          s.n_total, s.p, s.balance, s.grouping,
-                          int(s.with_target), s.k, row.method, row.value))
+                          s.n_total, s.p, s.balance, s.grouping, s.k,
+                          row.method, row.value))
     _write_csv(out / "pesr.csv",
                ("scenario_id", "dgp", "deviation", "magnitude", "n", "p",
-                "balance", "grouping", "with_target", "k", "method", "pesr"),
+                "balance", "grouping", "k", "method", "pesr"),
                pesr_rows)
     if not rows:
         print("warning: no alternative scenarios in dump; the report "
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -99,7 +99,7 @@ def cluster_madd(rho: np.ndarray, n_clusters: int, rng):
         new_medoids = medoids.copy()
         for c in range(n_clusters):
             members = np.flatnonzero(labels == c)
-            within = rho[np.ix_(members, members)].sum(axis=1)
+            within = rho[members[:, None], members].sum(axis=1)
             new_medoids[c] = members[int(np.argmin(within))]
         new_labels = np.argmin(rho[:, new_medoids], axis=1)
         if (new_medoids == medoids).all() and (new_labels == labels).all():
@@ -164,18 +164,14 @@ def dunn_index(rho: np.ndarray, labels: np.ndarray) -> float:
     max_diam = max([0.0] + np.diagonal(hi)[counts > 1].tolist())
     if max_diam == 0.0:
         return math.inf
-    return float(lo[np.triu_indices(len(clusters), 1)].min()) / max_diam
-
-
-def _cluster_counts_to_try(k: int) -> range:
-    return range(2, 2 * k + 1)
+    return float(squareform(lo, checks=False).min()) / max_diam
 
 
 def _estimate_clusters(rho: np.ndarray, k: int, rng):
     """Cluster count from a Dunn-index sweep (ties go to fewer clusters)."""
     best_ell, best_dunn = None, -math.inf
     all_flags: tuple[str, ...] = ()
-    for ell in _cluster_counts_to_try(k):
+    for ell in range(2, 2 * k + 1):
         if ell > rho.shape[0]:
             break
         labels, flags = cluster_madd(rho, ell, rng)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 DISSIMILARITY = "dissimilarity"
 SIMILARITY = "similarity"
@@ -115,18 +115,6 @@ def pool(ms: MultiSample) -> tuple[DataMatrix, np.ndarray]:
     return DataMatrix(values), labels
 
 
-def split(pooled: DataMatrix, sizes) -> tuple[DataMatrix, ...]:
-    """Inverse of pool for known sample sizes."""
-    out = []
-    start = 0
-    for n in sizes:
-        out.append(DataMatrix(pooled.values[start:start + n]))
-        start += n
-    if start != pooled.n:
-        raise DimensionError("sizes do not sum to pooled size")
-    return tuple(out)
-
-
 def stable_argsort(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """``np.argsort(a, axis, kind="stable")`` for NaN-free `a`, from the
     faster default sort: each run of equal keys then gets its indices put
@@ -158,7 +146,3 @@ def distance_matrix(x: DataMatrix | np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances, exactly symmetric with zero diagonal."""
     values = x.values if isinstance(x, DataMatrix) else np.asarray(x, float)
     return squareform(pdist(values))
-
-
-def cross_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return cdist(x, y)

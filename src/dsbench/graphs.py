@@ -30,10 +30,6 @@ class Graph:
     kind: str
     k: int = 1
 
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -75,28 +71,30 @@ def edge_order(dist: np.ndarray) -> np.ndarray:
 
 class MstLayers:
     """The successive edge-disjoint minimum spanning trees of one distance
-    matrix, built on demand from its edge ranking `order`: a k-MST asked
-    for after a smaller one only adds the missing layers.
+    matrix, built on demand: a k-MST asked for after a smaller one only
+    adds the missing layers.
 
-    The state is one dense key matrix, built by the first `grow`: entry
-    (i, j) is ``rank * n + i`` for the rank of edge (i, j) in `order`, and
-    ``m * n`` (m edges) once the edge is used or on the diagonal.  Keys
-    order edges by rank, and a tree's key names the endpoint it came from,
-    so `order` is not kept."""
+    The state is one dense key matrix, built by the first `grow` from the
+    edge ranking `edge_order(dist)`: entry (i, j) is ``rank * n + i`` for
+    the rank of edge (i, j), and ``m * n`` (m edges) once the edge is used
+    or on the diagonal.  Keys order edges by rank, and a tree's key names
+    the endpoint it came from, so neither `dist` nor the ranking is kept."""
 
-    def __init__(self, order: np.ndarray, n: int):
-        self.order = order
-        self.n = n
-        self.used = order.size * n
+    def __init__(self, dist: np.ndarray):
+        self.dist = dist
+        self.n = n = dist.shape[0]
+        self.used = n * (n - 1) // 2 * n
         self.key = None
         self.trees: list[np.ndarray] = []  # (n-1, 2) edges i < j, by rank
 
     def _build_key(self) -> None:
-        n, m = self.n, self.order.size
+        order = edge_order(self.dist)
+        self.dist = None
+        n, m = self.n, order.size
         dtype = np.int32 if self.used < 2 ** 31 else np.int64
         rank = np.empty(m, dtype=dtype)
-        rank[self.order] = np.arange(m, dtype=dtype)
-        self.order = None
+        rank[order] = np.arange(m, dtype=dtype)
+        del order
         key = squareform(rank, checks=False)
         del rank
         key *= n
@@ -139,18 +137,18 @@ class MstLayers:
 def kmst(dist: np.ndarray, k: int, layers: MstLayers | None = None) -> Graph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
-    Edges are ranked once by (distance, i, j).  `layers`, if given, is an
-    `MstLayers` of that ranking, `MstLayers(edge_order(dist), n)`, which
-    keeps the layers between calls.  Each layer is the minimum spanning
-    tree, under that strict order, of the edges no earlier layer used;
-    Prim's algorithm finds it on a dense key matrix.  Ranks are distinct,
-    so the tree is unique and is the one Kruskal's algorithm picks.  Edges
-    come out layer by layer, each layer in rank order."""
+    Edges are ranked once by (distance, i, j).  `layers`, if given, is the
+    `MstLayers(dist)` that keeps the ranking and the layers between calls.
+    Each layer is the minimum spanning tree, under that strict order, of
+    the edges no earlier layer used; Prim's algorithm finds it on a dense
+    key matrix.  Ranks are distinct, so the tree is unique and is the one
+    Kruskal's algorithm picks.  Edges come out layer by layer, each layer in
+    rank order."""
     n = dist.shape[0]
     if k < 1 or k > n // 2:
         raise ValueError(f"k={k} infeasible for n={n}")
     if layers is None:
-        layers = MstLayers(edge_order(dist), n)
+        layers = MstLayers(dist)
     elif layers.n != n:
         raise ValueError(f"layers of {layers.n} nodes for n={n}")
     layers.grow(k)

@@ -30,10 +30,6 @@ class ScenarioResult:
     values: np.ndarray   # (reps, n_methods), NaN for errors
     errors: tuple[tuple[str, ...], ...]  # per rep, per method ('' if ok)
 
-    @property
-    def reps(self) -> int:
-        return self.values.shape[0]
-
 
 def _context_seed(master_seed: int, scenario_index: int, rep: int) -> int:
     ss = np.random.SeedSequence(master_seed,
@@ -138,14 +134,13 @@ def pesr(null_values: np.ndarray, alt_values: np.ndarray,
 
 
 def null_key(spec: ScenarioSpec) -> tuple:
-    return (spec.dgp, spec.k, spec.n_total, spec.p, spec.balance,
-            spec.with_target)
+    return (spec.dgp, spec.k, spec.n_total, spec.p, spec.balance)
 
 
 def group_key(spec: ScenarioSpec) -> tuple:
     """Scenario group over which magnitudes are averaged."""
     return (spec.dgp, spec.deviation, spec.n_total, spec.p, spec.balance,
-            spec.grouping, spec.with_target, spec.k)
+            spec.grouping, spec.k)
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,7 @@ def greedy_cover(cover: dict, tie_break: dict[str, float] | None = None):
 
 
 def _dimension_features(group: tuple) -> tuple[float, float, float]:
-    # group = (dgp, deviation, N, p, balance, grouping, with_target, k)
+    # group = (dgp, deviation, N, p, balance, grouping, k)
     return (float(group[2]), float(group[3]),
             1.0 if group[4] == "balanced" else 0.0)
 

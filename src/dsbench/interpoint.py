@@ -6,8 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .core import MultiSample, UnsupportedConfigError, cross_distances, pool
+from .core import MultiSample, UnsupportedConfigError, pool
 from .graphs import assignment, halton_grid
 
 def phi_kernel(kind: str, z: np.ndarray) -> np.ndarray:
@@ -119,14 +120,14 @@ def ds_rank_energy(ms: MultiSample, pooled_values: np.ndarray) -> float:
         raise UnsupportedConfigError("rank energy is two-sample only")
     n = ms.total_n
     grid = halton_grid(n, ms.p).values
-    cost = cross_distances(pooled_values, grid) ** 2
+    cost = cdist(pooled_values, grid) ** 2
     sigma = assignment(cost)
     ranks = grid[sigma]
     n1 = ms.sizes[0]
     r1, r2 = ranks[:n1], ranks[n1:]
-    d12 = cross_distances(r1, r2).mean()
-    d11 = cross_distances(r1, r1).mean()
-    d22 = cross_distances(r2, r2).mean()
+    d12 = cdist(r1, r2).mean()
+    d11 = cdist(r1, r1).mean()
+    d22 = cdist(r2, r2).mean()
     n2 = n - n1
     return float(n1 * n2 / (n1 + n2) * (2 * d12 - d11 - d22))
 

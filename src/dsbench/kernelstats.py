@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .core import MultiSample, UnsupportedConfigError
 from .graphstats import DegenerateNullError
@@ -22,9 +23,7 @@ class GramMatrix:
 
 
 def median_bandwidth(dist: np.ndarray) -> tuple[float, tuple[str, ...]]:
-    n = dist.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    h = float(np.median(dist[iu, ju]))
+    h = float(np.median(squareform(dist, checks=False)))
     if h <= 0.0:
         return 1.0, (FALLBACK_BANDWIDTH_FLAG,)
     return h, ()

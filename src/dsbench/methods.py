@@ -17,8 +17,8 @@ import numpy as np
 from . import clusterstats, graphstats, interpoint, kernelstats
 from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
-from .graphs import (Graph, Matching, MstLayers, edge_order, kmst,
-                     knn_from_table, knn_graph, min_weight_matching)
+from .graphs import (Graph, Matching, MstLayers, kmst, knn_from_table,
+                     knn_graph, min_weight_matching)
 from .permnull import pattern_counts_from_edges
 
 
@@ -39,11 +39,9 @@ class Context:
         return _distance_matrix(self.pooled)
 
     def _graph_key(self, spec: str) -> tuple[str, int]:
-        """Resolve '1mst', '5mst', '1nn', '5nn', 'heuristic_nn' or 'mst' to
+        """Resolve '1mst', '5mst', '1nn', '5nn' or 'heuristic_nn' to
         ('mst', k) or ('nn', k), so equal constructions share one build."""
         n = self.ms.total_n
-        if spec == "mst":
-            return "mst", 1
         if spec == "heuristic_nn":
             return "nn", min(max(1, round(0.1 * n)), n - 1)
         if spec.endswith("mst"):
@@ -60,9 +58,9 @@ class Context:
 
     @cached_property
     def mst_layers(self) -> MstLayers:
-        """One ranking of the edges; every k-MST extends the layers of the
-        smaller ones."""
-        return MstLayers(edge_order(self.dist), self.ms.total_n)
+        """The k-MST layers of `dist`, ranked by the first build; every
+        k-MST extends the layers of the smaller ones."""
+        return MstLayers(self.dist)
 
     def graph(self, spec: str) -> Graph:
         key = self._graph_key(spec)
@@ -97,19 +95,16 @@ class Context:
     def gpk(self) -> kernelstats.GpkComponents:
         return kernelstats.gpk_components(self.gram, self.ms.sizes)
 
-    def madd(self, cfg: clusterstats.MaddConfig) -> np.ndarray:
-        key = (cfg.psi, cfg.h)
+    def madd(self, cfg: clusterstats.MaddConfig,
+             pair: tuple[int, int] | None = None) -> np.ndarray:
+        """MADD matrix of the pooled rows or, for `pair` = (i, j), of the
+        rows of samples i and j, in pooled order."""
+        key = (cfg.psi, cfg.h, pair)
         if key not in self._madd:
-            self._madd[key] = clusterstats.madd(self.pooled.values, cfg)
-        return self._madd[key]
-
-    def pair_madd(self, cfg: clusterstats.MaddConfig, i: int,
-                  j: int) -> np.ndarray:
-        """MADD matrix of the rows of samples i and j, in pooled order."""
-        key = (cfg.psi, cfg.h, i, j)
-        if key not in self._madd:
-            rows = (self.labels == i) | (self.labels == j)
-            self._madd[key] = clusterstats.madd(self.pooled.values[rows], cfg)
+            values = self.pooled.values
+            if pair is not None:
+                values = values[np.isin(self.labels, pair)]
+            self._madd[key] = clusterstats.madd(values, cfg)
         return self._madd[key]
 
     def method_rng(self, method_id: str):
@@ -234,8 +229,9 @@ _register("mmcm", DISSIMILARITY,
           lambda c: graphstats.mmcm_statistic(
               c.pattern_stats("matching"), c.ms.sizes), max_k=4)
 
-for _g in ("1nn", "5nn", "heuristic_nn", "mst"):
-    _register(f"kmd_{_g}", DISSIMILARITY,
+for _name, _g in (("1nn", "1nn"), ("5nn", "5nn"),
+                  ("heuristic_nn", "heuristic_nn"), ("mst", "1mst")):
+    _register(f"kmd_{_name}", DISSIMILARITY,
               lambda c, g=_g: graphstats.kmd_statistic(
                   c.graph(g), c.labels, c.ms.sizes), max_k=99)
 
@@ -286,8 +282,8 @@ def _aggregated_fn(variant, psi):
     def fn(c):
         # lazy, so that a failing pair stops the statistic before the next
         # pair's MADD is built
-        rhos = (c.pair_madd(cfg, i, j)
-                for i, j in combinations(range(1, c.ms.k + 1), 2))
+        rhos = (c.madd(cfg, pair)
+                for pair in combinations(range(1, c.ms.k + 1), 2))
         # the rng tag keeps _fsri_fn's "{variant}_{psi}_{h}_{clusters}" form
         return clusterstats.aggregated_fs_ri_statistic(
             rhos, c.labels, variant, c.method_rng(f"{variant}_{psi}_h1_None"))

@@ -16,6 +16,7 @@ to four nodes, computed exactly by falling-factorial counting.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 
 def patterns(k: int) -> list[tuple[int, int]]:
@@ -125,11 +126,9 @@ def pattern_sums(weights: np.ndarray, labels: np.ndarray, k: int):
     out = np.zeros(len(pats))
     idx = {c: i for i, c in enumerate(pats)}
     lab = labels - 1
-    n = weights.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    w = weights[iu, ju]
-    a = np.minimum(lab[iu], lab[ju])
-    b = np.maximum(lab[iu], lab[ju])
+    w = squareform(weights, checks=False)
+    a = squareform(np.minimum.outer(lab, lab), checks=False)
+    b = squareform(np.maximum.outer(lab, lab), checks=False)
     for i, c in enumerate(pats):
         mask = (a == c[0]) & (b == c[1])
         out[i] = w[mask].sum()

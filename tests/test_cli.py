@@ -177,12 +177,6 @@ class TestSimulate:
         assert rc == 2
         assert "'reps'" in capsys.readouterr().err
 
-    def test_bad_reps_flag_exit_two(self, tmp_path, capsys, minimal_config):
-        rc = main(["simulate", "--config", minimal_config, "--seed", "1",
-                   "--reps", "0", "--out", str(tmp_path / "d")])
-        assert rc == 2
-        assert "'reps'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "-1"), ("--jobs", "0"), ("--jobs", "-4")])
     def test_bad_flag_exit_two(self, tmp_path, capsys, minimal_config,
@@ -227,6 +221,14 @@ class TestReport:
             assert (tmp_path / "rep" / fname).exists()
         pesr = (tmp_path / "rep" / "pesr.csv").read_text().splitlines()
         assert len(pesr) == 1 + 2  # two methods, one alternative scenario
+        group = "dgp,deviation,n,p,balance,grouping,k"
+        for fname, header in (
+                ("pesr.csv", "scenario_id,dgp,deviation,magnitude,n,p,"
+                             "balance,grouping,k,method,pesr"),
+                ("meandiff.csv", f"{group},method,mean_diff"),
+                ("acceptable.csv", f"{group},method,acceptable")):
+            lines = (tmp_path / "rep" / fname).read_text().splitlines()
+            assert lines[0] == header, fname
 
     def test_missing_null_exit_three(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
@@ -488,3 +490,22 @@ def test_cli_import_leaves_out_scipy_stats():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_desk_scale_script_end_to_end(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_desk_scale.py"),
+         "--dgp", "normal", "--max-n", "50", "--max-scenarios", "3",
+         "--reps", "3", "--jobs", "1", "--out", str(out)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.stdout.startswith("3 scenarios x 3 reps, 46 methods")
+    # the script's --reps reaches simulate through the config alone
+    config = json.loads((out / "config.json").read_text())
+    manifest = json.loads((out / "dump" / "manifest.json").read_text())
+    assert config["reps"] == manifest["reps"] == 3
+    cover = json.loads((out / "report" / "cover.json").read_text())
+    assert cover and cover[-1]["cumulative_coverage"] == 1.0
+    assert {step["method"] for step in cover} <= set(config["methods"])

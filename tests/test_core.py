@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from dsbench.core import (DISSIMILARITY, DataMatrix, DimensionError,
                           MultiSample, StatValue, distance_matrix, pool,
-                          split, stable_argsort)
+                          stable_argsort)
 
 
 def ms_from(*mats):
@@ -57,14 +57,16 @@ class TestPool:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
            st.integers(1, 4), st.integers(0, 10 ** 6))
-    def test_pool_split_roundtrip(self, sizes, p, seed):
+    def test_pool_concatenates_in_order(self, sizes, p, seed):
         rng = np.random.default_rng(seed)
         mats = [rng.normal(size=(n, p)) for n in sizes]
-        ms = ms_from(*mats)
-        pooled, _ = pool(ms)
-        back = split(pooled, sizes)
-        for orig, rec in zip(mats, back):
-            assert (orig == rec.values).all()
+        pooled, labels = pool(ms_from(*mats))
+        assert pooled.n == sum(sizes)
+        starts = np.cumsum([0, *sizes])
+        for i, orig in enumerate(mats):
+            rows = slice(starts[i], starts[i + 1])
+            assert (pooled.values[rows] == orig).all()
+            assert (labels[rows] == i + 1).all()
 
 
 class TestDistanceMatrix:

@@ -9,9 +9,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from dsbench._blossom import _Matcher
 from dsbench.core import distance_matrix
-from dsbench.graphs import (MstLayers, assignment, edge_order, halton_grid,
-                            kmst, knn_from_table, knn_graph,
-                            min_weight_matching)
+from dsbench.graphs import (MstLayers, assignment, halton_grid, kmst,
+                            knn_from_table, knn_graph, min_weight_matching)
 
 
 def random_dist(rng, n, p=2):
@@ -67,7 +66,7 @@ class TestKnn:
         d = random_dist(np.random.default_rng(0), 5)
         table = knn_graph(d, 4)
         assert table.shape == (5, 4) and table.dtype == np.int32
-        assert knn_from_table(table, 4).n_edges == 20
+        assert knn_from_table(table, 4).edges.shape == (20, 2)
         for i, row in enumerate(table.tolist()):
             assert sorted(row) == [j for j in range(5) if j != i]
 
@@ -180,14 +179,14 @@ class TestKmst:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 60), st.integers(1, 5))
-    def test_given_edge_order_equals_kruskal(self, seed, n, k):
+    def test_given_layers_equal_kruskal(self, seed, n, k):
         d = lattice_dist(np.random.default_rng(seed), n, side=3)
         k = min(k, n // 2)
         try:
             edges = kruskal_kmst(d, k)
         except ValueError:
             return
-        g = kmst(d, k, layers=MstLayers(edge_order(d), n))
+        g = kmst(d, k, layers=MstLayers(d))
         assert np.array_equal(g.edges, edges)
 
     @settings(max_examples=20, deadline=None)
@@ -200,7 +199,7 @@ class TestKmst:
             fresh = kmst(d, k)
         except ValueError:
             return
-        layers = MstLayers(edge_order(d), n)
+        layers = MstLayers(d)
         first = kmst(d, 1, layers=layers)
         assert np.array_equal(first.edges, kmst(d, 1).edges)
         resumed = kmst(d, k, layers=layers)
@@ -213,7 +212,7 @@ class TestKmst:
         rng = np.random.default_rng(0)
         d, other = random_dist(rng, 8), random_dist(rng, 9)
         with pytest.raises(ValueError, match="layers of 9 nodes"):
-            kmst(d, 1, layers=MstLayers(edge_order(other), 9))
+            kmst(d, 1, layers=MstLayers(other))
 
     def test_star_second_layer_disconnected(self):
         # the first layer is the star; the centre has no edge left
@@ -242,8 +241,8 @@ class TestKmst:
     def test_two_layers_structure(self):
         d = random_dist(np.random.default_rng(2), 8)
         g = kmst(d, 2)
-        assert g.n_edges == 2 * 7
-        assert len({tuple(e) for e in g.edges.tolist()}) == g.n_edges
+        assert g.edges.shape == (2 * 7, 2)
+        assert len({tuple(e) for e in g.edges.tolist()}) == 2 * 7
         # edges come layer by layer, each layer a spanning tree
         for layer in (g.edges[:7], g.edges[7:]):
             tree = np.zeros((8, 8))

@@ -90,8 +90,6 @@ class TestEvaluate:
         assert g1 is g2
         m1, m2 = ctx.pattern_stats("5mst"), ctx.pattern_stats("5mst")
         assert m1 is m2
-        assert ctx.graph("mst") is ctx.graph("1mst")
-        assert ctx.pattern_stats("mst") is ctx.pattern_stats("1mst")
         assert ctx.pattern_stats("matching") is ctx.pattern_stats("matching")
 
     def test_pattern_stats_equal_direct_builds(self):
@@ -111,8 +109,9 @@ class TestEvaluate:
         ctx = Context(make_ms((6, 7, 5), p=3), seed=7)
         cfg = clusterstats.MaddConfig("psi2", "h1")
         rows = (ctx.labels == 1) | (ctx.labels == 3)
-        rho = ctx.pair_madd(cfg, 1, 3)
-        assert rho is ctx.pair_madd(cfg, 1, 3)
+        rho = ctx.madd(cfg, (1, 3))
+        assert rho is ctx.madd(cfg, (1, 3))
+        assert rho is not ctx.madd(cfg)
         assert rho.shape == (11, 11)
         assert rho.tobytes() == clusterstats.madd(
             ctx.pooled.values[rows], cfg).tobytes()
@@ -157,7 +156,7 @@ class TestEvaluate:
         count(permnull, "moments_from_edges")
         count(methods, "pattern_counts_from_edges")
         count(methods, "kmst")
-        count(methods, "edge_order")
+        count(graphs, "edge_order")
         count(methods, "knn_graph")
         count(graphstats, "knn_graph")
         ctx = Context(make_ms((25, 25)), seed=8)
@@ -176,7 +175,7 @@ class TestEvaluate:
         assert len(calls["dsbench.methods.pattern_counts_from_edges"]) == 3
         assert sorted(k for _, k in calls["dsbench.methods.kmst"]) == [1, 5]
         # both k-MST builds share one ranking of the edges
-        assert len(calls["dsbench.methods.edge_order"]) == 1
+        assert len(calls["dsbench.graphs.edge_order"]) == 1
         # one full neighbour ordering serves sh_1nn, sh_5nn,
         # kmd_heuristic_nn (0.1 N = 5 neighbours) and bqs
         assert [k for _, k in calls["dsbench.methods.knn_graph"]] == [49]
@@ -198,6 +197,31 @@ class TestEvaluate:
         fresh = graphs.kmst(ctx.dist, 5)
         assert np.array_equal(five.edges, fresh.edges)
         assert np.array_equal(one.edges, graphs.kmst(ctx.dist, 1).edges)
+
+    def test_kmst_ranks_the_edges(self, monkeypatch):
+        # the ranking runs inside the first kmst call, so a trace of
+        # methods.kmst charges it to the k-MST, not to the first method
+        ranked, inside = [], []
+        kmst, edge_order = methods.kmst, graphs.edge_order
+
+        def traced_kmst(*args, **kwargs):
+            inside.append(True)
+            try:
+                return kmst(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted(dist):
+            ranked.append(bool(inside))
+            return edge_order(dist)
+        monkeypatch.setattr(methods, "kmst", traced_kmst)
+        monkeypatch.setattr(graphs, "edge_order", counted)
+        ctx = Context(make_ms((15, 15)), seed=1)
+        assert ctx.mst_layers.trees == []
+        assert ranked == []
+        ctx.graph("1mst")
+        ctx.graph("5mst")
+        assert ranked == [True]
 
     def test_four_sample_madds_built_once(self, monkeypatch):
         builds = []
