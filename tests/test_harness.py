@@ -283,6 +283,27 @@ class TestPinnedAtPaperScale:
         payload = r.values.tobytes() + repr(r.errors).encode()
         assert hashlib.sha256(payload).hexdigest() == digest
 
+    @pytest.mark.parametrize("cell, digest", [
+        (dict(n_total=40, p=3),
+         "611b78cb10771fe40271e1ee8f9737087f544ecc3c4e8ec2f0c9cba6c3c4e38b"),
+        (dict(n_total=50, p=2, balance="unbalanced"),
+         "08a503a7a57cb6384748018b3e0792f51633254d78190ee82c70b9b68b7af245"),
+        (dict(n_total=100, p=3, k=4, grouping="1+1+1+1"),
+         "2efb07d781383a181a65dddf1b25c4fd81ef3c43583db4c0ce8625d4e086acc0"),
+        (dict(n_total=100, p=2, k=4, grouping="3+1", balance="unbalanced"),
+         "7445521bb67c4175fd42fe08958d7bdee40c3910d4491c6e6c458e47eb62eb2d"),
+    ], ids=["two_n40_p3", "two_n50_p2_unbalanced", "four_n100_p3",
+            "four_n100_p2_31_unbalanced"])
+    def test_every_registered_method(self, cell, digest):
+        """Every method registered for the cell's k, 3 repetitions, seed 2:
+        the defaults above leave most graph variants (the K-NN edge-count
+        tests, kmd_1nn, sc_1mst_*) unpinned."""
+        s = spec(deviation="shift", magnitude=0.5, **cell)
+        methods = tuple(m for m in REGISTRY if REGISTRY[m].applicable(s.k))
+        r = run_scenario(s, methods, 3, 2, scenario_index=0)
+        payload = r.values.tobytes() + repr(r.errors).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
 
 class TestPesrTable:
     def test_requires_matching_null(self):
