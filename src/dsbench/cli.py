@@ -158,6 +158,7 @@ def _load_results(dump_dir: Path):
         spec = ScenarioSpec.from_dict(entry["spec"])
         values = np.full((reps, len(methods)), np.nan)
         errors = [[""] * len(methods) for _ in range(reps)]
+        seen = np.zeros((reps, len(methods)), dtype=bool)
         path = dump_dir / entry["file"]
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -180,6 +181,10 @@ def _load_results(dump_dir: Path):
                     raise ConfigError(f"{where}: repetition {rep} is outside "
                                       f"0..{reps - 1}")
                 m = column[mid]
+                if seen[rep, m]:
+                    raise ConfigError(f"{where}: repetition {rep} of method "
+                                      f"{mid!r} appears twice")
+                seen[rep, m] = True
                 if value != "NA":
                     try:
                         values[rep, m] = float(value)
@@ -187,6 +192,10 @@ def _load_results(dump_dir: Path):
                         raise ConfigError(f"{where}: value {value!r} is not "
                                           "a number") from None
                 errors[rep][m] = err
+        if not seen.all():
+            rep, m = np.argwhere(~seen)[0]
+            raise ConfigError(f"{path} has no row for repetition {rep} of "
+                              f"method {methods[m]!r}")
         results.append(ScenarioResult(
             spec=spec, scenario_index=entry["index"], methods=methods,
             values=values, errors=tuple(tuple(e) for e in errors)))

@@ -13,22 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
 from ._blossom import max_weight_matching_dense
-from .core import DataMatrix, stable_argsort
-
-KNN_DIRECTED = "knn_directed"
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Edge list on nodes 0..n_nodes-1.
-
-    For undirected kinds edges satisfy i < j; directed K-NN keeps i -> j as
-    stored."""
-
-    n_nodes: int
-    edges: np.ndarray  # (m, 2) int
-    kind: str
-    k: int = 1
+from .core import stable_argsort
 
 
 @dataclass(frozen=True)
@@ -53,12 +38,12 @@ def knn_graph(dist: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(others.reshape(n, n - 1)[:, :k])
 
 
-def knn_from_table(table: np.ndarray, k: int) -> Graph:
-    """Directed K-NN graph of the first k columns of a `knn_graph` table."""
+def knn_from_table(table: np.ndarray, k: int) -> np.ndarray:
+    """(n k, 2) int64 directed K-NN edges (i, neighbour), row by row, of the
+    first k columns of a `knn_graph` table."""
     n = table.shape[0]
-    edges = np.column_stack([np.repeat(np.arange(n), k),
-                             table[:, :k].reshape(-1)])
-    return Graph(n, edges, KNN_DIRECTED, k=k)
+    return np.column_stack([np.repeat(np.arange(n), k),
+                            table[:, :k].reshape(-1)])
 
 
 def edge_order(dist: np.ndarray) -> np.ndarray:
@@ -134,8 +119,10 @@ class MstLayers:
                                                np.maximum(u, v)]))
 
 
-def kmst(dist: np.ndarray, k: int, layers: MstLayers | None = None) -> Graph:
-    """Union of k successive edge-disjoint minimum spanning trees.
+def kmst(dist: np.ndarray, k: int,
+         layers: MstLayers | None = None) -> np.ndarray:
+    """(k (n-1), 2) int64 edges i < j of the union of k successive
+    edge-disjoint minimum spanning trees.
 
     Edges are ranked once by (distance, i, j).  `layers`, if given, is the
     `MstLayers(dist)` that keeps the ranking and the layers between calls.
@@ -152,7 +139,7 @@ def kmst(dist: np.ndarray, k: int, layers: MstLayers | None = None) -> Graph:
     elif layers.n != n:
         raise ValueError(f"layers of {layers.n} nodes for n={n}")
     layers.grow(k)
-    return Graph(n, np.concatenate(layers.trees[:k]), "kmst", k=k)
+    return np.concatenate(layers.trees[:k])
 
 
 def min_weight_matching(dist: np.ndarray) -> Matching:
@@ -164,14 +151,13 @@ def min_weight_matching(dist: np.ndarray) -> Matching:
     if n < 2:
         raise ValueError("need at least two nodes")
     mate = max_weight_matching_dense(dist.max() - dist)
-    pairs = []
+    first = np.flatnonzero(mate > np.arange(n))
+    pairs = np.column_stack([first, mate[first]])
+    # added pair by pair: the builtin sum compensates from Python 3.12
     weight = 0.0
-    for i in range(n):
-        j = int(mate[i])
-        if i < j:
-            pairs.append((i, j))
-            weight += float(dist[i, j])
-    return Matching(np.array(pairs, dtype=np.int64), weight)
+    for d in dist[pairs[:, 0], pairs[:, 1]].tolist():
+        weight += d
+    return Matching(pairs, weight)
 
 
 def assignment(cost: np.ndarray) -> np.ndarray:
@@ -195,8 +181,8 @@ def _first_primes(m: int) -> list[int]:
     return primes
 
 
-def halton_grid(n: int, p: int) -> DataMatrix:
-    """First n Halton points in [0,1]^p (radical inverse of 1..n).
+def halton_grid(n: int, p: int) -> np.ndarray:
+    """(n, p) first n Halton points in [0,1]^p (radical inverse of 1..n).
 
     Every index runs through the same digit positions; one whose digits
     are used up adds exactly 0.0, so each point equals the scalar
@@ -214,4 +200,4 @@ def halton_grid(n: int, p: int) -> DataMatrix:
             r += f * (i % base)
             i //= base
         out[:, dim] = r
-    return DataMatrix(out)
+    return out

@@ -10,7 +10,7 @@ import numpy as np
 from .core import UnsupportedConfigError
 # knn_graph is not called here; it stays importable under this name so that
 # call counters wrapping it would see a K-NN build outside Context.
-from .graphs import KNN_DIRECTED, Graph, knn_graph  # noqa: F401
+from .graphs import knn_graph  # noqa: F401
 from .permnull import moments_from_edges
 
 PINV_FLAG = "pinv"
@@ -103,12 +103,11 @@ def sc_test(stats, sizes, variant: str):
     raise ValueError(f"unknown sc variant {variant!r}")
 
 
-def sh_statistic(graph: Graph, labels: np.ndarray, sizes) -> float:
-    """Mean within-sample proportion of directed K-NN edges."""
+def sh_statistic(edges: np.ndarray, labels: np.ndarray, sizes) -> float:
+    """Within-sample proportion of the directed K-NN edges (i, neighbour)."""
     if len(sizes) != 2:
         raise UnsupportedConfigError("sh test is two-sample only")
-    same = labels[graph.edges[:, 0]] == labels[graph.edges[:, 1]]
-    return float(same.sum() / (graph.k * graph.n_nodes))
+    return float((labels[edges[:, 0]] == labels[edges[:, 1]]).mean())
 
 
 def bqs_statistic(order: np.ndarray, labels: np.ndarray, sizes) -> float:
@@ -159,21 +158,17 @@ def mmcm_statistic(stats, sizes):
     raise UnsupportedConfigError("mmcm is defined here for k = 2 or 4")
 
 
-def kmd_statistic(graph: Graph, labels: np.ndarray, sizes) -> float:
+def kmd_statistic(edges: np.ndarray, labels: np.ndarray, sizes) -> float:
     """Graph-based estimate of the kernel measure of multi-sample
-    dissimilarity with the discrete kernel."""
-    n = graph.n_nodes
+    dissimilarity with the discrete kernel, on directed edges (source,
+    target); an undirected graph gives each edge in both directions."""
+    n = len(labels)
     sizes = np.asarray(sizes)
     cross_mean = float((sizes * (sizes - 1)).sum()) / (n * (n - 1))
     denom = 1.0 - cross_mean
     if denom <= 0:
         raise UnsupportedConfigError("kmd undefined when all labels agree")
-    if graph.kind == KNN_DIRECTED:
-        src = graph.edges[:, 0]
-        dst = graph.edges[:, 1]
-    else:
-        src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-        dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
+    src, dst = edges[:, 0], edges[:, 1]
     out_deg = np.bincount(src, minlength=n).astype(np.float64)
     same = (labels[src] == labels[dst]).astype(np.float64)
     per_node = np.bincount(src, weights=same, minlength=n)

@@ -119,7 +119,7 @@ def ds_rank_energy(ms: MultiSample, pooled_values: np.ndarray) -> float:
     if ms.k != 2:
         raise UnsupportedConfigError("rank energy is two-sample only")
     n = ms.total_n
-    grid = halton_grid(n, ms.p).values
+    grid = halton_grid(n, ms.p)
     cost = cdist(pooled_values, grid) ** 2
     sigma = assignment(cost)
     ranks = grid[sigma]

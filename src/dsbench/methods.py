@@ -17,8 +17,8 @@ import numpy as np
 from . import clusterstats, graphstats, interpoint, kernelstats
 from .core import (DISSIMILARITY, SIMILARITY, MultiSample, StatValue, pool)
 from .core import distance_matrix as _distance_matrix
-from .graphs import (Graph, Matching, MstLayers, kmst, knn_from_table,
-                     knn_graph, min_weight_matching)
+from .graphs import (Matching, MstLayers, kmst, knn_from_table, knn_graph,
+                     min_weight_matching)
 from .permnull import pattern_counts_from_edges
 
 
@@ -62,7 +62,9 @@ class Context:
         k-MST extends the layers of the smaller ones."""
         return MstLayers(self.dist)
 
-    def graph(self, spec: str) -> Graph:
+    def graph(self, spec: str) -> np.ndarray:
+        """(m, 2) int64 edges of graph `spec`: a k-MST's edges i < j, layer
+        by layer, or a K-NN graph's edges (i, neighbour), row by row."""
         key = self._graph_key(spec)
         if key not in self._graphs:
             kind, k = key
@@ -81,7 +83,7 @@ class Context:
         key = "matching" if spec == "matching" else self._graph_key(spec)
         if key not in self._pattern_stats:
             edges = (self.matching.pairs if spec == "matching"
-                     else self.graph(spec).edges)
+                     else self.graph(spec))
             mean, cov = graphstats.null_moments(edges, self.ms.sizes)
             counts = pattern_counts_from_edges(edges, self.labels, self.ms.k)
             self._pattern_stats[key] = (counts, mean, cov)
@@ -229,11 +231,19 @@ _register("mmcm", DISSIMILARITY,
           lambda c: graphstats.mmcm_statistic(
               c.pattern_stats("matching"), c.ms.sizes), max_k=4)
 
-for _name, _g in (("1nn", "1nn"), ("5nn", "5nn"),
-                  ("heuristic_nn", "heuristic_nn"), ("mst", "1mst")):
-    _register(f"kmd_{_name}", DISSIMILARITY,
+for _g in ("1nn", "5nn", "heuristic_nn"):
+    _register(f"kmd_{_g}", DISSIMILARITY,
               lambda c, g=_g: graphstats.kmd_statistic(
                   c.graph(g), c.labels, c.ms.sizes), max_k=99)
+
+
+def _kmd_mst(c):
+    e = c.graph("1mst")
+    return graphstats.kmd_statistic(np.concatenate([e, e[:, ::-1]]),
+                                    c.labels, c.ms.sizes)
+
+
+_register("kmd_mst", DISSIMILARITY, _kmd_mst, max_k=99)
 
 _register("mmd", DISSIMILARITY,
           lambda c: kernelstats.mmd_ustat(c.gram, c.ms.sizes))

@@ -68,7 +68,12 @@ def _q_disjoint(c, cp, sizes, n):
     return total
 
 
-def _moments_from_aggregates(t1, c2, b1, b0, sizes):
+def _moments_from_aggregates(t1, c2, rowsum, sizes):
+    """Moments from the weights' total t1, sum of squares c2 and per-node
+    sums `rowsum`: b1 sums the products of pairs sharing one node, b0 those
+    of node-disjoint pairs."""
+    b1 = (rowsum ** 2).sum() - 2.0 * c2
+    b0 = t1 * t1 - c2 - b1
     n = int(sum(sizes))
     pats = patterns(len(sizes))
     npat = len(pats)
@@ -92,10 +97,7 @@ def moments_from_weights(weights: np.ndarray, sizes):
     w = np.asarray(weights, dtype=np.float64)
     t1 = w.sum() / 2.0
     c2 = (w ** 2).sum() / 2.0
-    rowsum = w.sum(axis=1)
-    b1 = (rowsum ** 2).sum() - 2.0 * c2
-    b0 = t1 * t1 - c2 - b1
-    return _moments_from_aggregates(t1, c2, b1, b0, sizes)
+    return _moments_from_aggregates(t1, c2, w.sum(axis=1), sizes)
 
 
 def moments_from_edges(edges: np.ndarray, n_nodes: int, sizes):
@@ -115,9 +117,7 @@ def moments_from_edges(edges: np.ndarray, n_nodes: int, sizes):
     u, v = np.divmod(uniq, n_nodes)
     np.add.at(rowsum, u, counts)
     np.add.at(rowsum, v, counts)
-    b1 = (rowsum ** 2).sum() - 2.0 * c2
-    b0 = t1 * t1 - c2 - b1
-    return _moments_from_aggregates(t1, c2, b1, b0, sizes)
+    return _moments_from_aggregates(t1, c2, rowsum, sizes)
 
 
 def pattern_sums(weights: np.ndarray, labels: np.ndarray, k: int):
@@ -137,13 +137,9 @@ def pattern_sums(weights: np.ndarray, labels: np.ndarray, k: int):
 
 def pattern_counts_from_edges(edges: np.ndarray, labels: np.ndarray, k: int):
     """Observed pattern counts for an edge list (entries counted singly)."""
-    pats = patterns(k)
-    out = np.zeros(len(pats))
     lab = labels - 1
     a = lab[edges[:, 0]]
     b = lab[edges[:, 1]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    for i, c in enumerate(pats):
-        out[i] = int(((lo == c[0]) & (hi == c[1])).sum())
-    return out
+    cells = np.bincount(np.minimum(a, b) * k + np.maximum(a, b),
+                        minlength=k * k)
+    return cells[[i * k + j for i, j in patterns(k)]].astype(np.float64)

@@ -371,6 +371,27 @@ class TestReport:
         assert rc == 2
         assert str(scenario) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fname, edit, message", [
+        ("scenario_0001.csv", lambda lines: lines[:2] + lines[3:],
+         "has no row for repetition 0 of method 'engineer'"),
+        ("scenario_0000.csv", lambda lines: lines + lines[1:2],
+         "repetition 0 of method 'energy' appears twice"),
+    ], ids=["deleted_row", "repeated_row"])
+    def test_cell_not_once_exit_two(self, tmp_path, capsys, minimal_config,
+                                    fname, edit, message):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / fname
+        lines = scenario.read_text().splitlines()
+        assert lines[1].startswith("0,energy,")
+        assert lines[2].startswith("0,engineer,")
+        scenario.write_text("\n".join(edit(lines)) + "\n")
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and message in err
+
     @pytest.mark.parametrize("key", ["file", "spec", "index"])
     def test_scenario_entry_missing_key_exit_two(self, tmp_path, capsys,
                                                  minimal_config, key):

@@ -60,13 +60,13 @@ class TestKnn:
         d = distance_matrix(np.array([[0.0], [1.0], [3.0]]))
         assert knn_graph(d, 1).tolist() == [[1], [0], [1]]
         g = knn_from_table(knn_graph(d, 1), 1)
-        assert g.edges.tolist() == [[0, 1], [1, 0], [2, 1]]
+        assert g.tolist() == [[0, 1], [1, 0], [2, 1]]
 
     def test_complete_when_k_max(self):
         d = random_dist(np.random.default_rng(0), 5)
         table = knn_graph(d, 4)
         assert table.shape == (5, 4) and table.dtype == np.int32
-        assert knn_from_table(table, 4).edges.shape == (20, 2)
+        assert knn_from_table(table, 4).shape == (20, 2)
         for i, row in enumerate(table.tolist()):
             assert sorted(row) == [j for j in range(5) if j != i]
 
@@ -80,7 +80,7 @@ class TestKnn:
     def test_out_degree_exactly_k(self, seed, n, k):
         d = random_dist(np.random.default_rng(seed), n)
         g = knn_from_table(knn_graph(d, k), k)
-        deg = np.bincount(g.edges[:, 0], minlength=n)
+        deg = np.bincount(g[:, 0], minlength=n)
         assert (deg == k).all()
 
     @settings(max_examples=40, deadline=None)
@@ -149,8 +149,8 @@ def assert_kmst_matches_kruskal(dist, k):
             kmst(dist, k)
         return
     g = kmst(dist, k)
-    assert g.edges.dtype == edges.dtype
-    assert np.array_equal(g.edges, edges)
+    assert g.dtype == edges.dtype
+    assert np.array_equal(g, edges)
 
 
 class TestKmst:
@@ -187,7 +187,7 @@ class TestKmst:
         except ValueError:
             return
         g = kmst(d, k, layers=MstLayers(d))
-        assert np.array_equal(g.edges, edges)
+        assert np.array_equal(g, edges)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 60), st.booleans())
@@ -201,12 +201,12 @@ class TestKmst:
             return
         layers = MstLayers(d)
         first = kmst(d, 1, layers=layers)
-        assert np.array_equal(first.edges, kmst(d, 1).edges)
+        assert np.array_equal(first, kmst(d, 1))
         resumed = kmst(d, k, layers=layers)
         assert len(layers.trees) == k
-        assert np.array_equal(resumed.edges, fresh.edges)
+        assert np.array_equal(resumed, fresh)
         # asking again for fewer layers reuses them
-        assert np.array_equal(kmst(d, 1, layers=layers).edges, first.edges)
+        assert np.array_equal(kmst(d, 1, layers=layers), first)
 
     def test_layers_of_another_size_rejected(self):
         rng = np.random.default_rng(0)
@@ -220,7 +220,7 @@ class TestKmst:
         x = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles),
                                                      np.sin(angles)])])
         d = distance_matrix(x)
-        assert sorted(map(tuple, kmst(d, 1).edges.tolist())) == [
+        assert sorted(map(tuple, kmst(d, 1).tolist())) == [
             (0, 1), (0, 2), (0, 3)]
         with pytest.raises(ValueError, match="disconnected"):
             kmst(d, 2)
@@ -235,16 +235,16 @@ class TestKmst:
     def test_line_path(self):
         d = distance_matrix(np.array([[0.0], [1.0], [2.0], [3.0]]))
         g = kmst(d, 1)
-        assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
-        assert d[g.edges[:, 0], g.edges[:, 1]].sum() == 3.0
+        assert sorted(map(tuple, g.tolist())) == [(0, 1), (1, 2), (2, 3)]
+        assert d[g[:, 0], g[:, 1]].sum() == 3.0
 
     def test_two_layers_structure(self):
         d = random_dist(np.random.default_rng(2), 8)
         g = kmst(d, 2)
-        assert g.edges.shape == (2 * 7, 2)
-        assert len({tuple(e) for e in g.edges.tolist()}) == 2 * 7
+        assert g.shape == (2 * 7, 2)
+        assert len({tuple(e) for e in g.tolist()}) == 2 * 7
         # edges come layer by layer, each layer a spanning tree
-        for layer in (g.edges[:7], g.edges[7:]):
+        for layer in (g[:7], g[7:]):
             tree = np.zeros((8, 8))
             tree[layer[:, 0], layer[:, 1]] = 1.0
             assert connected_components(tree, directed=False)[0] == 1
@@ -254,7 +254,7 @@ class TestKmst:
     def test_first_layer_matches_scipy(self, seed, n):
         d = random_dist(np.random.default_rng(seed), n)
         g = kmst(d, 1)
-        ours = d[g.edges[:, 0], g.edges[:, 1]].sum()
+        ours = d[g[:, 0], g[:, 1]].sum()
         ref = minimum_spanning_tree(d).sum()
         assert abs(ours - ref) < 1e-12 * max(1.0, ref)
 
@@ -443,15 +443,15 @@ class TestAssignment:
 class TestHalton:
     def test_base_two_sequence(self):
         h = halton_grid(3, 1)
-        assert h.values.ravel().tolist() == [0.5, 0.25, 0.75]
+        assert h.ravel().tolist() == [0.5, 0.25, 0.75]
 
     def test_first_point_two_dims(self):
         h = halton_grid(1, 2)
-        assert h.values.tolist() == [[0.5, 1 / 3]]
+        assert h.tolist() == [[0.5, 1 / 3]]
 
     def test_unit_cube(self):
         h = halton_grid(200, 5)
-        assert (h.values > 0).all() and (h.values < 1).all()
+        assert (h > 0).all() and (h < 1).all()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 10))
@@ -466,4 +466,4 @@ class TestHalton:
                     r += f * (i % base)
                     i //= base
                 ref[idx - 1, dim] = r
-        assert halton_grid(n, p).values.tobytes() == ref.tobytes()
+        assert halton_grid(n, p).tobytes() == ref.tobytes()

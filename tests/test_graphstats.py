@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from dsbench.core import UnsupportedConfigError, distance_matrix
-from dsbench.graphs import (Graph, kmst, knn_from_table, knn_graph,
+from dsbench.core import (DataMatrix, MultiSample, UnsupportedConfigError,
+                          distance_matrix)
+from dsbench.graphs import (kmst, knn_from_table, knn_graph,
                             min_weight_matching)
 from dsbench.graphstats import (bqs_statistic, edgecount_test,
                                 kmd_statistic, mmcm_statistic,
                                 petrie_statistic, rosenbaum_statistic,
                                 sc_test, sh_statistic)
+from dsbench.methods import Context, evaluate
 from dsbench.permnull import moments_from_edges, pattern_counts_from_edges
 
 
@@ -41,19 +43,18 @@ def enumerate_count_distribution(edges, sizes):
 class TestEdgeCounts:
     def test_path_example(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        counts = pattern_counts_from_edges(g, np.array([1, 1, 2, 2]), 2)
         assert counts[:2].tolist() == [1, 1]
         assert counts[2:].tolist() == [1]
 
     def test_all_same_label(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 1, 1]), 2)
+        counts = pattern_counts_from_edges(g, np.array([1, 1, 1, 1]), 2)
         assert counts[2:].tolist() == [0]
 
     def test_complete_graph_between(self):
         edges = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)])
-        g = Graph(4, edges, "kmst", k=1)
-        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        counts = pattern_counts_from_edges(edges, np.array([1, 1, 2, 2]), 2)
         assert counts[2:].tolist() == [4]
 
 
@@ -61,22 +62,22 @@ class TestEdgecountTests:
     def test_fr_path_matches_enumeration(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
         labels = np.array([1, 1, 2, 2])
-        dist_counts = enumerate_count_distribution(g.edges, (2, 2))
+        dist_counts = enumerate_count_distribution(g, (2, 2))
         between = dist_counts[:, 2]
-        value, _ = edgecount_test(summary(g.edges, labels, (2, 2)), (2, 2),
+        value, _ = edgecount_test(summary(g, labels, (2, 2)), (2, 2),
                                   "fr")
         expected = (1 - between.mean()) / between.std()
         assert abs(value - expected) < 1e-12
 
     def test_ccs_path_weighted_count(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        counts = pattern_counts_from_edges(g, np.array([1, 1, 2, 2]), 2)
         rw = 0.5 * counts[0] + 0.5 * counts[1]
         assert rw == 1.0
 
     def test_zc_raw_composition(self):
         g = kmst(line_dist(0, 1, 2, 3), 1)
-        counts = pattern_counts_from_edges(g.edges, np.array([1, 1, 2, 2]), 2)
+        counts = pattern_counts_from_edges(g, np.array([1, 1, 2, 2]), 2)
         rw = 0.5 * counts[0] + 0.5 * counts[1]
         assert max(1.0 * rw, abs(counts[0] - counts[1])) == 1.0
 
@@ -86,9 +87,9 @@ class TestEdgecountTests:
             d = distance_matrix(rng.normal(size=(10, 2)))
             g = kmst(d, 2)
             labels = np.array([1] * 4 + [2] * 6)
-            v1, _ = edgecount_test(summary(g.edges, labels, (4, 6)),
+            v1, _ = edgecount_test(summary(g, labels, (4, 6)),
                                    (4, 6), "cf")
-            v2, _ = edgecount_test(summary(g.edges, 3 - labels, (6, 4)),
+            v2, _ = edgecount_test(summary(g, 3 - labels, (6, 4)),
                                    (6, 4), "cf")
             assert v1 >= 0.0
             assert abs(v1 - v2) < 1e-9
@@ -98,7 +99,7 @@ class TestEdgecountTests:
         d = distance_matrix(rng.normal(size=(8, 2)))
         g = kmst(d, 1)
         labels = np.array([1, 1, 1, 1, 2, 2, 2, 2])
-        counts, mean, cov = summary(g.edges, labels, (4, 4))
+        counts, mean, cov = summary(g, labels, (4, 4))
         w = np.array([0.5, 0.5])
         zw = (w @ counts[:2] - w @ mean[:2]) / np.sqrt(w @ cov[:2, :2] @ w)
         v = np.array([1.0, -1.0])
@@ -115,7 +116,7 @@ class TestScTest:
         d = distance_matrix(rng.normal(size=(12, 2)))
         g = kmst(d, 5)
         labels = np.array([1] * 6 + [2] * 6)
-        value, _ = sc_test(summary(g.edges, labels, (6, 6)), (6, 6), "sa")
+        value, _ = sc_test(summary(g, labels, (6, 6)), (6, 6), "sa")
         assert np.isfinite(value) and value >= 0.0
 
     def test_sa_equals_cf_for_two_samples(self):
@@ -124,7 +125,7 @@ class TestScTest:
             d = distance_matrix(rng.normal(size=(9, 2)))
             g = kmst(d, 2)
             labels = np.array([1] * 4 + [2] * 5)
-            stats = summary(g.edges, labels, (4, 5))
+            stats = summary(g, labels, (4, 5))
             sa, _ = sc_test(stats, (4, 5), "sa")
             cf, _ = edgecount_test(stats, (4, 5), "cf")
             assert abs(sa - cf) < 1e-9
@@ -135,16 +136,16 @@ class TestScTest:
         g = kmst(d, 1)
         sizes = (2, 2, 2)
         labels = np.array([1, 1, 2, 2, 3, 3])
-        dist_counts = enumerate_count_distribution(g.edges, sizes)
+        dist_counts = enumerate_count_distribution(g, sizes)
         mean = dist_counts.mean(0)
         cov = np.cov(dist_counts.T, bias=True)
-        counts = pattern_counts_from_edges(g.edges, labels, 3)
+        counts = pattern_counts_from_edges(g, labels, 3)
         k = 3
         dw = counts[:k] - mean[:k]
         sw = dw @ np.linalg.pinv(cov[:k, :k]) @ dw
         db = counts[k:] - mean[k:]
         sb = db @ np.linalg.pinv(cov[k:, k:]) @ db
-        value, _ = sc_test(summary(g.edges, labels, sizes), sizes, "s")
+        value, _ = sc_test(summary(g, labels, sizes), sizes, "s")
         assert abs(value - (sw + sb)) < 1e-8
 
     def test_separated_samples_extreme_vs_permutations(self):
@@ -155,12 +156,12 @@ class TestScTest:
         d = distance_matrix(x)
         g = kmst(d, 1)
         labels = np.array([1] * 8 + [2] * 8 + [3] * 8)
-        observed, _ = sc_test(summary(g.edges, labels, (8, 8, 8)),
+        observed, _ = sc_test(summary(g, labels, (8, 8, 8)),
                               (8, 8, 8), "s")
         perms = []
         for _ in range(1000):
             perm_labels = rng.permutation(labels)
-            v, _ = sc_test(summary(g.edges, perm_labels, (8, 8, 8)),
+            v, _ = sc_test(summary(g, perm_labels, (8, 8, 8)),
                            (8, 8, 8), "s")
             perms.append(v)
         assert observed >= np.quantile(perms, 0.99)
@@ -183,7 +184,7 @@ class TestNearestNeighbourTests:
         direct = 0.0
         for k in range(1, 12):
             g = knn(d, k)
-            direct += (labels[g.edges[:, 0]] == labels[g.edges[:, 1]]).sum()
+            direct += (labels[g[:, 0]] == labels[g[:, 1]]).sum()
         assert bqs_statistic(knn_graph(d, 11), labels, (5, 7)) == direct
 
 
@@ -309,7 +310,14 @@ class TestKmd:
         d = distance_matrix(x)
         g = kmst(d, 1)
         labels = np.array([1] * 10 + [2] * 10)
-        assert np.isfinite(kmd_statistic(g, labels, (10, 10)))
+        # edges i < j only: node 19 has no out-edge
+        with pytest.raises(UnsupportedConfigError, match="out-edges"):
+            kmd_statistic(g, labels, (10, 10))
+        value = kmd_statistic(np.concatenate([g, g[:, ::-1]]), labels,
+                              (10, 10))
+        assert np.isfinite(value)
+        ctx = Context(MultiSample((DataMatrix(x[:10]), DataMatrix(x[10:]))))
+        assert evaluate("kmd_mst", ctx).value == value
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(13)

@@ -165,7 +165,7 @@ class TestDsRankEnergy:
         rng = np.random.default_rng(5)
         x = np.sort(rng.normal(size=8))
         from dsbench.graphs import assignment, halton_grid
-        grid = halton_grid(8, 1).values
+        grid = halton_grid(8, 1)
         cost = (x[:, None] - grid[None, :, 0]) ** 2
         sigma = assignment(cost)
         assert (np.argsort(grid[sigma, 0]) == np.arange(8)).all()
@@ -188,7 +188,7 @@ class TestDsRankEnergy:
         # ranks split arbitrarily between the two copies; the statistic is
         # bounded by the energy of random halves of the grid
         from dsbench.graphs import halton_grid
-        grid = halton_grid(40, 2).values
+        grid = halton_grid(40, 2)
         worst = 0.0
         for _ in range(50):
             perm = rng.permutation(40)

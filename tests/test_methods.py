@@ -94,8 +94,8 @@ class TestEvaluate:
 
     def test_pattern_stats_equal_direct_builds(self):
         ctx = Context(make_ms((6, 7, 5, 8)), seed=7)
-        for spec, edges in (("5mst", ctx.graph("5mst").edges),
-                            ("heuristic_nn", ctx.graph("3nn").edges),
+        for spec, edges in (("5mst", ctx.graph("5mst")),
+                            ("heuristic_nn", ctx.graph("3nn")),
                             ("matching", ctx.matching.pairs)):
             counts, mean, cov = ctx.pattern_stats(spec)
             assert np.array_equal(counts, permnull.pattern_counts_from_edges(
@@ -130,10 +130,11 @@ class TestEvaluate:
                         ("29nn", 29), ("99nn", 29)):
             g = ctx.graph(spec)
             ref = graphs.knn_from_table(graphs.knn_graph(ctx.dist, k), k)
-            assert (g.n_nodes, g.kind, g.k) == (30, graphs.KNN_DIRECTED, k)
-            assert g.edges.dtype == ref.edges.dtype == np.int64
-            assert np.array_equal(g.edges, ref.edges)
-            assert np.array_equal(g.edges[:, 1].reshape(30, k),
+            assert g.shape == (30 * k, 2)
+            assert np.array_equal(g[:, 0], np.repeat(np.arange(30), k))
+            assert g.dtype == ref.dtype == np.int64
+            assert np.array_equal(g, ref)
+            assert np.array_equal(g[:, 1].reshape(30, k),
                                   reference[:, :k])
 
     def test_shared_structures_built_once(self, monkeypatch):
@@ -195,8 +196,8 @@ class TestEvaluate:
         five = ctx.graph("5mst")
         assert layers == [1, 4]
         fresh = graphs.kmst(ctx.dist, 5)
-        assert np.array_equal(five.edges, fresh.edges)
-        assert np.array_equal(one.edges, graphs.kmst(ctx.dist, 1).edges)
+        assert np.array_equal(five, fresh)
+        assert np.array_equal(one, graphs.kmst(ctx.dist, 1))
 
     def test_kmst_ranks_the_edges(self, monkeypatch):
         # the ranking runs inside the first kmst call, so a trace of
