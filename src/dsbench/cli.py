@@ -21,7 +21,7 @@ _GROUP_FIELDS = ("dgp", "deviation", "n", "p", "balance", "grouping", "k")
 
 
 def _fmt(x) -> str:
-    if x is None:
+    if x is None or x != x:  # None or NaN
         return "NA"
     if isinstance(x, float):
         return repr(x)
@@ -97,9 +97,13 @@ def _grid_cell(cell) -> tuple[int, int]:
 
 
 def _check_methods(methods) -> None:
-    for mid in methods:
+    if not methods:
+        raise ConfigError("'methods' must name at least one method")
+    for i, mid in enumerate(methods):
         if not isinstance(mid, str) or mid not in REGISTRY:
             raise ConfigError(f"unknown method id {mid!r}")
+        if mid in methods[:i]:
+            raise ConfigError(f"method id {mid!r} appears twice in 'methods'")
 
 
 def cmd_simulate(args) -> int:
@@ -162,7 +166,8 @@ def _load_results(dump_dir: Path):
         path = dump_dir / entry["file"]
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)
+            if next(reader, None) is None:
+                raise ConfigError(f"{path} has no header line")
             for row in reader:
                 where = f"{path} line {reader.line_num}"
                 if len(row) != 4:
@@ -199,46 +204,45 @@ def _load_results(dump_dir: Path):
         results.append(ScenarioResult(
             spec=spec, scenario_index=entry["index"], methods=methods,
             values=values, errors=tuple(tuple(e) for e in errors)))
-    return results
+    return methods, results
 
 
 def cmd_report(args) -> int:
     dump_dir = Path(args.dump)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = _load_results(dump_dir)
+    methods, results = _load_results(dump_dir)
     try:
-        rows = pesr_table(results)
+        specs, table = pesr_table(results)
     except MissingNullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    pesr_rows = []
-    for row in rows:
-        s = row.spec
-        pesr_rows.append((s.scenario_id, s.dgp, s.deviation, s.magnitude,
-                          s.n_total, s.p, s.balance, s.grouping, s.k,
-                          row.method, row.value))
     _write_csv(out / "pesr.csv",
                ("scenario_id", "dgp", "deviation", "magnitude", "n", "p",
                 "balance", "grouping", "k", "method", "pesr"),
-               pesr_rows)
-    if not rows:
+               [(s.scenario_id, s.dgp, s.deviation, s.magnitude, s.n_total,
+                 s.p, s.balance, s.grouping, s.k, mid, float(table[a, m]))
+                for a, s in enumerate(specs)
+                for m, mid in enumerate(methods)])
+    if not specs:
         print("warning: no alternative scenarios in dump; the report "
               "tables are empty", file=sys.stderr)
-    diffs = mean_diff_to_ideal(rows)
+    groups, diffs = mean_diff_to_ideal(specs, table)
+    by_id = sorted(range(len(methods)), key=methods.__getitem__)
     _write_csv(out / "meandiff.csv",
                _GROUP_FIELDS + ("method", "mean_diff"),
-               [(*d.group, d.method, d.mean_diff) for d in diffs])
+               [(*group, methods[m], float(diffs[g, m]))
+                for g, group in enumerate(groups) for m in by_id])
     cover = acceptable(diffs)
     _write_csv(out / "acceptable.csv",
                _GROUP_FIELDS + ("method", "acceptable"),
-               [(*g, m, int(ok))
-                for (g, m), ok in sorted(cover.items())])
+               [(*group, methods[m], int(cover[g, m]))
+                for g, group in enumerate(groups) for m in by_id])
     tie = overall_mean_diff(diffs)
     _write_json(out / "cover.json",
                 [{"method": m, "new_groups": g, "cumulative_coverage": c}
-                 for m, g, c in greedy_cover(cover, tie)])
-    _write_json(out / "tree.json", choice_tree(cover, tie))
+                 for m, g, c in greedy_cover(cover, methods, tie)])
+    _write_json(out / "tree.json", choice_tree(groups, cover, methods, tie))
     return 0
 
 
@@ -301,10 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

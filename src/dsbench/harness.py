@@ -88,38 +88,33 @@ def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
 # PESR and its aggregation
 
 
-def pesr_threshold(null_values: np.ndarray, direction: str) -> float | None:
-    """Empirical null-quantile threshold of PESR: the 95% quantile for
-    dissimilarity, the 5% quantile for similarity.
+def _pesr_columns(null: np.ndarray, alts, directions) -> np.ndarray:
+    """(A, M) PESR of each column of each (R, M) alternative in `alts`
+    against the same column of the (R0, M) `null`, one threshold per null
+    column.  NaN where the null or the alternative column is missing: more
+    than the tolerated fraction of its repetitions invalid, or none valid."""
+    if not set(directions) <= {DISSIMILARITY, SIMILARITY}:
+        raise ValueError(f"unknown direction in {directions!r}")
+    high = np.array([d == DISSIMILARITY for d in directions], dtype=bool)
 
-    Returns None when more than the tolerated fraction of the null
-    repetitions is invalid, or none is valid."""
-    null_values = np.asarray(null_values, dtype=float)
-    null_ok = null_values[np.isfinite(null_values)]
-    if (len(null_values) - len(null_ok)) > MISSING_FRACTION_LIMIT * len(null_values):
-        return None
-    if len(null_ok) == 0:
-        return None
-    if direction == DISSIMILARITY:
-        return np.quantile(null_ok, 0.95)
-    if direction == SIMILARITY:
-        return np.quantile(null_ok, 0.05)
-    raise ValueError(f"unknown direction {direction!r}")
+    def valid(values):  # per column: valid cells, their count, kept
+        ok = np.isfinite(values)
+        n_ok = ok.sum(axis=0)
+        return ok, n_ok, (n_ok > 0) & (
+            len(values) - n_ok <= MISSING_FRACTION_LIMIT * len(values))
 
-
-def _pesr_beyond(threshold: float | None, alt_values: np.ndarray,
-                 direction: str) -> float | None:
-    """Share of valid alternative repetitions strictly beyond threshold;
-    None under the same missing-value rule as the null."""
-    alt_values = np.asarray(alt_values, dtype=float)
-    alt_ok = alt_values[np.isfinite(alt_values)]
-    if (len(alt_values) - len(alt_ok)) > MISSING_FRACTION_LIMIT * len(alt_values):
-        return None
-    if threshold is None or len(alt_ok) == 0:
-        return None
-    if direction == DISSIMILARITY:
-        return float((alt_ok > threshold).mean())
-    return float((alt_ok < threshold).mean())
+    ok, _, null_kept = valid(null)
+    threshold = np.full(len(high), np.nan)
+    for m in np.flatnonzero(null_kept):
+        level = 0.95 if high[m] else 0.05
+        threshold[m] = np.quantile(null[ok[:, m], m], level)
+    out = np.full((len(alts), len(high)), np.nan)
+    for a, alt in enumerate(alts):
+        ok, n_ok, kept = valid(alt)
+        beyond = np.where(high, alt > threshold, alt < threshold) & ok
+        np.divide(beyond.sum(axis=0), n_ok, out=out[a],
+                  where=kept & null_kept)
+    return out
 
 
 def pesr(null_values: np.ndarray, alt_values: np.ndarray,
@@ -129,8 +124,10 @@ def pesr(null_values: np.ndarray, alt_values: np.ndarray,
 
     Returns None when more than the tolerated fraction of either run's
     repetitions is invalid."""
-    return _pesr_beyond(pesr_threshold(null_values, direction), alt_values,
-                        direction)
+    value = _pesr_columns(np.asarray(null_values, dtype=float)[:, None],
+                          [np.asarray(alt_values, dtype=float)[:, None]],
+                          [direction])[0, 0]
+    return None if np.isnan(value) else float(value)
 
 
 def null_key(spec: ScenarioSpec) -> tuple:
@@ -143,171 +140,122 @@ def group_key(spec: ScenarioSpec) -> tuple:
             spec.grouping, spec.k)
 
 
-@dataclass(frozen=True)
-class PesrRow:
-    spec: ScenarioSpec
-    method: str
-    value: float | None
-
-
-def pesr_table(results) -> list[PesrRow]:
+def pesr_table(results) -> tuple[list[ScenarioSpec], np.ndarray]:
     """PESR per (alternative scenario, method), thresholded against the
-    matching null scenario of the same (dgp, k, N, p, balance)."""
-    nulls = {}
-    for res in results:
-        if res.spec.deviation == "null":
-            nulls[null_key(res.spec)] = res
-    rows: list[PesrRow] = []
-    thresholds = {}  # (null key, method) -> threshold
-    for res in results:
-        if res.spec.deviation == "null":
-            continue
+    matching null scenario of the same (dgp, k, N, p, balance).
+
+    Every result must hold the same methods.  Returns the alternative specs
+    in result order and their (A, M) PESR matrix, columns in method order,
+    NaN where the missing-value rule removed a cell."""
+    methods = results[0].methods if results else ()
+    if any(res.methods != methods for res in results):
+        raise ValueError("every result must hold the same methods")
+    nulls = {null_key(res.spec): res.values for res in results
+             if res.spec.deviation == "null"}
+    alts = [res for res in results if res.spec.deviation != "null"]
+    rows_of: dict = {}  # null key -> rows of its alternatives
+    for a, res in enumerate(alts):
         key = null_key(res.spec)
         if key not in nulls:
             raise MissingNullError(
                 f"no null dump for {res.spec.scenario_id} (key {key})")
-        null_res = nulls[key]
-        for m, mid in enumerate(res.methods):
-            if mid not in null_res.methods:
-                raise MissingNullError(
-                    f"method {mid} missing from the null dump of {key}")
-            direction = REGISTRY[mid].direction
-            if (key, mid) not in thresholds:
-                mn = null_res.methods.index(mid)
-                thresholds[key, mid] = pesr_threshold(
-                    null_res.values[:, mn], direction)
-            value = _pesr_beyond(thresholds[key, mid], res.values[:, m],
-                                 direction)
-            rows.append(PesrRow(res.spec, mid, value))
-    return rows
+        rows_of.setdefault(key, []).append(a)
+    table = np.empty((len(alts), len(methods)))
+    for key, rows in rows_of.items():
+        table[rows] = _pesr_columns(
+            nulls[key], [alts[a].values for a in rows],
+            [REGISTRY[mid].direction for mid in methods])
+    return [res.spec for res in alts], table
 
 
-@dataclass(frozen=True)
-class MeanDiffRow:
-    group: tuple
-    method: str
-    mean_diff: float
-
-
-def mean_diff_to_ideal(rows: list[PesrRow]) -> list[MeanDiffRow]:
+def mean_diff_to_ideal(specs, table: np.ndarray):
     """Average over magnitudes of (pointwise best PESR - method PESR);
-    missing PESR values are penalized with the maximum difference of one."""
-    by_scenario: dict = {}
-    for row in rows:
-        by_scenario.setdefault(row.spec, {})[row.method] = row.value
-    by_group: dict = {}
-    for spec, method_vals in by_scenario.items():
-        finite = [v for v in method_vals.values() if v is not None]
-        ideal = max(finite) if finite else None
-        for method, value in method_vals.items():
-            diff = 1.0 if (value is None or ideal is None) else ideal - value
-            by_group.setdefault(group_key(spec), {}).setdefault(
-                method, []).append(diff)
-    out = []
-    for group in sorted(by_group):
-        for method, diffs in sorted(by_group[group].items()):
-            out.append(MeanDiffRow(group, method,
-                                   float(np.mean(diffs))))
-    return out
+    missing PESR values are penalized with the maximum difference of one.
+    Returns the sorted scenario groups and their (G, M) mean differences."""
+    ideal = np.fmax.reduce(table, axis=1, initial=-np.inf)
+    diff = np.where(np.isnan(table), 1.0, ideal[:, None] - table)
+    rows_of: dict = {}  # group -> rows of its scenarios
+    for a, spec in enumerate(specs):
+        rows_of.setdefault(group_key(spec), []).append(a)
+    groups = sorted(rows_of)
+    means = np.empty((len(groups), table.shape[1]))
+    for g, group in enumerate(groups):  # one contiguous run per column
+        # adds the values in the order np.mean adds them as a list
+        means[g] = np.ascontiguousarray(diff[rows_of[group]].T).mean(axis=1)
+    return groups, means
 
 
-def acceptable(rows: list[MeanDiffRow], cutoff: float = 0.1):
+def acceptable(diffs: np.ndarray, cutoff: float = 0.1) -> np.ndarray:
     """Method is acceptable for a group iff its mean difference is within
-    `cutoff` of the group minimum.  Returns {(group, method): bool}."""
-    by_group: dict = {}
-    for row in rows:
-        by_group.setdefault(row.group, []).append(row)
-    out = {}
-    for group, group_rows in by_group.items():
-        best = min(r.mean_diff for r in group_rows)
-        for r in group_rows:
-            out[(group, r.method)] = bool(r.mean_diff <= best + cutoff)
-    return out
+    `cutoff` of the group minimum.  Returns a (G, M) bool matrix."""
+    return diffs <= diffs.min(axis=1, initial=np.inf)[:, None] + cutoff
 
 
-def overall_mean_diff(rows: list[MeanDiffRow]) -> dict[str, float]:
-    acc: dict[str, list[float]] = {}
-    for row in rows:
-        acc.setdefault(row.method, []).append(row.mean_diff)
-    return {m: float(np.mean(v)) for m, v in acc.items()}
+def overall_mean_diff(diffs: np.ndarray) -> np.ndarray:
+    """Each method's mean difference over all groups; NaN with no groups."""
+    if not len(diffs):
+        return np.full(diffs.shape[1], np.nan)
+    return np.ascontiguousarray(diffs.T).mean(axis=1)  # as in the groups
 
 
-def greedy_cover(cover: dict, tie_break: dict[str, float] | None = None):
-    """Greedy max-coverage: repeatedly pick the method covering the most
-    not-yet-covered groups; ties broken by lower overall mean difference,
-    then by method id.  Returns [(method, newly_covered, cumulative_frac)]."""
-    groups = sorted({g for g, _ in cover})
-    methods = sorted({m for _, m in cover})
-    if not groups:
-        return []
-    tie_break = tie_break or {}
-    covered: set = set()
+def _best_method(counts, methods, tie_break) -> int:
+    """Column with the largest count; ties broken by lower tie-break value,
+    then by method id."""
+    return min(range(len(methods)), key=lambda m: (
+        -counts[m], 0.0 if tie_break is None else tie_break[m], methods[m]))
+
+
+def greedy_cover(cover: np.ndarray, methods, tie_break=None):
+    """Greedy max-coverage over a (G, M) bool matrix: repeatedly pick the
+    method covering the most not-yet-covered groups; ties broken by lower
+    overall mean difference, then by method id.  Returns [(method,
+    newly_covered, cumulative_frac)]."""
+    n_groups = len(cover)
+    covered = np.zeros(n_groups, dtype=bool)
     order = []
-    while len(covered) < len(groups):
-        best = None
-        for m in methods:
-            gain = sum(1 for g in groups
-                       if g not in covered and cover.get((g, m), False))
-            key = (-gain, tie_break.get(m, float("inf")), m)
-            if best is None or key < best[0]:
-                best = (key, m, gain)
-        _, method, gain = best
-        if gain == 0:
+    while not covered.all():
+        gains = (cover & ~covered[:, None]).sum(axis=0)
+        m = _best_method(gains, methods, tie_break)
+        if gains[m] == 0:
             break
-        covered.update(g for g in groups if cover.get((g, method), False))
-        order.append((method, gain, len(covered) / len(groups)))
+        covered |= cover[:, m]
+        order.append((methods[m], int(gains[m]),
+                      int(covered.sum()) / n_groups))
     return order
 
 
-def _dimension_features(group: tuple) -> tuple[float, float, float]:
-    # group = (dgp, deviation, N, p, balance, grouping, k)
-    return (float(group[2]), float(group[3]),
-            1.0 if group[4] == "balanced" else 0.0)
-
-
-def choice_tree(cover: dict, tie_break: dict[str, float] | None = None):
+def choice_tree(groups, cover: np.ndarray, methods, tie_break=None):
     """Decision tree predicting the best-covering method from (N, p,
     balance), grown to purity; leaves annotated with the proportion of
-    their groups covered by the leaf's method.  None for an empty cover."""
-    if not cover:
+    their groups covered by the leaf's method.  None for no groups."""
+    if not groups:
         return None
-    tie_break = tie_break or {}
-    cells: dict = {}
-    for (group, method), ok in cover.items():
-        cells.setdefault(_dimension_features(group), {}).setdefault(
-            method, []).append((group, ok))
-    feats = sorted(cells)
-    labels = []
-    for f in feats:
-        best = None
-        for method, pairs in sorted(cells[f].items()):
-            n_cov = sum(1 for _, ok in pairs if ok)
-            key = (-n_cov, tie_break.get(method, float("inf")), method)
-            if best is None or key < best[0]:
-                best = (key, method)
-        labels.append(best[1])
-    method_ids = sorted(set(labels))
-    y = np.array([method_ids.index(lab) for lab in labels])
-    x = np.array(feats)
+    # group = (dgp, deviation, N, p, balance, grouping, k)
+    feats = [(float(g[2]), float(g[3]), 1.0 if g[4] == "balanced" else 0.0)
+             for g in groups]
+    cells = sorted(set(feats))
+    cell_of = np.array([cells.index(f) for f in feats])
+    labels = [_best_method(cover[cell_of == c].sum(axis=0), methods,
+                           tie_break) for c in range(len(cells))]
+    classes = sorted(set(labels), key=methods.__getitem__)
+    y = np.array([classes.index(m) for m in labels])
+    x = np.array(cells)
     tree = cart_fit(x, y, max_depth=64, min_leaf=1)
-
-    feature_names = ("n", "p", "balanced")
 
     def annotate(node: TreeNode, idx: np.ndarray):
         if node.is_leaf:
-            method = method_ids[node.prediction]
-            pairs = [pr for i in idx for pr in cells[feats[i]].get(method, [])]
-            coverage = (sum(1 for _, ok in pairs if ok) / len(pairs)
-                        if pairs else 0.0)
-            return {"method": method, "coverage": coverage,
+            m = classes[node.prediction]
+            in_leaf = np.isin(cell_of, idx)
+            coverage = int(cover[in_leaf, m].sum()) / int(in_leaf.sum())
+            return {"method": methods[m], "coverage": coverage,
                     "n_cells": int(len(idx))}
         mask = x[idx, node.feature] <= node.threshold
-        return {"feature": feature_names[node.feature],
+        return {"feature": ("n", "p", "balanced")[node.feature],
                 "threshold": node.threshold,
                 "left": annotate(node.left, idx[mask]),
                 "right": annotate(node.right, idx[~mask])}
 
-    return annotate(tree, np.arange(len(feats)))
+    return annotate(tree, np.arange(len(cells)))
 
 
 # ---------------------------------------------------------------------------

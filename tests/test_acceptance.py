@@ -319,9 +319,8 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     ok_greedy = True
     worst_ratio = 1.0
     for _ in range(50):
-        cover = {(g, f"m{m}"): bool(rng.random() < 0.2)
-                 for g in range(40) for m in range(10)}
-        order = greedy_cover(cover)
+        cover = rng.random((40, 10)) < 0.2
+        order = greedy_cover(cover, [f"m{m}" for m in range(10)])
         cumulative = {}
         for t in range(1, 11):
             if t <= len(order):
@@ -331,8 +330,7 @@ def test_criterion_7_pipeline_determinism(tmp_path):
         for t in (1, 2, 3):
             best = 0
             for combo in itertools.combinations(range(10), t):
-                got = sum(1 for g in range(40)
-                          if any(cover[(g, f"m{m}")] for m in combo))
+                got = int(cover[:, combo].any(axis=1).sum())
                 best = max(best, got)
             if best == 0:
                 continue

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import dsbench
 from dsbench.cli import main
-from dsbench.datagen import ScenarioSpec
+from dsbench.datagen import GRIDS, ScenarioSpec
 
 
 def write_config(path: Path, scenarios, methods, reps=10):
@@ -48,6 +50,20 @@ class TestSimulate:
         rc = main(["simulate", "--config", cfg, "--seed", "1",
                    "--out", str(tmp_path / "d")])
         assert rc == 2
+
+    def test_config_is_a_directory_exit_two(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(tmp_path), "--seed", "1",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_out_is_a_file_exit_two(self, tmp_path, capsys, minimal_config):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["simulate", "--config", minimal_config, "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["methods", "scenarios"])
     def test_missing_key_exit_two(self, tmp_path, capsys, key):
@@ -155,7 +171,9 @@ class TestSimulate:
         ("methods", {"energy": 1}, "'methods' must be a list"),
         ("methods", "energy", "'methods' must be a list"),
         ("scenarios", {"a": 1}, "'scenarios' must be a list"),
-        ("scenarios", ["normal"], "scenario must be an object")])
+        ("scenarios", ["normal"], "scenario must be an object"),
+        ("methods", [], "'methods' must name at least one method"),
+        ("methods", ["energy", "energy"], "method id 'energy' appears twice")])
     def test_malformed_list_exit_two(self, tmp_path, capsys, key, value,
                                      message):
         config = {"methods": ["energy"], "reps": 2,
@@ -230,6 +248,45 @@ class TestReport:
             lines = (tmp_path / "rep" / fname).read_text().splitlines()
             assert lines[0] == header, fname
 
+    def test_report_files_pinned(self, tmp_path):
+        """sha256 of the five report files of a 136-scenario dump: normal
+        and lognormal, N 20 and 40, p=2, both balances, each with its null,
+        the 6 full-grid shifts and the 10 full-grid scales.  Scale groups
+        of 10 scenarios pin the order in which a group mean adds its
+        values; `wasserstein` is NA when unbalanced; the choice tree has
+        four (N, p, balance) cells."""
+        specs = []
+        for dgp in ("normal", "lognormal"):
+            for n in (20, 40):
+                for balance in ("balanced", "unbalanced"):
+                    specs.append(null_spec(dgp=dgp, n_total=n,
+                                           balance=balance))
+                    specs += [null_spec(dgp=dgp, n_total=n, balance=balance,
+                                        deviation=dev, magnitude=m)
+                              for dev in ("shift", "scale")
+                              for m in GRIDS["full"][dev]]
+        cfg = write_config(tmp_path / "c.json", specs,
+                           ["energy", "fr_1mst", "wasserstein", "engineer",
+                            "sh_1nn", "mmd"])
+        assert main(["simulate", "--config", cfg, "--seed", "4",
+                     "--out", str(tmp_path / "dump")]) == 0
+        assert main(["report", "--dump", str(tmp_path / "dump"),
+                     "--out", str(tmp_path / "rep")]) == 0
+        digests = {
+            "pesr.csv": "4926dde0633b260ef8c68a18c1b09f5b"
+                        "fb8db792eb5d192e9615a0f674724209",
+            "meandiff.csv": "8c9b7024d426f7426fb2a140986c0814"
+                            "cd86aefeb27cf3394c84397b365907a7",
+            "acceptable.csv": "4804e671bcea3db7486f6b22d72c555c"
+                              "686eae50dd6dc36c73c22bc61e8d2da9",
+            "cover.json": "b4a9b0e44f0c0382e0676804d24cf513"
+                          "a8a91b2e47fc4703313b941630ab0d95",
+            "tree.json": "dcd718e312ca56a7470d4706375dde40"
+                         "2790f8549660229752d143dff11c473e"}
+        for fname, digest in digests.items():
+            data = (tmp_path / "rep" / fname).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, fname
+
     def test_missing_null_exit_three(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            [null_spec(deviation="shift", magnitude=1.0)],
@@ -244,8 +301,10 @@ class TestReport:
         cfg = write_config(tmp_path / "c.json", [null_spec()], ["energy"])
         main(["simulate", "--config", cfg, "--seed", "2",
               "--out", str(tmp_path / "dump")])
-        rc = main(["report", "--dump", str(tmp_path / "dump"),
-                   "--out", str(tmp_path / "rep")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["report", "--dump", str(tmp_path / "dump"),
+                       "--out", str(tmp_path / "rep")])
         assert rc == 0
         assert "warning" in capsys.readouterr().err
         pesr = (tmp_path / "rep" / "pesr.csv").read_text().splitlines()
@@ -321,7 +380,9 @@ class TestReport:
 
     @pytest.mark.parametrize("methods, message", [
         (5, "'methods' must be a list"),
-        (["energy", "engineer", "nope"], "unknown method id 'nope'")])
+        (["energy", "engineer", "nope"], "unknown method id 'nope'"),
+        ([], "'methods' must name at least one method"),
+        (["energy", "energy"], "method id 'energy' appears twice")])
     def test_manifest_bad_methods_exit_two(self, tmp_path, capsys,
                                            minimal_config, methods, message):
         main(["simulate", "--config", minimal_config, "--seed", "3",
@@ -421,6 +482,26 @@ class TestReport:
         err = capsys.readouterr().err
         assert str(scenario) in err and "'abc'" in err
 
+    def test_dump_is_a_file_exit_two(self, tmp_path, capsys):
+        dump = tmp_path / "dump"
+        dump.write_text("")
+        rc = main(["report", "--dump", str(dump),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert str(dump) in capsys.readouterr().err
+
+    def test_empty_scenario_file_exit_two(self, tmp_path, capsys,
+                                          minimal_config):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / "scenario_0001.csv"
+        scenario.write_text("")
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and "no header line" in err
+
     def test_na_written_for_missing_cells(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -474,7 +555,8 @@ class TestBenchCommand:
         ("grid", [[0, 2]]), ("grid", [{"n": 20, "p": 2}]),
         ("min_reps", "abc"), ("min_reps", 2.5), ("min_reps", True),
         ("min_reps", 0), ("min_total_s", "abc"), ("min_total_s", False),
-        ("min_total_s", -1.0), ("min_total_s", None)])
+        ("min_total_s", -1.0), ("min_total_s", None), ("methods", []),
+        ("methods", ["energy", "energy"])])
     def test_bench_bad_value_exit_two(self, tmp_path, capsys, key, value):
         config = {"methods": ["energy"], "grid": [[20, 2]], "min_reps": 2,
                   "min_total_s": 0.0}

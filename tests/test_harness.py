@@ -6,7 +6,7 @@ import pytest
 
 from dsbench.core import DISSIMILARITY, SIMILARITY
 from dsbench.datagen import ScenarioSpec
-from dsbench.harness import (MeanDiffRow, PesrRow, acceptable, bench,
+from dsbench.harness import (MissingNullError, acceptable, bench,
                              choice_tree, greedy_cover, mean_diff_to_ideal,
                              pesr, pesr_table, run_scenario, scale_bench)
 from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
@@ -66,101 +66,101 @@ class TestPesr:
         assert pesr(null, alt, SIMILARITY) == 0.0
 
 
-def rowset(values_by_magnitude):
-    """values_by_magnitude: {magnitude: {method: pesr}}"""
-    rows = []
-    for mag, by_method in values_by_magnitude.items():
-        s = spec(deviation="shift", magnitude=mag)
-        for method, value in by_method.items():
-            rows.append(PesrRow(s, method, value))
-    return rows
+def pesr_matrix(values_by_magnitude):
+    """values_by_magnitude: {magnitude: {method: pesr or None}}, the same
+    methods at every magnitude.  Returns (specs, (A, M) table, methods)."""
+    methods = list(next(iter(values_by_magnitude.values())))
+    specs = [spec(deviation="shift", magnitude=mag)
+             for mag in values_by_magnitude]
+    table = np.array([[np.nan if by_method[m] is None else by_method[m]
+                       for m in methods]
+                      for by_method in values_by_magnitude.values()])
+    return specs, table, methods
 
 
 class TestMeanDiff:
     def test_worked_example(self):
-        rows = rowset({0.5: {"m1": 0.9, "m2": 0.7},
-                       1.0: {"m1": 0.8, "m2": 0.9}})
-        diffs = {r.method: r.mean_diff for r in mean_diff_to_ideal(rows)}
-        assert abs(diffs["m1"] - 0.05) < 1e-12
-        assert abs(diffs["m2"] - 0.10) < 1e-12
+        specs, table, methods = pesr_matrix({0.5: {"m1": 0.9, "m2": 0.7},
+                                             1.0: {"m1": 0.8, "m2": 0.9}})
+        groups, diffs = mean_diff_to_ideal(specs, table)
+        assert diffs.shape == (len(groups), 2) == (1, 2)
+        by_method = dict(zip(methods, diffs[0]))
+        assert abs(by_method["m1"] - 0.05) < 1e-12
+        assert abs(by_method["m2"] - 0.10) < 1e-12
 
     def test_single_method_diff_zero(self):
-        rows = rowset({0.5: {"m1": 0.4}, 1.0: {"m1": 0.9}})
-        diffs = mean_diff_to_ideal(rows)
-        assert all(r.mean_diff == 0.0 for r in diffs)
+        specs, table, _ = pesr_matrix({0.5: {"m1": 0.4}, 1.0: {"m1": 0.9}})
+        _, diffs = mean_diff_to_ideal(specs, table)
+        assert (diffs == 0.0).all()
 
     def test_missing_cell_penalized(self):
         by_mag = {m: {"m1": 0.5, "m2": 0.5} for m in
                   (0.1, 0.25, 0.5, 0.75, 1.0, 1.5)}
         by_mag[0.1] = {"m1": 0.5, "m2": None}
-        diffs = {r.method: r.mean_diff for r in
-                 mean_diff_to_ideal(rowset(by_mag))}
-        assert abs(diffs["m2"] - 1.0 / 6.0) < 1e-12
-        assert diffs["m1"] == 0.0
+        specs, table, methods = pesr_matrix(by_mag)
+        _, diffs = mean_diff_to_ideal(specs, table)
+        by_method = dict(zip(methods, diffs[0]))
+        assert abs(by_method["m2"] - 1.0 / 6.0) < 1e-12
+        assert by_method["m1"] == 0.0
+
+    def test_groups_sorted_and_scenario_without_value_penalized(self):
+        specs = [spec(deviation="shift", magnitude=0.5, p=10),
+                 spec(deviation="shift", magnitude=0.5),
+                 spec(deviation="shift", magnitude=1.0)]
+        table = np.array([[np.nan, np.nan], [0.2, 0.6], [0.8, 0.4]])
+        groups, diffs = mean_diff_to_ideal(specs, table)
+        assert groups == sorted(groups) and [g[3] for g in groups] == [2, 10]
+        assert np.allclose(diffs, [[0.2, 0.2], [1.0, 1.0]], atol=1e-12)
 
 
 class TestAcceptable:
     def test_cutoff_example(self):
-        rows = [MeanDiffRow(("g",), "a", 0.02),
-                MeanDiffRow(("g",), "b", 0.12),
-                MeanDiffRow(("g",), "c", 0.13)]
-        cov = acceptable(rows)
-        assert cov[(("g",), "a")] and cov[(("g",), "b")]
-        assert not cov[(("g",), "c")]
+        cov = acceptable(np.array([[0.02, 0.12, 0.13]]))
+        assert cov[0, 0] and cov[0, 1]
+        assert not cov[0, 2]
 
     def test_unique_best_with_gap(self):
-        rows = [MeanDiffRow(("g",), "a", 0.0),
-                MeanDiffRow(("g",), "b", 0.5)]
-        cov = acceptable(rows)
-        assert cov[(("g",), "a")] and not cov[(("g",), "b")]
+        cov = acceptable(np.array([[0.0, 0.5]]))
+        assert cov[0, 0] and not cov[0, 1]
 
     def test_tied_best_both_acceptable(self):
-        rows = [MeanDiffRow(("g",), "a", 0.3),
-                MeanDiffRow(("g",), "b", 0.3)]
-        cov = acceptable(rows)
-        assert cov[(("g",), "a")] and cov[(("g",), "b")]
+        cov = acceptable(np.array([[0.3, 0.3]]))
+        assert cov[0, 0] and cov[0, 1]
 
 
 class TestGreedyCover:
     def test_worked_example(self):
-        cover = {}
         sets = {"a": {1, 2, 3}, "b": {3, 4}, "c": {4}}
-        for method, covered in sets.items():
-            for g in (1, 2, 3, 4):
-                cover[(g, method)] = g in covered
-        order = greedy_cover(cover)
+        cover = np.array([[g in covered for covered in sets.values()]
+                          for g in (1, 2, 3, 4)])
+        order = greedy_cover(cover, list(sets))
         assert [m for m, _, _ in order] == ["a", "b"]
         assert order[-1][2] == 1.0
 
     def test_tie_broken_by_mean_diff(self):
-        cover = {}
-        for g in (1, 2):
-            cover[(g, "x")] = g == 1
-            cover[(g, "y")] = g == 2
-        order = greedy_cover(cover, tie_break={"x": 0.9, "y": 0.1})
+        cover = np.array([[True, False], [False, True]])  # x: 1, y: 2
+        order = greedy_cover(cover, ["x", "y"],
+                             tie_break=np.array([0.9, 0.1]))
         assert order[0][0] == "y"
 
     def test_cumulative_nondecreasing(self):
         rng = np.random.default_rng(1)
-        cover = {(g, f"m{m}"): bool(rng.random() < 0.3)
-                 for g in range(30) for m in range(8)}
-        order = greedy_cover(cover)
+        cover = rng.random((30, 8)) < 0.3
+        order = greedy_cover(cover, [f"m{m}" for m in range(8)])
         fracs = [c for _, _, c in order]
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
 
     def test_approximation_guarantee_small(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            cover = {(g, f"m{m}"): bool(rng.random() < 0.25)
-                     for g in range(20) for m in range(6)}
-            order = greedy_cover(cover)
+            cover = rng.random((20, 6)) < 0.25
+            order = greedy_cover(cover, [f"m{m}" for m in range(6)])
             for t in (1, 2, 3):
                 greedy_cov = order[t - 1][2] if len(order) >= t else \
                     (order[-1][2] if order else 0.0)
                 best = 0
                 for combo in itertools.combinations(range(6), t):
-                    got = sum(1 for g in range(20)
-                              if any(cover[(g, f"m{m}")] for m in combo))
+                    got = int(cover[:, combo].any(axis=1).sum())
                     best = max(best, got)
                 assert greedy_cov >= (1 - 1 / np.e) * best / 20 - 1e-12
 
@@ -170,50 +170,38 @@ class TestPipelineInvariants:
         rng = np.random.default_rng(7)
         by_mag = {m: {f"m{j}": float(rng.random()) for j in range(5)}
                   for m in (0.1, 0.5, 1.0)}
-        rows = rowset(by_mag)
-        diffs = mean_diff_to_ideal(rows)
-        by_group = {}
-        for r in diffs:
-            by_group.setdefault(r.group, []).append(r.mean_diff)
-        for vals in by_group.values():
-            assert min(vals) >= 0.0
+        specs, table, _ = pesr_matrix(by_mag)
+        _, diffs = mean_diff_to_ideal(specs, table)
+        assert (diffs.min(axis=1) >= 0.0).all()
         cov = acceptable(diffs)
-        groups = {g for g, _ in cov}
-        for g in groups:
-            assert any(cov[(g, f"m{j}")] for j in range(5))
+        assert cov.any(axis=1).all()
 
     def test_greedy_reaches_one_when_union_covers(self):
         rng = np.random.default_rng(8)
-        cover = {(g, f"m{m}"): bool(rng.random() < 0.4)
-                 for g in range(25) for m in range(6)}
-        for g in range(25):  # patch union coverage
-            if not any(cover[(g, f"m{m}")] for m in range(6)):
-                cover[(g, "m0")] = True
-        order = greedy_cover(cover)
+        cover = rng.random((25, 6)) < 0.4
+        cover[~cover.any(axis=1), 0] = True  # patch union coverage
+        order = greedy_cover(cover, [f"m{m}" for m in range(6)])
         assert order[-1][2] == 1.0
 
 
 class TestChoiceTree:
     def _cover(self, best_by_cell):
-        cover = {}
+        groups, cover = [], []
         for (n, p, bal), best in best_by_cell.items():
             for dev in ("shift", "scale"):
-                group = ("normal", dev, n, p, bal, "1+1", False, 2)
-                for m in ("m1", "m2"):
-                    cover[(group, m)] = m == best
-        return cover
+                groups.append(("normal", dev, n, p, bal, "1+1", 2))
+                cover.append([m == best for m in ("m1", "m2")])
+        return groups, np.array(cover), ["m1", "m2"]
 
     def test_single_method_single_leaf(self):
-        cover = self._cover({(50, 2, "balanced"): "m1",
-                             (100, 2, "balanced"): "m1"})
-        tree = choice_tree(cover)
+        tree = choice_tree(*self._cover({(50, 2, "balanced"): "m1",
+                                         (100, 2, "balanced"): "m1"}))
         assert tree["method"] == "m1"
         assert 0.0 <= tree["coverage"] <= 1.0
 
     def test_split_on_p_when_best_flips(self):
-        cover = self._cover({(100, 2, "balanced"): "m1",
-                             (100, 50, "balanced"): "m2"})
-        tree = choice_tree(cover)
+        tree = choice_tree(*self._cover({(100, 2, "balanced"): "m1",
+                                         (100, 50, "balanced"): "m2"}))
         assert tree["feature"] == "p"
         leaves = {tree["left"]["method"], tree["right"]["method"]}
         assert leaves == {"m1", "m2"}
@@ -223,7 +211,7 @@ class TestChoiceTree:
         cells = {(n, p, bal): rng.choice(["m1", "m2"])
                  for n in (50, 100) for p in (2, 10)
                  for bal in ("balanced", "unbalanced")}
-        tree = choice_tree(self._cover(cells))
+        tree = choice_tree(*self._cover(cells))
 
         def walk(node):
             if "method" in node:
@@ -309,9 +297,15 @@ class TestPesrTable:
     def test_requires_matching_null(self):
         s = spec(deviation="shift", magnitude=1.0)
         res = run_scenario(s, ("energy",), 5, 2)
-        from dsbench.harness import MissingNullError
         with pytest.raises(MissingNullError):
             pesr_table([res])
+
+    def test_requires_one_method_tuple(self):
+        null = run_scenario(spec(), ("energy", "mmd"), 5, 2)
+        alt = run_scenario(spec(deviation="shift", magnitude=1.0),
+                           ("mmd", "energy"), 5, 2, scenario_index=1)
+        with pytest.raises(ValueError, match="same methods"):
+            pesr_table([null, alt])
 
     def test_rows_equal_per_call_pesr(self):
         methods = ("energy", "engineer", "fr_1mst", "wasserstein")
@@ -328,24 +322,25 @@ class TestPesrTable:
                          scenario_index=4)]
         null_of = {r.spec.balance: r for r in results
                    if r.spec.deviation == "null"}
-        rows = pesr_table(results)
-        assert len(rows) == 3 * len(methods)
-        assert any(row.value is None for row in rows)  # wasserstein
+        specs, table = pesr_table(results)
+        assert table.shape == (3, len(methods))
+        assert np.isnan(table).any()  # wasserstein
         alts = [r for r in results if r.spec.deviation != "null"]
-        for row, (res, m) in zip(rows, itertools.product(
-                alts, range(len(methods)))):
-            assert row.spec == res.spec and row.method == methods[m]
+        for (a, res), m in itertools.product(enumerate(alts),
+                                             range(len(methods))):
+            assert specs[a] == res.spec
             null = null_of[res.spec.balance]
-            assert row.value == pesr(null.values[:, m], res.values[:, m],
-                                     REGISTRY[methods[m]].direction)
+            value = None if np.isnan(table[a, m]) else table[a, m]
+            assert value == pesr(null.values[:, m], res.values[:, m],
+                                 REGISTRY[methods[m]].direction)
 
     def test_null_and_alt_produce_rows(self):
         null = run_scenario(spec(), ("energy",), 30, 3, scenario_index=0)
         alt = run_scenario(spec(deviation="shift", magnitude=2.0),
                            ("energy",), 30, 3, scenario_index=1)
-        rows = pesr_table([null, alt])
-        assert len(rows) == 1
-        assert rows[0].value is not None and rows[0].value > 0.5
+        specs, table = pesr_table([null, alt])
+        assert len(specs) == 1 and table.shape == (1, 1)
+        assert not np.isnan(table[0, 0]) and table[0, 0] > 0.5
 
 
 class TestBench:
