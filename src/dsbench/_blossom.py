@@ -394,24 +394,24 @@ class _Matcher:
         toplabel = label[self.inblossom]
         deltatype = -1
         # delta2: a free vertex with an edge to an S-vertex
-        free = np.flatnonzero((toplabel == 0) & (bestedge[:n, 0] >= 0))
+        free = ((toplabel == 0) & (bestedge[:n, 0] >= 0)).nonzero()[0]
         if free.size:
             slack = self.edge_slack(bestedge[free])
-            k = np.argmin(slack)
+            k = slack.argmin()
             delta, deltatype, deltaedge = slack[k], 2, tuple(bestedge[free[k]])
         # delta3: an edge between two S-blossoms
         top = (self.blossomparent == -1) & (self.blossombase >= 0)
-        sblossoms = np.flatnonzero(top & (label == 1) & (bestedge[:, 0] >= 0))
+        sblossoms = (top & (label == 1) & (bestedge[:, 0] >= 0)).nonzero()[0]
         if sblossoms.size:
             slack = self.edge_slack(bestedge[sblossoms]) / 2.0
-            k = np.argmin(slack)
+            k = slack.argmin()
             if deltatype == -1 or slack[k] < delta:
                 delta, deltatype = slack[k], 3
                 deltaedge = tuple(bestedge[sblossoms[k]])
         # delta4: a T-blossom whose dual reaches zero
-        tblossoms = np.flatnonzero(top & self.isblossom & (label == 2))
+        tblossoms = (top & self.isblossom & (label == 2)).nonzero()[0]
         if tblossoms.size:
-            k = np.argmin(self.blossomdual[tblossoms])
+            k = self.blossomdual[tblossoms].argmin()
             if deltatype == -1 or self.blossomdual[tblossoms[k]] < delta:
                 delta, deltatype = self.blossomdual[tblossoms[k]], 4
                 deltablossom = tblossoms[k]

@@ -106,6 +106,15 @@ def _check_methods(methods) -> None:
             raise ConfigError(f"method id {mid!r} appears twice in 'methods'")
 
 
+def _check_scenario_ids(specs) -> None:
+    first: dict = {}  # scenario id -> index of its first entry
+    for i, spec in enumerate(specs):
+        j = first.setdefault(spec.scenario_id, i)
+        if j != i:
+            raise ConfigError(f"scenario {spec.scenario_id!r} appears twice "
+                              f"in 'scenarios', at indices {j} and {i}")
+
+
 def cmd_simulate(args) -> int:
     _non_negative_int("--seed", args.seed)
     _positive_int("--jobs", args.jobs)
@@ -114,6 +123,7 @@ def cmd_simulate(args) -> int:
     _check_methods(methods)
     reps = _positive_int("reps", config.get("reps", 500))
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
+    _check_scenario_ids(specs)
     for spec in specs:
         if spec.n_total ** 2 > MAX_ENTRIES:
             raise ConfigError(f"scenario 'n_total' {spec.n_total} needs an "
@@ -150,16 +160,18 @@ def _load_results(dump_dir: Path):
         methods = tuple(_required(manifest, "methods"))
         _check_methods(methods)
         entries = _required(manifest, "scenarios")
+        for entry in entries:
+            for key in ("file", "spec", "index"):
+                if not isinstance(entry, dict) or key not in entry:
+                    raise ConfigError(f"scenario entry {entry!r} has no "
+                                      f"{key!r}")
+        specs = [ScenarioSpec.from_dict(entry["spec"]) for entry in entries]
+        _check_scenario_ids(specs)
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
     column = {mid: m for m, mid in enumerate(methods)}
     results = []
-    for entry in entries:
-        for key in ("file", "spec", "index"):
-            if not isinstance(entry, dict) or key not in entry:
-                raise ConfigError(f"{manifest_path}: scenario entry "
-                                  f"{entry!r} has no {key!r}")
-        spec = ScenarioSpec.from_dict(entry["spec"])
+    for entry, spec in zip(entries, specs):
         values = np.full((reps, len(methods)), np.nan)
         errors = [[""] * len(methods) for _ in range(reps)]
         seen = np.zeros((reps, len(methods)), dtype=bool)
@@ -208,15 +220,14 @@ def _load_results(dump_dir: Path):
 
 
 def cmd_report(args) -> int:
-    dump_dir = Path(args.dump)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    methods, results = _load_results(dump_dir)
+    methods, results = _load_results(Path(args.dump))
     try:
         specs, table = pesr_table(results)
     except MissingNullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "pesr.csv",
                ("scenario_id", "dgp", "deviation", "magnitude", "n", "p",
                 "balance", "grouping", "k", "method", "pesr"),

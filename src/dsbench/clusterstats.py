@@ -83,28 +83,34 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
 
 def cluster_madd(rho: np.ndarray, n_clusters: int, rng):
     """Seeded k-medoids (alternating assignment / medoid update) on a
-    dissimilarity matrix.  Returns (labels 0..l-1, flags)."""
+    dissimilarity matrix.  Returns (labels 0..l-1, flags).
+
+    `labels` is always the assignment to the current medoids, so unchanged
+    medoids mean converged labels."""
     n = rho.shape[0]
     if not 2 <= n_clusters <= n:
         raise UnsupportedConfigError("cluster count out of range")
-    medoids = np.sort(rng.choice(n, size=n_clusters, replace=False))
-    labels = np.argmin(rho[:, medoids], axis=1)
+    medoids = rng.choice(n, size=n_clusters, replace=False)
+    medoids.sort()
+    labels = rho[:, medoids].argmin(axis=1)
     for _ in range(100):
-        # repair empty clusters with the worst-assigned point
-        for c in range(n_clusters):
-            if not (labels == c).any():
-                worst = int(np.argmax(rho[np.arange(n), medoids[labels]]))
-                medoids[c] = worst
-                labels = np.argmin(rho[:, medoids], axis=1)
+        if not np.bincount(labels, minlength=n_clusters).all():
+            # repair empty clusters with the worst-assigned point
+            for c in range(n_clusters):
+                if not (labels == c).any():
+                    worst = int(np.argmax(rho[np.arange(n), medoids[labels]]))
+                    medoids[c] = worst
+                    labels = np.argmin(rho[:, medoids], axis=1)
         new_medoids = medoids.copy()
         for c in range(n_clusters):
-            members = np.flatnonzero(labels == c)
-            within = rho[members[:, None], members].sum(axis=1)
-            new_medoids[c] = members[int(np.argmin(within))]
-        new_labels = np.argmin(rho[:, new_medoids], axis=1)
-        if (new_medoids == medoids).all() and (new_labels == labels).all():
+            members = (labels == c).nonzero()[0]
+            # the members' rows in order, so the same pairwise row sums
+            within = rho.take(members, 0).take(members, 1).sum(axis=1)
+            new_medoids[c] = members[within.argmin()]
+        if (new_medoids == medoids).all():
             return labels, ()
-        medoids, labels = new_medoids, new_labels
+        medoids = new_medoids
+        labels = rho[:, medoids].argmin(axis=1)
     return labels, (NONCONVERGED_FLAG,)
 
 
@@ -147,11 +153,16 @@ def ri_from_table(table: np.ndarray) -> float:
 def dunn_index(rho: np.ndarray, labels: np.ndarray) -> float:
     """Min inter-cluster distance over max intra-cluster diameter (a
     singleton has no diameter)."""
-    order = np.argsort(labels)
-    clusters, starts, counts = np.unique(labels[order], return_index=True,
-                                         return_counts=True)
-    if len(clusters) < 2:
+    n = len(labels)
+    order = labels.argsort()
+    ranked = labels[order]
+    # first[i]: row i of `ranked` starts a cluster; first[n] ends the last
+    first = np.ones(n + 1, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:n])
+    starts = first[:n].nonzero()[0]
+    if len(starts) < 2:
         raise UnsupportedConfigError("dunn index needs at least two clusters")
+    multi = ~first[starts + 1]  # clusters of two or more points
     # One pass over the rows in label order gives, for each cluster and
     # point, the max and min over the cluster's rows; a second over those
     # gives the block of each cluster pair.  Neither depends on the order.
@@ -161,7 +172,7 @@ def dunn_index(rho: np.ndarray, labels: np.ndarray) -> float:
     del rows
     hi = np.maximum.reduceat(hi, starts, axis=1)
     lo = np.minimum.reduceat(lo, starts, axis=1)
-    max_diam = max([0.0] + np.diagonal(hi)[counts > 1].tolist())
+    max_diam = max([0.0] + hi.diagonal()[multi].tolist())
     if max_diam == 0.0:
         return math.inf
     return float(squareform(lo, checks=False).min()) / max_diam
@@ -176,7 +187,7 @@ def _estimate_clusters(rho: np.ndarray, k: int, rng):
             break
         labels, flags = cluster_madd(rho, ell, rng)
         all_flags += flags
-        if len(np.unique(labels)) < 2:
+        if labels.min() == labels.max():
             continue
         d = dunn_index(rho, labels)
         if d > best_dunn:

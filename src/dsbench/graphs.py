@@ -100,7 +100,7 @@ class MstLayers:
             chosen = np.empty(n - 1, dtype=key.dtype)
             reached = np.empty(n - 1, dtype=np.int64)
             for step in range(n - 1):
-                v = int(np.argmin(best))
+                v = int(best.argmin())
                 if best[v] == used:
                     raise ValueError(
                         "graph disconnected before completing the layer")

@@ -2,7 +2,8 @@
 extremeness direction, evaluated against a per-repetition context that
 caches the shared heavy structures (distance matrix, graphs, matching, the
 pattern summary of each of their edge sets, Gram matrix, GPK components,
-and the MADD matrices of the pooled sample and of each sample pair)."""
+the DISCO decomposition of each alpha, and the MADD matrices of the pooled
+sample and of each sample pair)."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ class Context:
         self.pooled, self.labels = pool(ms)
         self._graphs: dict = {}
         self._pattern_stats: dict = {}
+        self._disco: dict = {}
         self._madd: dict = {}
 
     @cached_property
@@ -96,6 +98,13 @@ class Context:
     @cached_property
     def gpk(self) -> kernelstats.GpkComponents:
         return kernelstats.gpk_components(self.gram, self.ms.sizes)
+
+    def disco(self, alpha: float) -> interpoint.DiscoResult:
+        """DISCO decomposition of `dist` at `alpha`, for its F and B
+        statistics."""
+        if alpha not in self._disco:
+            self._disco[alpha] = interpoint.disco(self.ms, self.dist, alpha)
+        return self._disco[alpha]
 
     def madd(self, cfg: clusterstats.MaddConfig,
              pair: tuple[int, int] | None = None) -> np.ndarray:
@@ -177,7 +186,7 @@ _register("bg2", DISSIMILARITY, lambda c: interpoint.bg2(c.ms, c.dist))
 for _v in ("f", "b"):
     for _a in (0.5, 1.0, 1.5):
         def _disco_fn(c, v=_v, a=_a):
-            r = interpoint.disco(c.ms, c.dist, a)
+            r = c.disco(a)
             return r.f_stat if v == "f" else r.between
         _register(f"disco_{_v}_{_a:g}", DISSIMILARITY, _disco_fn, max_k=99)
 

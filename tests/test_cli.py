@@ -206,6 +206,18 @@ class TestSimulate:
         assert repr(flag) in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_repeated_scenario_exit_two(self, tmp_path, capsys):
+        shift = null_spec(deviation="shift", magnitude=0.5)
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(), shift, null_spec(p=3), shift],
+                           ["energy"])
+        rc = main(["simulate", "--config", cfg, "--seed", "2",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr(shift.scenario_id) in err and "indices 1 and 3" in err
+        assert not (tmp_path / "d").exists()
+
     def test_same_seed_byte_identical(self, tmp_path, minimal_config):
         for name in ("d1", "d2"):
             main(["simulate", "--config", minimal_config, "--seed", "7",
@@ -296,6 +308,7 @@ class TestReport:
         rc = main(["report", "--dump", str(tmp_path / "dump"),
                    "--out", str(tmp_path / "rep")])
         assert rc == 3
+        assert not (tmp_path / "rep").exists()
 
     def test_null_only_dump_warns_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", [null_spec()], ["energy"])
@@ -349,6 +362,22 @@ class TestReport:
                    "--out", str(tmp_path / "rep")])
         assert rc == 2
         assert str(manifest) in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_manifest_repeated_scenario_exit_two(self, tmp_path, capsys,
+                                                 minimal_config):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["scenarios"].append(dict(payload["scenarios"][0], index=2))
+        manifest.write_text(json.dumps(payload))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "indices 0 and 2" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_unknown_method_in_dump_exit_two(self, tmp_path, capsys,
                                              minimal_config):
@@ -481,6 +510,7 @@ class TestReport:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(scenario) in err and "'abc'" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_dump_is_a_file_exit_two(self, tmp_path, capsys):
         dump = tmp_path / "dump"

@@ -110,7 +110,79 @@ class TestMaddReference:
             assert madd(x, cfg).tobytes() == madd_reference(x, cfg).tobytes()
 
 
+def reference_cluster_madd(rho, n_clusters, rng, repairs=None):
+    """k-medoids as first written: np-level calls, an empty-cluster scan
+    every iteration and a convergence test on medoids and labels both.
+    `repairs`, if given, collects the iteration of each repair."""
+    n = rho.shape[0]
+    medoids = np.sort(rng.choice(n, size=n_clusters, replace=False))
+    labels = np.argmin(rho[:, medoids], axis=1)
+    for it in range(100):
+        for c in range(n_clusters):
+            if not (labels == c).any():
+                if repairs is not None:
+                    repairs.append(it)
+                worst = int(np.argmax(rho[np.arange(n), medoids[labels]]))
+                medoids[c] = worst
+                labels = np.argmin(rho[:, medoids], axis=1)
+        new_medoids = medoids.copy()
+        for c in range(n_clusters):
+            members = np.flatnonzero(labels == c)
+            within = rho[members[:, None], members].sum(axis=1)
+            new_medoids[c] = members[int(np.argmin(within))]
+        new_labels = np.argmin(rho[:, new_medoids], axis=1)
+        if (new_medoids == medoids).all() and (new_labels == labels).all():
+            return labels, ()
+        medoids, labels = new_medoids, new_labels
+    return labels, ("kmedoids_nonconverged",)
+
+
+def duplicated_rho(rng, n, n_distinct):
+    """MADD of n points drawn from n_distinct, so that medoids tie."""
+    x = rng.normal(size=(n_distinct, 2))[rng.integers(0, n_distinct, n)]
+    return madd(x, MaddConfig("psi2", "h1"))
+
+
+def kmedoids_outcome(fn, rho, ell, seed):
+    """(labels or the error raised, flags, generator state after the call):
+    the Dunn sweep keeps drawing from the generator."""
+    rng = np.random.default_rng(seed)
+    try:
+        labels, flags = fn(rho, ell, rng)
+        result = (labels.tolist(), flags)
+    except ValueError as exc:
+        result = (repr(exc), ())
+    return result + (rng.bit_generator.state,)
+
+
 class TestClusterMadd:
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    @pytest.mark.parametrize("kind", ["normal", "duplicated"])
+    def test_equals_reference(self, n, kind):
+        for seed in range(4):
+            data_rng = np.random.default_rng([seed, n])
+            rho = (madd(data_rng.normal(size=(n, 3)), MaddConfig("psi5", "h2"))
+                   if kind == "normal" else duplicated_rho(data_rng, n, 4))
+            for ell in range(2, min(8, n) + 1):
+                assert (kmedoids_outcome(cluster_madd, rho, ell, [seed, ell])
+                        == kmedoids_outcome(reference_cluster_madd, rho, ell,
+                                            [seed, ell]))
+
+    def test_tied_medoids_repaired_as_reference(self):
+        """Four distinct points among 50: medoids drawn on equal points
+        leave clusters empty, and the repair fires."""
+        rho = duplicated_rho(np.random.default_rng(11), 50, 4)
+        repaired = 0
+        for seed in range(20):
+            for ell in range(2, 9):
+                repairs = []
+                ref = kmedoids_outcome(
+                    lambda r, l, g: reference_cluster_madd(r, l, g, repairs),
+                    rho, ell, seed)
+                assert kmedoids_outcome(cluster_madd, rho, ell, seed) == ref
+                repaired += bool(repairs) and isinstance(ref[0], list)
+        assert repaired > 0
+
     def test_separated_clusters_found(self):
         x = np.concatenate([np.zeros((5, 1)), np.full((5, 1), 10.0)])
         rho = madd(x, MaddConfig("psi5", "h2"))
@@ -132,7 +204,6 @@ class TestClusterMadd:
         a, _ = cluster_madd(rho, 3, np.random.default_rng(7))
         b, _ = cluster_madd(rho, 3, np.random.default_rng(7))
         assert (a == b).all()
-
 
 class TestFsRi:
     def test_fs_perfect_table(self):
@@ -286,6 +357,16 @@ class TestDunn:
         rho = np.ones((4, 4))
         np.fill_diagonal(rho, 0.0)
         assert dunn_index(rho, np.array([0, 0, 1, 1])) == 1.0
+
+    def test_singleton_cluster_has_no_diameter(self):
+        # clusters {0, 1}, {2}, {3, 4}: the singleton's nonzero diagonal
+        # entry is not a diameter, but it bounds the distances between
+        x = np.array([0.0, 1.0, 5.0, 9.0, 11.0])
+        rho = np.abs(x[:, None] - x[None, :])
+        rho[2, 2] = 50.0
+        labels = np.array([4, 4, 1, 7, 7])
+        assert dunn_index(rho, labels) == 4.0 / 2.0
+        assert dunn_index(rho, labels) == dunn_reference(rho, labels)
 
     def test_singletons_flagged_infinite(self):
         rho = np.ones((3, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 
-from dsbench import (clusterstats, graphs, graphstats, kernelstats,
-                     methods, permnull)
+from dsbench import (clusterstats, graphs, graphstats, interpoint,
+                     kernelstats, methods, permnull)
 from dsbench.core import DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample
 from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
                              REGISTRY, Context, default_methods, evaluate)
@@ -151,6 +151,7 @@ class TestEvaluate:
             monkeypatch.setattr(module, name, wrapped)
 
         count(clusterstats, "madd")
+        count(interpoint, "disco")
         count(kernelstats, "moments_from_weights")
         count(graphstats, "null_moments")
         count(graphstats, "moments_from_edges")
@@ -166,6 +167,8 @@ class TestEvaluate:
         assert sorted((cfg.psi, cfg.h)
                       for _, cfg in calls["dsbench.clusterstats.madd"]) == [
             ("psi2", "h1"), ("psi3", "h1")]
+        # disco_f_0.5 and disco_b_0.5 read one decomposition
+        assert [a for _, _, a in calls["dsbench.interpoint.disco"]] == [0.5]
         assert len(calls["dsbench.kernelstats.moments_from_weights"]) == 1
         # one pattern summary per edge set: 1-MST, 5-MST and the matching
         edge_sets = [len(edges) for edges, _ in
