@@ -4,22 +4,24 @@ Primal-dual blossom algorithm (Galil's O(n^3) formulation of Edmonds'
 method) on arrays, in numpy.  Only the dense complete-graph case is
 supported, which is all the matching-based statistics need.
 
-Warm start, the greedy start of Blossom V (Kolmogorov 2009, Math. Prog.
-Comp. 1:43-67), in two stages.  First, each vertex dual starts at the
-weight of the vertex's heaviest edge (for weights ``D - d``, its nearest
-neighbour), and every mutual-nearest-neighbour pair starts matched.  The
-duals are feasible in floating point and these edges have slack exactly 0:
-rounding is monotone, so ``fl(y_u + y_v) >= fl(w_uv + w_uv) = 2 * w_uv``
-whenever ``y_u, y_v >= w_uv``, and doubling is exact.  Second, each vertex
-still free, in index order, lowers its dual to ``max_u fl(2 w_uv - y_u)``
-and is matched to the first free vertex whose edge then has slack exactly
-0.  The lowered dual is kept only if the vertex's whole slack row, computed
-as ``scan`` computes it, stays nonnegative; otherwise the vertex keeps its
-dual and stays free.  So the duals stay feasible and every pre-matched edge
-tight, as the search needs.  The search always runs in maximum-cardinality
-mode on an even number of vertices (odd n gets a phantom vertex), where
-vertex duals are free, so it breaks any pre-matched pair that is not in the
-optimum.
+Warm start, the fractional initialisation of Blossom V (Kolmogorov 2009,
+Math. Prog. Comp. 1:43-67).  scipy's ``linear_sum_assignment`` solves, in C,
+the assignment problem of the weights with no vertex assigned to itself.
+Its optimum is a half-integral perfect matching: a 2-cycle of the assignment
+is a matched edge, and the edges of a longer cycle count one half each.
+Its duals, recovered as shortest-path potentials on the residual graph by a
+vectorised Bellman-Ford, give vertex duals ``y_i = -(u_i + v_i)`` that are
+feasible, and every cycle edge is tight, since the reverse assignment is
+optimal too.  The alternate edges of each cycle start matched, and an odd
+cycle leaves one vertex free.  Rounding can break feasibility and tightness
+by ulps, so a row with a negative slack, computed as ``scan`` computes it,
+is raised to its least feasible dual, and an edge starts matched only if
+its slack is exactly 0, after its second vertex lowers its dual as far as
+its row allows if need be.  So the duals are feasible and every pre-matched
+edge tight, as the search needs.  The search always runs in
+maximum-cardinality mode on an even number of vertices (odd n gets a
+phantom vertex), where vertex duals are free, so it breaks any pre-matched
+pair that is not in the optimum.
 
 Persistent forest, as in Blossom V: every free vertex is labelled S once and
 stays the root of its alternating tree until an augmentation matches it.  An
@@ -35,10 +37,12 @@ is queued for a rescan), and the least-slack edge of each S-blossom whose
 best edge led into them.
 
 Each scan of an S-vertex computes its whole slack row in one numpy
-expression.  Only the tight or allowed edges reach the Python branch logic;
-the best-edge bookkeeping for the others, the delta search and the dual
-updates are array operations.  The rarer steps (augmenting, expanding and
-tracing blossoms) stay scalar.
+expression.  Only the tight or allowed edges reach the per-edge branch
+(``take``: label T, form a blossom or augment); the best-edge bookkeeping for
+the others, the delta search and the dual updates are array operations.  A
+dual step hands the edge that limits it straight to ``take`` instead of
+queueing its S-vertex for a rescan.  The rarer steps (augmenting, expanding
+and tracing blossoms) stay scalar.
 
 State layout: vertices are ids 0..n-1, nontrivial blossoms n..2n-1.
 ``label`` values: 0 free, 1 S, 2 T (bit 4 marks breadcrumbs during path
@@ -51,6 +55,114 @@ none.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+
+def _assignment_duals(w):
+    """Optimal assignment of the cost ``-w`` with an infinite diagonal, and
+    its column potentials.
+
+    Returns ``(sigma, pot, rounds)``: row i is assigned column sigma[i], and
+    ``pot`` holds shortest-path distances on the residual graph, where column
+    sigma[i] reaches column j at the reduced cost ``c[i, j] - c[i, sigma[i]]``.
+    Row duals ``c[i, sigma[i]] - pot[sigma[i]]`` and column duals ``pot`` are
+    then optimal.  The potentials come from Bellman-Ford rounds, each
+    relaxing only the rows whose column moved in the round before; ``rounds``
+    counts the rounds that moved one.  A shortest path has at most n - 1
+    arcs, so exact arithmetic settles in at most n - 1 such rounds.  Rounding
+    can leave an ulp-sized negative cycle that never settles, so the loop
+    stops after n; the start's feasibility pass repairs what is left.
+    """
+    n = w.shape[0]
+    cost = np.negative(w)
+    np.fill_diagonal(cost, np.inf)
+    sigma = linear_sum_assignment(cost)[1]
+    rows = np.arange(n)
+    cost -= cost[rows, sigma][:, None]
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[sigma] = rows
+    pot = np.zeros(n)
+    active = rows
+    rounds = 0
+    while rounds < n:
+        reach = cost[active]
+        reach += pot[sigma[active], None]
+        reach = reach.min(axis=0)
+        moved = (reach < pot).nonzero()[0]
+        if moved.size == 0:
+            break
+        pot[moved] = reach[moved]
+        active = row_of[moved]
+        rounds += 1
+    return sigma, pot, rounds
+
+
+def _least_dual(y, wt2, v):
+    """The least dual of vertex v whose slack row, computed as ``scan``
+    computes it, is nonnegative."""
+    bound = wt2[v] - y
+    bound[v] = -np.inf
+    yv = bound.max()
+    while True:
+        row = yv + y - wt2[v]
+        row[v] = np.inf
+        if row.min() >= 0.0:
+            return yv
+        yv = np.nextafter(yv, np.inf)
+
+
+def _assignment_start(w, wt2):
+    """Vertex duals and pre-matched mates from the optimal assignment.
+
+    Rows with a negative slack, computed as ``scan`` computes it, are raised
+    to their least feasible dual.  Each assignment cycle is then walked as a
+    path that starts after its first edge whose slack is not exactly 0 (at
+    its lowest vertex if there is none).  An edge whose slack is exactly 0
+    both ways, or becomes so when its second vertex lowers its dual to the
+    least feasible one, starts matched and the walk moves past it; otherwise
+    the walk moves on one vertex.  So a tight odd cycle leaves its last
+    vertex free.
+    """
+    n = w.shape[0]
+    sigma, pot, _ = _assignment_duals(w)
+    rows = np.arange(n)
+    u = -w[rows, sigma] - pot[sigma]
+    y = -(u + pot)
+    slack = np.add.outer(y, y)
+    slack -= wt2
+    np.fill_diagonal(slack, np.inf)
+    for v in (slack.min(axis=1) < 0.0).nonzero()[0].tolist():
+        y[v] = _least_dual(y, wt2, v)
+    tight = (((y + y[sigma] - wt2[rows, sigma]) == 0.0)
+             & ((y[sigma] + y - wt2[sigma, rows]) == 0.0)).tolist()
+    sig = sigma.tolist()
+    mate = np.full(n, -1, dtype=np.int64)
+    seen = [False] * n
+    for s in range(n):
+        cycle = []
+        t = s
+        while not seen[t]:
+            seen[t] = True
+            cycle.append(t)
+            t = sig[t]
+        if not cycle:
+            continue
+        cut = next((k for k, c in enumerate(cycle) if not tight[c]),
+                   len(cycle) - 1)
+        cycle = cycle[cut + 1:] + cycle[:cut + 1]
+        i = 0
+        while i + 1 < len(cycle):
+            a, b = cycle[i], cycle[i + 1]
+            if not tight[a]:
+                yb = _least_dual(y, wt2, b)
+                if (y[a] + yb - wt2[a, b] != 0.0
+                        or yb + y[a] - wt2[b, a] != 0.0):
+                    i += 1
+                    continue
+                y[b] = yb
+            mate[a], mate[b] = b, a
+            i += 2
+    return y, mate
 
 
 class _Matcher:
@@ -62,33 +174,7 @@ class _Matcher:
         nb = 2 * n
         self.n = n
         self.wt2 = 2.0 * w
-        heaviest = w.copy()
-        np.fill_diagonal(heaviest, -np.inf)
-        nn = heaviest.argmax(axis=1)
-        self.dualvar = heaviest[np.arange(n), nn]
-        self.mate = mate = np.full(n, -1, dtype=np.int64)
-        mutual = np.flatnonzero(nn[nn] == np.arange(n))
-        mate[mutual] = nn[mutual]
-        # Greedy stage: each vertex still free lowers its dual to the least
-        # value its edges allow and takes the first free vertex across a
-        # tight edge.  The new dual is kept only if its whole slack row, as
-        # `scan` computes it, is still nonnegative.
-        dualvar, wt2 = self.dualvar, self.wt2
-        for v in np.flatnonzero(mate < 0).tolist():
-            if mate[v] >= 0:
-                continue
-            bound = wt2[v] - dualvar
-            bound[v] = -np.inf
-            yv = bound.max()
-            slack = yv + dualvar - wt2[v]
-            slack[v] = np.inf
-            if slack.min() < 0.0:
-                continue
-            dualvar[v] = yv
-            tight = np.flatnonzero((slack == 0.0) & (mate < 0))
-            if tight.size:
-                mate[v] = tight[0]
-                mate[tight[0]] = v
+        self.dualvar, self.mate = _assignment_start(w, self.wt2)
         self.label = np.zeros(nb, dtype=np.int64)
         self.labeledge = np.full((nb, 2), -1, dtype=np.int64)
         self.root = np.full(nb, -1, dtype=np.int64)
@@ -335,6 +421,26 @@ class _Matcher:
             self.blossomdual[b] = 0.0
             self.unused.append(b)
 
+    def take(self, v, w):
+        """Act on the tight edge (v, w) of S-vertex v: label w T, form a
+        blossom or augment; return True if it augmented."""
+        inblossom, label = self.inblossom, self.label
+        bw = inblossom[w]
+        if inblossom[v] == bw:  # joined v's blossom earlier in this scan
+            return False
+        if label[bw] == 0:
+            self.assign_label(w, 2, v)
+        elif label[bw] == 1:
+            base = self.scan_blossom(v, w)
+            if base < 0:
+                self.augment(v, w)
+                return True
+            self.add_blossom(base, v, w)
+        elif label[w] == 0:
+            label[w] = 2
+            self.labeledge[w] = (v, w)
+        return False
+
     def scan(self, v):
         """Scan the edges of S-vertex v; return True if it augmented."""
         dualvar, wt2, label = self.dualvar, self.wt2, self.label
@@ -347,20 +453,8 @@ class _Matcher:
             self.allowedge[v, tw] = True
             self.allowedge[tw, v] = True
         for w in tw.tolist():
-            bw = inblossom[w]
-            if inblossom[v] == bw:  # joined v's blossom earlier in this scan
-                continue
-            if label[bw] == 0:
-                self.assign_label(w, 2, v)
-            elif label[bw] == 1:
-                base = self.scan_blossom(v, w)
-                if base < 0:
-                    self.augment(v, w)
-                    return True
-                self.add_blossom(base, v, w)
-            elif label[w] == 0:
-                label[w] = 2
-                self.labeledge[w] = (v, w)
+            if self.take(v, w):
+                return True
         # Best-edge updates for the other edges, on the labels after the
         # loop; a strict < keeps the first index on ties.
         bv = inblossom[v]
@@ -389,7 +483,7 @@ class _Matcher:
 
     def dual_step(self):
         """Change the duals by the largest feasible delta and act on the
-        constraint that limits it; return False if none does."""
+        constraint that limits it; return True if that augmented."""
         n, label, bestedge = self.n, self.label, self.bestedge
         toplabel = label[self.inblossom]
         deltatype = -1
@@ -416,18 +510,17 @@ class _Matcher:
                 delta, deltatype = self.blossomdual[tblossoms[k]], 4
                 deltablossom = tblossoms[k]
         if deltatype == -1:
-            return False
+            raise RuntimeError("no constraint limits the dual step")
         self.dualvar[toplabel == 1] -= delta
         self.dualvar[toplabel == 2] += delta
         self.blossomdual[top & self.isblossom & (label == 1)] += delta
         self.blossomdual[top & self.isblossom & (label == 2)] -= delta
         if deltatype == 4:
             self.expand_blossom(deltablossom, False)
-        else:
-            v, w = deltaedge
-            self.allowedge[v, w] = self.allowedge[w, v] = True
-            self.queue.append(v)
-        return True
+            return False
+        v, w = deltaedge
+        self.allowedge[v, w] = self.allowedge[w, v] = True
+        return self.take(v, w)
 
     def dissolve(self, roots):
         """Unlabel the two trees rooted at ``roots``, which the last
@@ -497,10 +590,10 @@ class _Matcher:
         while free.size:
             augmented = False
             while not augmented:
-                while self.queue and not augmented:
+                if self.queue:
                     augmented = self.scan(self.queue.pop())
-                if not augmented and not self.dual_step():
-                    return self.mate
+                else:
+                    augmented = self.dual_step()
             joined = self.mate[free] >= 0
             self.dissolve(free[joined])
             free = free[~joined]
@@ -521,8 +614,7 @@ def max_weight_matching_dense(weights):
     if n % 2 == 1:
         # A phantom vertex joined to every vertex by equal weights: each
         # perfect matching uses one such edge, so the rest is a maximum-weight
-        # maximum-cardinality matching.  The lightest weight leaves every
-        # real vertex's warm-start dual at its own heaviest edge.
+        # maximum-cardinality matching, whatever the common weight.
         lightest = w[~np.eye(n, dtype=bool)].min()
         w = np.pad(w, (0, 1), constant_values=lightest)
     mate = _Matcher(w).run()[:n]

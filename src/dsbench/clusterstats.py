@@ -101,6 +101,10 @@ def cluster_madd(rho: np.ndarray, n_clusters: int, rng):
                     worst = int(np.argmax(rho[np.arange(n), medoids[labels]]))
                     medoids[c] = worst
                     labels = np.argmin(rho[:, medoids], axis=1)
+            if not np.bincount(labels, minlength=n_clusters).all():
+                raise UnsupportedConfigError(
+                    f"k-medoids with l={n_clusters}: a cluster stays empty "
+                    "after the repair (l exceeds the distinct points)")
         new_medoids = medoids.copy()
         for c in range(n_clusters):
             members = (labels == c).nonzero()[0]

@@ -143,6 +143,21 @@ def duplicated_rho(rng, n, n_distinct):
     return madd(x, MaddConfig("psi2", "h1"))
 
 
+EMPTY_ARGMIN = repr(ValueError("attempt to get argmin of an empty sequence"))
+
+
+def mended(outcome, ell):
+    """The reference's outcome with its defect mended: where a cluster stays
+    empty after the repair, the reference fails on numpy's empty argmin and
+    cluster_madd raises UnsupportedConfigError naming l."""
+    if outcome[0] != EMPTY_ARGMIN:
+        return outcome
+    error = UnsupportedConfigError(
+        f"k-medoids with l={ell}: a cluster stays empty after the repair "
+        "(l exceeds the distinct points)")
+    return (repr(error),) + outcome[1:]
+
+
 def kmedoids_outcome(fn, rho, ell, seed):
     """(labels or the error raised, flags, generator state after the call):
     the Dunn sweep keeps drawing from the generator."""
@@ -164,24 +179,29 @@ class TestClusterMadd:
             rho = (madd(data_rng.normal(size=(n, 3)), MaddConfig("psi5", "h2"))
                    if kind == "normal" else duplicated_rho(data_rng, n, 4))
             for ell in range(2, min(8, n) + 1):
+                ref = kmedoids_outcome(reference_cluster_madd, rho, ell,
+                                       [seed, ell])
                 assert (kmedoids_outcome(cluster_madd, rho, ell, [seed, ell])
-                        == kmedoids_outcome(reference_cluster_madd, rho, ell,
-                                            [seed, ell]))
+                        == mended(ref, ell))
 
     def test_tied_medoids_repaired_as_reference(self):
         """Four distinct points among 50: medoids drawn on equal points
-        leave clusters empty, and the repair fires."""
+        leave clusters empty, and the repair fires.  Beyond four clusters it
+        cannot fill them all: that is an UnsupportedConfigError."""
         rho = duplicated_rho(np.random.default_rng(11), 50, 4)
-        repaired = 0
+        repaired = unfilled = 0
         for seed in range(20):
             for ell in range(2, 9):
                 repairs = []
                 ref = kmedoids_outcome(
                     lambda r, l, g: reference_cluster_madd(r, l, g, repairs),
                     rho, ell, seed)
-                assert kmedoids_outcome(cluster_madd, rho, ell, seed) == ref
+                assert (kmedoids_outcome(cluster_madd, rho, ell, seed)
+                        == mended(ref, ell))
                 repaired += bool(repairs) and isinstance(ref[0], list)
+                unfilled += ref[0] == EMPTY_ARGMIN
         assert repaired > 0
+        assert unfilled > 0
 
     def test_separated_clusters_found(self):
         x = np.concatenate([np.zeros((5, 1)), np.full((5, 1), 10.0)])
