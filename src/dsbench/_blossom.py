@@ -1,8 +1,8 @@
 """Exact maximum-weight matching on dense complete graphs.
 
-Primal-dual blossom algorithm (Galil's O(n^3) formulation of Edmonds'
-method) on arrays, in numpy.  Only the dense complete-graph case is
-supported, which is all the matching-based statistics need.
+Primal-dual blossom algorithm (Edmonds' method with the dual steps of
+Galil's formulation) on arrays, in numpy.  Only the dense complete-graph
+case is supported, which is all the matching-based statistics need.
 
 Warm start, the fractional initialisation of Blossom V (Kolmogorov 2009,
 Math. Prog. Comp. 1:43-67).  scipy's ``linear_sum_assignment`` solves, in C,
@@ -30,15 +30,31 @@ other tree keeps its labels, blossoms, tight edges and queue entries.  The
 dissolve is a few array operations: the two trees' zero-dual S-blossoms are
 expanded; their labels (nested blossoms included), ``allowedge`` rows and
 columns and queue entries are cleared; and any sub-label that another tree's
-T-blossom received from them is dropped.  One slack pass then recomputes the
-best edges that pointed into the two trees: each unreached vertex's
-least-slack edge from the remaining S-vertices (the S-vertex of a tight one
-is queued for a rescan), and the least-slack edge of each S-blossom whose
-best edge led into them.
+T-blossom received from them is dropped.  One ``refresh`` then recomputes
+the ``best`` rows that were in the two trees or led into them, and queues
+the S-vertex of any tight edge to an unreached vertex for a rescan.
+
+Least-slack edges, one per vertex, in ``best``.  For an unreached vertex u
+(label 0, top-level blossom not S), ``best[u]`` is the S-vertex at the far
+end of u's least-slack edge: each scan of an S-vertex keeps the lesser, so
+delta2 is the least slack of ``(best[u], u)`` over the vertices of unlabelled
+top-level blossoms.  For an S-vertex v, ``best[v]`` is the S-vertex of
+another top-level blossom at the far end of v's least-slack edge, as of v's
+last scan or refresh.  Each S-S edge between two top-level blossoms is
+covered by whichever end was scanned or refreshed last, as the other end was
+S by then: a vertex stays S until its tree is dissolved, and a dual step
+lowers the slack of every such edge alike.  So, with the queue empty, delta3
+is the least slack of ``(v, best[v])`` over S-vertices, halved.  An S row
+goes stale only when its far end joins its blossom, and ``add_blossom``
+refreshes those leaves (the T-leaves of a new blossom turn S and are
+rescanned anyway), or when its far end leaves the forest, and ``dissolve``
+refreshes it.  Galil keeps a least-slack edge per S-blossom instead, which
+each new blossom must rebuild from its leaves; a refresh here costs one slack
+row per stale vertex, so Galil's O(n^3) bound is not guaranteed.
 
 Each scan of an S-vertex computes its whole slack row in one numpy
 expression.  Only the tight or allowed edges reach the per-edge branch
-(``take``: label T, form a blossom or augment); the best-edge bookkeeping for
+(``take``: label T, form a blossom or augment); the ``best`` updates for
 the others, the delta search and the dual updates are array operations.  A
 dual step hands the edge that limits it straight to ``take`` instead of
 queueing its S-vertex for a rescan.  The rarer steps (augmenting, expanding
@@ -48,10 +64,9 @@ State layout: vertices are ids 0..n-1, nontrivial blossoms n..2n-1.
 ``label`` values: 0 free, 1 S, 2 T (bit 4 marks breadcrumbs during path
 scans).  ``labeledge[b] = (v, w)`` is the edge through which b received its
 label, with v outside and w inside b; -1 means none.  ``root[b]`` is the free
-vertex at the root of the tree of labelled top-level blossom b.
-``bestedge[b]`` is the least-slack edge from b to another S-blossom (b an
-S-blossom) or from an S-vertex to b (b an unlabelled vertex); (-1, -1) means
-none.
+vertex at the root of the tree of labelled top-level blossom b.  ``best[v]``
+is the vertex at the far end of v's least-slack edge, as above; -1 means
+none, and the entry of a T-vertex is not read.
 """
 
 import numpy as np
@@ -178,7 +193,7 @@ class _Matcher:
         self.label = np.zeros(nb, dtype=np.int64)
         self.labeledge = np.full((nb, 2), -1, dtype=np.int64)
         self.root = np.full(nb, -1, dtype=np.int64)
-        self.bestedge = np.full((nb, 2), -1, dtype=np.int64)
+        self.best = np.full(n, -1, dtype=np.int64)
         self.inblossom = np.arange(n, dtype=np.int64)
         self.blossomparent = np.full(nb, -1, dtype=np.int64)
         self.blossombase = np.full(nb, -1, dtype=np.int64)
@@ -208,14 +223,13 @@ class _Matcher:
     def assign_label(self, w, t, v):
         """Label vertex w and its top blossom with t, coming from vertex v;
         they join v's tree, or root a new one if v is -1."""
-        label, labeledge, bestedge = self.label, self.labeledge, self.bestedge
+        label, labeledge = self.label, self.labeledge
         r = self.root[self.inblossom[v]] if v >= 0 else w
         while True:
             b = self.inblossom[w]
             label[w] = label[b] = t
             self.root[b] = r
             labeledge[w] = labeledge[b] = (v, w) if v >= 0 else -1
-            bestedge[w] = bestedge[b] = -1
             if t == 1:
                 self.queue.extend(self.leaves(b))
                 return
@@ -279,20 +293,13 @@ class _Matcher:
         self.root[b] = self.root[bb]
         self.blossomdual[b] = 0.0
         leaves = np.array(self.leaves(b))
-        tleaves = leaves[self.label[inblossom[leaves]] == 2]
-        self.queue.extend(tleaves.tolist())
+        # top-level labels before the merge; a leaf's own label is mostly 0
+        was = self.label[inblossom[leaves]]
+        self.queue.extend(leaves[was == 2].tolist())
         inblossom[leaves] = b
-        # Least-slack edge to another S-blossom; first leaf, then first vertex.
-        others = np.flatnonzero((self.label[inblossom] == 1)
-                                & (inblossom != b))
-        if others.size == 0:
-            self.bestedge[b] = -1
-            return
-        dualvar = self.dualvar
-        slack = (dualvar[leaves][:, None] + dualvar[others]
-                 - self.wt2[np.ix_(leaves, others)])
-        i, j = divmod(int(np.argmin(slack)), others.size)
-        self.bestedge[b] = leaves[i], others[j]
+        # S-leaves whose least-slack edge now lies inside the new blossom
+        far = self.best[leaves]
+        self.refresh(leaves[(was == 1) & (far >= 0) & (inblossom[far] == b)])
 
     def augment_blossom(self, b0, v0):
         """Rearrange the matching inside blossom b0 so that v0 becomes its
@@ -399,7 +406,6 @@ class _Matcher:
                 bw = childs[0]
                 label[w] = label[bw] = 2
                 labeledge[w] = labeledge[bw] = (v, w)
-                self.bestedge[bw] = -1
                 j += jstep
                 while childs[j] != entrychild:
                     bv = childs[j]
@@ -415,7 +421,6 @@ class _Matcher:
             # recycle
             label[b] = 0
             labeledge[b] = -1
-            self.bestedge[b] = -1
             self.blossombase[b] = -1
             self.childs[b] = self.endps[b] = None
             self.blossomdual[b] = 0.0
@@ -444,7 +449,7 @@ class _Matcher:
     def scan(self, v):
         """Scan the edges of S-vertex v; return True if it augmented."""
         dualvar, wt2, label = self.dualvar, self.wt2, self.label
-        inblossom, bestedge = self.inblossom, self.bestedge
+        inblossom, best = self.inblossom, self.best
         slack = dualvar[v] + dualvar - wt2[v]
         tight = ((inblossom != inblossom[v])
                  & (self.allowedge[v] | (slack <= 0.0)))
@@ -455,54 +460,68 @@ class _Matcher:
         for w in tw.tolist():
             if self.take(v, w):
                 return True
-        # Best-edge updates for the other edges, on the labels after the
-        # loop; a strict < keeps the first index on ties.
-        bv = inblossom[v]
-        rest = ~tight & (inblossom != bv)
+        # Least-slack edges of the other edges, on the labels after the
+        # loop; argmin and a strict < keep the first index on ties.
+        rest = ~tight & (inblossom != inblossom[v])
         toplabel = label[inblossom]
         tos = (rest & (toplabel == 1)).nonzero()[0]
-        if tos.size:
-            w = tos[slack[tos].argmin()]
-            a, c = bestedge[bv]
-            if a < 0 or slack[w] < dualvar[a] + dualvar[c] - wt2[a, c]:
-                bestedge[bv] = v, w
+        best[v] = tos[slack[tos].argmin()] if tos.size else -1
         tofree = (rest & (toplabel != 1) & (label[:self.n] == 0)).nonzero()[0]
         if tofree.size:
-            edges = bestedge[tofree]
-            better = tofree[(edges[:, 0] < 0)
-                            | (slack[tofree] < self.edge_slack(edges))]
-            bestedge[better, 0] = v
-            bestedge[better, 1] = better
+            better = tofree[(best[tofree] < 0)
+                            | (slack[tofree] < self.best_slack(tofree))]
+            best[better] = v
         return False
 
-    def edge_slack(self, edges):
-        """Slack of each edge (v, w) in a (k, 2) array, without blossom
-        duals."""
-        a, c = edges[:, 0], edges[:, 1]
-        return self.dualvar[a] + self.dualvar[c] - self.wt2[a, c]
+    def best_slack(self, rows):
+        """Slack of the edge from each vertex in ``rows`` to its ``best``,
+        without blossom duals."""
+        far = self.best[rows]
+        return self.dualvar[rows] + self.dualvar[far] - self.wt2[rows, far]
+
+    def refresh(self, rows):
+        """Point ``best`` of each vertex in ``rows`` at its least-slack
+        S-vertex outside its own top-level blossom, the first on ties, and
+        queue the S end of a tight edge to an unreached vertex."""
+        if rows.size == 0:
+            return
+        inblossom, label, best = self.inblossom, self.label, self.best
+        svert = (label[inblossom] == 1).nonzero()[0]
+        if svert.size == 0:
+            best[rows] = -1
+            return
+        slack = (self.dualvar[rows, None] + self.dualvar[svert]
+                 - self.wt2[rows[:, None], svert])
+        slack[inblossom[rows, None] == inblossom[svert]] = np.inf
+        k = slack.argmin(axis=1)
+        least = slack[np.arange(rows.size), k]
+        best[rows] = np.where(least < np.inf, svert[k], -1)
+        tight = (least <= 0.0) & (label[inblossom[rows]] != 1)
+        if tight.any():
+            self.queue.extend(np.unique(svert[k[tight]]).tolist())
 
     def dual_step(self):
         """Change the duals by the largest feasible delta and act on the
         constraint that limits it; return True if that augmented."""
-        n, label, bestedge = self.n, self.label, self.bestedge
+        label, best = self.label, self.best
         toplabel = label[self.inblossom]
         deltatype = -1
         # delta2: a free vertex with an edge to an S-vertex
-        free = ((toplabel == 0) & (bestedge[:n, 0] >= 0)).nonzero()[0]
+        free = ((toplabel == 0) & (best >= 0)).nonzero()[0]
         if free.size:
-            slack = self.edge_slack(bestedge[free])
+            slack = self.best_slack(free)
             k = slack.argmin()
-            delta, deltatype, deltaedge = slack[k], 2, tuple(bestedge[free[k]])
-        # delta3: an edge between two S-blossoms
-        top = (self.blossomparent == -1) & (self.blossombase >= 0)
-        sblossoms = (top & (label == 1) & (bestedge[:, 0] >= 0)).nonzero()[0]
-        if sblossoms.size:
-            slack = self.edge_slack(bestedge[sblossoms]) / 2.0
+            delta, deltatype, deltaedge = slack[k], 2, (best[free[k]], free[k])
+        # delta3: an edge between S-vertices of two top-level blossoms
+        svert = ((toplabel == 1) & (best >= 0)).nonzero()[0]
+        if svert.size:
+            slack = self.best_slack(svert) / 2.0
             k = slack.argmin()
             if deltatype == -1 or slack[k] < delta:
                 delta, deltatype = slack[k], 3
-                deltaedge = tuple(bestedge[sblossoms[k]])
+                deltaedge = (svert[k], best[svert[k]])
         # delta4: a T-blossom whose dual reaches zero
+        top = (self.blossomparent == -1) & (self.blossombase >= 0)
         tblossoms = (top & self.isblossom & (label == 2)).nonzero()[0]
         if tblossoms.size:
             k = self.blossomdual[tblossoms].argmin()
@@ -524,15 +543,15 @@ class _Matcher:
 
     def dissolve(self, roots):
         """Unlabel the two trees rooted at ``roots``, which the last
-        augmentation joined, and repair the best edges that led into them."""
+        augmentation joined, and refresh the least-slack edges that were in
+        them or led into them."""
         n, label, labeledge = self.n, self.label, self.labeledge
-        bestedge, inblossom = self.bestedge, self.inblossom
+        best, inblossom = self.best, self.inblossom
         gone = (label[inblossom] != 0) & np.isin(self.root[inblossom], roots)
         # sub-labels inside other trees' T-blossoms that came from the two
         src = labeledge[:n, 0]
         dropped = ~gone & (label[:n] != 0) & (src >= 0) & gone[src]
-        src = bestedge[:n, 0]
-        stale = gone | dropped | ((src >= 0) & gone[src])
+        stale = gone | dropped | ((best >= 0) & gone[best])
         tops = np.unique(inblossom[gone])
         for b in tops[(tops >= n) & (label[tops] == 1)
                       & (self.blossomdual[tops] == 0.0)].tolist():
@@ -541,47 +560,15 @@ class _Matcher:
         ids = ids[gone[self.blossombase[ids]]]
         label[ids] = 0
         labeledge[ids] = -1
-        bestedge[ids] = -1
         label[:n][dropped] = 0
         labeledge[:n][dropped] = -1
         self.allowedge[gone] = False
         self.allowedge[:, gone] = False
         queue = np.array(self.queue, dtype=np.int64)
         self.queue = queue[~gone[queue]].tolist()
-        # One slack pass from the remaining S-vertices.  An unreached vertex
-        # keeps its least-slack edge; a tight one has its S-vertex rescanned.
-        toplabel = label[inblossom]
-        svert = np.flatnonzero(toplabel == 1)
-        rows = np.flatnonzero(stale & (toplabel != 1) & (label[:n] == 0))
-        bestedge[rows] = -1
-        dst = bestedge[:, 1]
-        sblossoms = np.flatnonzero(
-            (self.blossomparent == -1) & (self.blossombase >= 0)
-            & (label == 1) & (dst >= 0) & gone[dst])
-        bestedge[sblossoms] = -1
-        if svert.size == 0:
-            return
-        leaves = np.flatnonzero(np.isin(inblossom, sblossoms))
-        both = np.concatenate([rows, leaves])
-        slack = (self.dualvar[both, None] + self.dualvar[svert]
-                 - self.wt2[np.ix_(both, svert)])
-        owner = inblossom[leaves]
-        slack[rows.size:][owner[:, None] == inblossom[svert]] = np.inf
-        k = slack.argmin(axis=1)
-        best = slack[np.arange(both.size), k]
-        bestedge[rows, 0] = svert[k[:rows.size]]
-        bestedge[rows, 1] = rows
-        self.queue.extend(
-            np.unique(svert[k[:rows.size][best[:rows.size] <= 0.0]]).tolist())
-        if leaves.size == 0:
-            return
-        # Each S-blossom keeps its least-slack leaf, the first on ties.
-        k, best = k[rows.size:], best[rows.size:]
-        order = np.lexsort((best, owner))
-        first = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
-        first = first[np.isfinite(best[first])]
-        bestedge[owner[first], 0] = leaves[first]
-        bestedge[owner[first], 1] = svert[k[first]]
+        # the S-vertices and unreached vertices among the stale rows
+        self.refresh(np.flatnonzero(
+            stale & ((label[inblossom] == 1) | (label[:n] == 0))))
 
     def run(self):
         free = np.flatnonzero(self.mate < 0)

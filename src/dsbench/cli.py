@@ -88,11 +88,20 @@ def _non_negative_number(key: str, value) -> float:
     return float(value)
 
 
+def _check_distance_entries(n_total: int, what: str) -> None:
+    """Reject, before any work, an N x N distance matrix beyond
+    MAX_ENTRIES."""
+    if n_total ** 2 > MAX_ENTRIES:
+        raise ConfigError(f"{what} needs an N x N distance matrix of more "
+                          f"than {MAX_ENTRIES} entries")
+
+
 def _grid_cell(cell) -> tuple[int, int]:
     if (not isinstance(cell, list) or len(cell) != 2
             or not all(_is_int(x) and x >= 1 for x in cell)):
         raise ConfigError(f"'grid' entries must be [n, p] pairs of positive "
                           f"integers, got {cell!r}")
+    _check_distance_entries(cell[0], f"'grid' cell {cell!r}")
     return cell[0], cell[1]
 
 
@@ -125,10 +134,8 @@ def cmd_simulate(args) -> int:
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
     _check_scenario_ids(specs)
     for spec in specs:
-        if spec.n_total ** 2 > MAX_ENTRIES:
-            raise ConfigError(f"scenario 'n_total' {spec.n_total} needs an "
-                              "N x N distance matrix of more than "
-                              f"{MAX_ENTRIES} entries")
+        _check_distance_entries(spec.n_total,
+                                f"scenario 'n_total' {spec.n_total}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),

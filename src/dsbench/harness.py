@@ -277,7 +277,8 @@ def bench(methods, grid, master_seed: int = 0, min_reps: int = 10,
     """Median runtime per (method, N, p) on normal null data with equal
     sizes.  Every method runs at least min_reps times and for at least
     min_total seconds; each method is called once to warm caches before
-    timing."""
+    timing.  A method whose warm-up call returns an error is not timed: its
+    row has 0 runs and a NaN median."""
     rows = []
     for n_total, p in grid:
         spec = ScenarioSpec("normal", "null", 0.0, n_total, p, "balanced")
@@ -285,7 +286,9 @@ def bench(methods, grid, master_seed: int = 0, min_reps: int = 10,
         for mid in sorted(methods):
             if mid not in REGISTRY:
                 raise KeyError(f"unknown method id {mid!r}")
-            evaluate(mid, Context(ms, seed=master_seed))  # warm-up call
+            if evaluate(mid, Context(ms, seed=master_seed)).error:  # warm-up
+                rows.append(BenchRow(mid, n_total, p, 0, float("nan"), 0.0))
+                continue
             times = []
             total = 0.0
             while len(times) < min_reps or total < min_total:
@@ -303,11 +306,14 @@ def bench(methods, grid, master_seed: int = 0, min_reps: int = 10,
 def scale_bench(rows: list[BenchRow]):
     """Min-max scale medians within each (N, p) cell; per-method median of
     the scaled values.  A single-method cell scales to zero by convention.
+    A row with no timed runs scales to NaN and is left out of its cell's
+    range and of its method's median, which is NaN if no cell is left.
     Returns ({(method, n, p): scaled}, {method: median_scaled})."""
     cells: dict = {}
     for row in rows:
-        cells.setdefault((row.n_total, row.p), []).append(row)
-    scaled = {}
+        if row.runs:
+            cells.setdefault((row.n_total, row.p), []).append(row)
+    scaled = {(r.method, r.n_total, r.p): float("nan") for r in rows}
     for cell_rows in cells.values():
         med = [r.median_seconds for r in cell_rows]
         lo, hi = min(med), max(med)
@@ -319,6 +325,7 @@ def scale_bench(rows: list[BenchRow]):
             scaled[(r.method, r.n_total, r.p)] = s
     summary = {}
     for method in sorted({r.method for r in rows}):
-        vals = [s for (m, _, _), s in scaled.items() if m == method]
-        summary[method] = float(np.median(vals))
+        vals = [s for (m, _, _), s in scaled.items()
+                if m == method and not np.isnan(s)]
+        summary[method] = float(np.median(vals)) if vals else float("nan")
     return scaled, summary

@@ -614,6 +614,36 @@ class TestBenchCommand:
                    str(tmp_path / "b")])
         assert rc == 2
 
+    def test_bench_failing_cell_written_as_na(self, tmp_path):
+        # bg_0.8 cannot partition 2^50 cells: its (50, 50) cell is not timed
+        # and leaves energy alone in that cell's scaling
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "methods": ["bg_0.8", "energy"], "grid": [[50, 50], [50, 2]],
+            "min_reps": 2, "min_total_s": 0.0}))
+        rc = main(["bench", "--config", str(cfg), "--out",
+                   str(tmp_path / "b")])
+        assert rc == 0
+        rows = (tmp_path / "b" / "bench.csv").read_text().splitlines()[1:]
+        rows = {tuple(r.split(",")[:4]): r.split(",")[4:] for r in rows}
+        assert rows["cell", "bg_0.8", "50", "50"] == ["0", "NA", "NA"]
+        assert rows["cell", "energy", "50", "50"][2] == "0.0"
+        bg_p2 = rows["cell", "bg_0.8", "50", "2"][2]
+        assert {bg_p2, rows["cell", "energy", "50", "2"][2]} == {"0.0", "1.0"}
+        assert rows["summary", "bg_0.8", "NA", "NA"] == ["NA", "NA", bg_p2]
+
+    def test_bench_distance_cap_exit_two_before_any_work(self, tmp_path,
+                                                         capsys):
+        # an N x N distance matrix of 2.1e9 entries (~17 GB)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"methods": ["energy"],
+                                   "grid": [[20, 2], [46342, 1]]}))
+        rc = main(["bench", "--config", str(cfg), "--out",
+                   str(tmp_path / "b")])
+        assert rc == 2
+        assert "'grid' cell [46342, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs ~0.2 s of start-up; nothing the CLI runs needs it

@@ -442,6 +442,49 @@ class TestMatching:
         min_weight_matching(d)
         assert 0 < len(calls) < 5 * n
 
+    def test_least_slacks_read_from_best_equal_brute_force(self, monkeypatch):
+        # Before every dual step, ``best`` of each unreached vertex leads to
+        # an S-vertex, and of each S-vertex to an S-vertex of another
+        # top-level blossom; the least slacks read from those edges (delta2,
+        # and delta3 halved) equal the least over all such edges.  On
+        # continuous data every step is exact.  Lattice ties can reorder by
+        # an ulp, as each dual step rounds every vertex's dual on its own,
+        # hence the 1e-12 allowance.
+        steps = []
+        dual_step = _Matcher.dual_step
+
+        def least(slack):
+            return slack.min() if slack.size else np.inf
+
+        def checked(self):
+            top = self.inblossom
+            toplabel = self.label[top]
+            slack = self.dualvar[:, None] + self.dualvar - self.wt2
+            s, u = toplabel == 1, toplabel == 0
+            cross = (top[:, None] != top) & s[:, None] & s
+            far = self.best
+            assert (far[u | s] >= 0).all()
+            assert s[far[u]].all() and cross[s, far[s]].all()
+            tol = 1e-12 * np.abs(self.wt2).max()
+            exact = []
+            for read, brute in ((slack[far[u], u], slack[np.ix_(s, u)]),
+                                (slack[s, far[s]] / 2.0, slack[cross] / 2.0)):
+                assert least(brute) <= least(read) <= least(brute) + tol
+                exact.append(least(read) == least(brute))
+            steps.append(all(exact))
+            return dual_step(self)
+        monkeypatch.setattr(_Matcher, "dual_step", checked)
+        rng = np.random.default_rng(17)
+        for n in (20, 41, 60, 99, 100, 151, 200):
+            for _ in range(4):
+                min_weight_matching(random_dist(rng, n))
+        assert len(steps) > 1000 and all(steps)
+        for n, p, side in ((20, 2, 3), (31, 2, 4), (40, 3, 2), (61, 1, 6),
+                           (99, 2, 5)):
+            for _ in range(10):
+                min_weight_matching(lattice_dist(rng, n, p, side))
+        assert len(steps) > 1100
+
 
 class TestAssignment:
     def test_identity_optimal(self):

@@ -6,7 +6,7 @@ import pytest
 
 from dsbench.core import DISSIMILARITY, SIMILARITY
 from dsbench.datagen import ScenarioSpec
-from dsbench.harness import (MissingNullError, acceptable, bench,
+from dsbench.harness import (BenchRow, MissingNullError, acceptable, bench,
                              choice_tree, greedy_cover, mean_diff_to_ideal,
                              pesr, pesr_table, run_scenario, scale_bench)
 from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
@@ -361,6 +361,22 @@ class TestBench:
         scaled, summary = scale_bench(rows)
         assert set(scaled.values()) == {0.0}
         assert summary["engineer"] == 0.0
+
+    def test_untimed_rows_left_out_of_scaling(self):
+        rows = [BenchRow("a", 10, 2, 3, 1.0, 3.0),
+                BenchRow("b", 10, 2, 3, 3.0, 9.0),
+                BenchRow("c", 10, 2, 0, float("nan"), 0.0),
+                BenchRow("a", 20, 2, 0, float("nan"), 0.0),
+                BenchRow("b", 20, 2, 3, 2.0, 6.0),
+                BenchRow("c", 20, 2, 3, 4.0, 12.0)]
+        scaled, summary = scale_bench(rows)
+        assert scaled[("a", 10, 2)] == 0.0 and scaled[("b", 10, 2)] == 1.0
+        assert scaled[("b", 20, 2)] == 0.0 and scaled[("c", 20, 2)] == 1.0
+        assert np.isnan(scaled[("c", 10, 2)])
+        assert np.isnan(scaled[("a", 20, 2)])
+        assert summary == {"a": 0.0, "b": 0.5, "c": 1.0}
+        _, summary = scale_bench([BenchRow("a", 10, 2, 0, float("nan"), 0.0)])
+        assert np.isnan(summary["a"])
 
     def test_min_total_enforced(self):
         rows = bench(("engineer",), [(20, 2)], master_seed=0, min_reps=3,
