@@ -12,9 +12,9 @@ import numpy as np
 
 from .datagen import MAX_ENTRIES, ConfigError, ScenarioSpec
 from .harness import (MissingNullError, ScenarioResult, acceptable, bench,
-                      choice_tree, greedy_cover, mean_diff_to_ideal,
-                      overall_mean_diff, pesr_table, run_scenario,
-                      scale_bench)
+                      bench_scenario, choice_tree, greedy_cover,
+                      mean_diff_to_ideal, overall_mean_diff, pesr_table,
+                      run_scenario, scale_bench)
 from .methods import REGISTRY
 
 _GROUP_FIELDS = ("dgp", "deviation", "n", "p", "balance", "grouping", "k")
@@ -102,6 +102,10 @@ def _grid_cell(cell) -> tuple[int, int]:
         raise ConfigError(f"'grid' entries must be [n, p] pairs of positive "
                           f"integers, got {cell!r}")
     _check_distance_entries(cell[0], f"'grid' cell {cell!r}")
+    try:
+        bench_scenario(cell[0], cell[1])
+    except ConfigError as exc:
+        raise ConfigError(f"'grid' cell {cell!r}: {exc}") from None
     return cell[0], cell[1]
 
 

@@ -55,30 +55,38 @@ def madd(values: np.ndarray, cfg: MaddConfig) -> np.ndarray:
     """Mean absolute difference of distance profiles.
 
     rho(i, j) averages |phi(i, m) - phi(j, m)| over the other points m,
-    with phi the h(mean psi |component difference|) dissimilarity."""
+    with phi the h(mean psi |component difference|) dissimilarity.
+    Holds at most two n x n float64 arrays' worth at once, the result
+    included."""
     n, p = values.shape
     if n < 3:
         raise UnsupportedConfigError("madd needs at least three points")
-    acc = np.zeros((n, n))
-    buf = np.empty((n, n))  # the one n x n temporary of the column loop
-    for col in range(p):
-        np.subtract(values[:, col, None], values[None, :, col], out=buf)
-        np.abs(buf, out=buf)
-        _psi_inplace(cfg.psi, buf)
-        acc += buf
-    del buf
+    # Every step up to the final squareform runs on the condensed upper
+    # triangle (the n(n-1)/2 entries i < j): |a - b| == |b - a| exactly and
+    # psi(0) = h(0) = 0, so the square the loop would build is the mirror of
+    # this triangle with a zero diagonal.  A one-column cityblock pdist is
+    # exactly |x_i - x_j|.
+    acc = pdist(values[:, [0]], "cityblock")
+    _psi_inplace(cfg.psi, acc)
+    for col in range(1, p):
+        term = pdist(values[:, [col]], "cityblock")
+        _psi_inplace(cfg.psi, term)
+        acc += term
+        del term
     acc /= p
-    phi = _h(cfg.h, acc)
+    phi_tri = _h(cfg.h, acc)
     del acc
-    # sum_m |phi_im - phi_jm| over all m (one triangle, mirrored), then drop
-    # the m=i and m=j terms; in place, so that at most two n x n arrays and
-    # one triangle are alive here (doubling is exact)
-    rho = squareform(pdist(phi, "cityblock"))
-    phi *= 2.0
-    rho -= phi
-    rho /= n - 2
-    np.fill_diagonal(rho, 0.0)
-    return rho
+    # sum_m |phi_im - phi_jm| over all m, then drop the m=i and m=j terms,
+    # which are phi_ij each (doubling is exact); at most the square phi and
+    # two triangles are alive here
+    phi = squareform(phi_tri)
+    rho_tri = pdist(phi, "cityblock")
+    del phi
+    phi_tri *= 2.0
+    rho_tri -= phi_tri
+    del phi_tri
+    rho_tri /= n - 2
+    return squareform(rho_tri)
 
 
 def cluster_madd(rho: np.ndarray, n_clusters: int, rng):

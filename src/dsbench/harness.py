@@ -272,6 +272,12 @@ class BenchRow:
     total_seconds: float
 
 
+def bench_scenario(n_total: int, p: int) -> ScenarioSpec:
+    """The scenario `bench` times at grid cell (n_total, p): normal null data
+    of balanced sizes.  Raises ConfigError for a cell no scenario allows."""
+    return ScenarioSpec("normal", "null", 0.0, n_total, p, "balanced")
+
+
 def bench(methods, grid, master_seed: int = 0, min_reps: int = 10,
           min_total: float = 1.0) -> list[BenchRow]:
     """Median runtime per (method, N, p) on normal null data with equal
@@ -281,8 +287,8 @@ def bench(methods, grid, master_seed: int = 0, min_reps: int = 10,
     row has 0 runs and a NaN median."""
     rows = []
     for n_total, p in grid:
-        spec = ScenarioSpec("normal", "null", 0.0, n_total, p, "balanced")
-        ms = sample_scenario(spec, rng_for(master_seed, 0, 0))
+        ms = sample_scenario(bench_scenario(n_total, p),
+                             rng_for(master_seed, 0, 0))
         for mid in sorted(methods):
             if mid not in REGISTRY:
                 raise KeyError(f"unknown method id {mid!r}")

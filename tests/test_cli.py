@@ -644,6 +644,21 @@ class TestBenchCommand:
         assert "'grid' cell [46342, 1]" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_bench_bad_cell_exit_two_before_any_timing(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a 2 x 1073741825 draw exceeds MAX_ENTRIES; its N x N matrix does not
+        def fail(*args, **kwargs):
+            raise AssertionError("bench ran")
+        monkeypatch.setattr("dsbench.cli.bench", fail)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"methods": ["energy"],
+                                   "grid": [[200, 2], [2, 1073741825]]}))
+        rc = main(["bench", "--config", str(cfg), "--out",
+                   str(tmp_path / "b")])
+        assert rc == 2
+        assert "'grid' cell [2, 1073741825]" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs ~0.2 s of start-up; nothing the CLI runs needs it

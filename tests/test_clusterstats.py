@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ class TestMadd:
         with pytest.raises(UnsupportedConfigError):
             madd(np.zeros((2, 1)), MaddConfig())
 
+    @pytest.mark.parametrize("n, p", [(300, 4), (301, 1)])
+    @pytest.mark.parametrize("psi, h", [("psi3", "h1"), ("psi5", "h2")])
+    def test_working_set_two_square_arrays(self, n, p, psi, h):
+        # the peak holds the square phi and the phi and rho triangles
+        x = np.random.default_rng(7).normal(size=(n, p))
+        tracemalloc.start()
+        try:
+            madd(x, MaddConfig(psi, h))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * n * n * 8
+
     def test_matches_brute_force_definition(self):
         psi = {"psi1": lambda t: t ** 2, "psi2": lambda t: 1 - math.exp(-t),
                "psi3": lambda t: 1 - math.exp(-t ** 2),
@@ -104,9 +118,15 @@ class TestMaddReference:
         rng = np.random.default_rng(6)
         # madd sums one triangle of the profile differences (pdist) and
         # mirrors it; the reference sums both triangles (cdist)
-        for n, p in ((3, 1), (17, 3), (120, 10), (500, 2)):
-            x = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0)
-            cfg = MaddConfig(psi, h)
+        inputs = [rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0)
+                  for n, p in ((3, 1), (17, 3), (120, 10), (500, 2))]
+        # lattice points with ties and duplicated rows at odd n: exact zeros
+        # off the diagonal in phi and rho
+        lattice = rng.integers(0, 3, size=(61, 4)) * 0.5
+        inputs.append(np.concatenate([lattice, lattice[:40]]))
+        inputs.append(rng.integers(0, 2, size=(33, 2)).astype(float))
+        cfg = MaddConfig(psi, h)
+        for x in inputs:
             assert madd(x, cfg).tobytes() == madd_reference(x, cfg).tobytes()
 
 
