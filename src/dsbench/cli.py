@@ -178,6 +178,17 @@ def _load_results(dump_dir: Path):
                                       f"{key!r}")
         specs = [ScenarioSpec.from_dict(entry["spec"]) for entry in entries]
         _check_scenario_ids(specs)
+        files = set()
+        for entry in entries:
+            if not isinstance(entry["file"], str):
+                raise ConfigError(f"scenario entry {entry!r}: 'file' is not "
+                                  "a string")
+            # a second entry on the same file would read the first's rows
+            name = Path(entry["file"])
+            if name in files:
+                raise ConfigError(f"scenario entry {entry!r} names a file "
+                                  "that an earlier entry names")
+            files.add(name)
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
     column = {mid: m for m, mid in enumerate(methods)}

@@ -63,11 +63,6 @@ GRIDS = {
         skew_kurtosis_step=(0.5, 2.0, 4.0), n_k2=(50, 100, 200),
         n_k4=(100, 200), p=(2, 10)),
 }
-SHIFT_GRID = GRIDS["full"]["shift"]
-SCALE_GRID = GRIDS["full"]["scale"]
-CORR_GRID_K2 = GRIDS["full"]["correlation"]
-CORR_GRID_K4 = GRIDS["full"]["correlation_k4"]
-N_GRID_K4 = GRIDS["full"]["n_k4"]
 
 # The study cases: (k, groupings).
 _CASES = {"two_sample": (2, ("1+1",)), "four_sample": (4, GROUPINGS_K4)}

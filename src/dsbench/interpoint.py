@@ -153,57 +153,36 @@ def _ball_rows(dist, order, sample_of, sizes, a, rows, cols):
     """Row sums for the points `rows` of sample `a` (whose points are the
     pooled `cols`): entry (s, i) sums, over the points j of `a` in column
     order, the squared difference between the shares of `a` and of sample
-    s in the ball around i through j (radius 0 for j = i).
+    s in the ball around i through j.
 
-    The ball holds i and the points of i's `order` row up to the end of
-    j's run of equal distances.  Those run ends, and the end of a run at
-    distance 0, are the row's query positions; one `bincount` over
-    (sample, row, queries before the position) and a running sum over the
-    queries count every sample's points in every ball."""
-    k, n_a = len(sizes), cols.stop - cols.start
-    nearest = order[rows]
-    n_rows, width = nearest.shape
+    Row i is i itself, at distance 0, then its `order` row.  The ball
+    through j (j = i too) holds the row up to the end of j's run of equal
+    distances, so a running count of each sample along the row, read at
+    those run ends, counts every sample's points in every ball."""
+    width = len(order)
+    nearest = np.empty((rows.stop - rows.start, width), order.dtype)
+    nearest[:, 0] = np.arange(rows.start, rows.stop)
+    nearest[:, 1:] = order[rows]
     d = np.take_along_axis(dist[rows], nearest, axis=1)
     run_end = np.ones(d.size, dtype=bool)
     np.not_equal(d[:, 1:], d[:, :-1], out=run_end.reshape(d.shape)[:, :-1])
-    at_zero = d[:, 0] == 0.0
     del d
     # a row's last position ends a run, so runs can be numbered over the
     # flattened rows; the run holding a position ends at ends[run]
-    ends = np.flatnonzero(run_end)
+    ends = np.flatnonzero(run_end).astype(np.int32)
     run = np.cumsum(run_end, dtype=np.int32)
     run -= run_end
     del run_end
-    n_q = n_a + 1  # a row has at most n_a query positions
-    key = (sample_of * (n_rows * n_q))[nearest].ravel()
-    q = np.flatnonzero(key == a * n_rows * n_q)  # a's other points
-    query = np.zeros(key.size, dtype=bool)
-    query[ends[run[q]]] = True
-    query[ends[run[np.flatnonzero(at_zero) * width]]] = True
-    del ends, run
-    query = query.reshape(n_rows, width)
-    before = np.cumsum(query, axis=1, dtype=np.int32)
-    before -= query
-    del query
-    key = key.reshape(n_rows, width)
-    key += (np.arange(n_rows) * n_q)[:, None]
-    key += before
-    # cum[s, i, m]: points of s in row i up to its m-th query position
-    cum = np.bincount(key.ravel(), minlength=k * n_rows * n_q)
-    del key
-    cum = cum.reshape(k, n_rows, n_q)
-    np.cumsum(cum, axis=2, out=cum)
-    # the query of each (row, column of a); the diagonal's is 0
-    at = np.repeat(np.arange(n_rows) * n_q, n_a)
-    at[np.repeat(np.arange(n_rows) * n_a, n_a - 1)
-       + (nearest.ravel()[q] - cols.start)] += before.ravel()[q]
-    del before
-    counts = np.take(cum.reshape(k, -1), at.reshape(n_rows, n_a), axis=1)
-    del cum
-    # the radius-0 ball holds a zero-distance run only if the row has one
-    diag = np.arange(n_rows)
-    counts[:, diag, diag + (rows.start - cols.start)] *= at_zero
-    counts[a] += 1  # i itself
+    member = sample_of[nearest]
+    q = np.flatnonzero(member == a)  # a's points, i among them
+    # at[i, j]: the end of the run holding point j of `a` in row i
+    at = np.empty((len(nearest), cols.stop - cols.start), dtype=np.int32)
+    at[q // width, nearest.ravel()[q] - cols.start] = ends[run[q]]
+    del nearest, ends, run, q
+    counts = np.empty((len(sizes),) + at.shape, dtype=np.int32)
+    for s in range(len(sizes)):
+        counts[s] = np.cumsum(member == s, axis=1, dtype=np.int32).ravel()[at]
+    del member, at
     shares = counts / np.asarray(sizes)[:, None, None]
     del counts
     diff = shares[a] - shares
@@ -221,10 +200,11 @@ def ball_divergence(ms: MultiSample, dist: np.ndarray,
     through point j is the count of that sample's points in row i up to
     the last point as far from i as j, plus i itself.  Each sample's rows
     are taken once for every pair, in blocks of rows whose (sample, row,
-    column of the sample) counts and (row, neighbour) keys together hold
-    at most about `_BALL_BLOCK` entries."""
+    column of the sample) counts and (row, position) entries together
+    hold at most about `_BALL_BLOCK` entries."""
     sl = _slices(ms.sizes)
-    sample_of = np.repeat(np.arange(ms.k), ms.sizes)
+    sample_of = np.repeat(np.arange(ms.k, dtype=np.min_scalar_type(ms.k)),
+                          ms.sizes)
     sums = []  # (k,) per sample: its row sums against each sample
     for a, cols in enumerate(sl):
         n_a = ms.sizes[a]

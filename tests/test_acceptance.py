@@ -14,8 +14,8 @@ import pytest
 
 from dsbench.cli import main as cli_main
 from dsbench.core import DataMatrix, MultiSample, distance_matrix, pool
-from dsbench.datagen import (SCALE_GRID, SHIFT_GRID, ScenarioSpec,
-                             scale_factor, shift_offset)
+from dsbench.datagen import (GRIDS, ScenarioSpec, scale_factor,
+                             shift_offset)
 from dsbench.graphs import (assignment, knn_from_table, knn_graph,
                             min_weight_matching)
 from dsbench.graphstats import (kmd_statistic, mmcm_statistic,
@@ -62,7 +62,7 @@ def shift_scale_runs_n200():
     runs = {}
     runs["null"] = run_scenario(null_spec(200), methods, 500, SEED,
                                 scenario_index=10, jobs=JOBS)
-    for i, delta in enumerate(SHIFT_GRID):
+    for i, delta in enumerate(GRIDS["full"]["shift"]):
         spec = ScenarioSpec("normal", "shift", delta, 200, 2, "balanced")
         runs[("shift", delta)] = run_scenario(
             spec, methods, 500, SEED, scenario_index=11 + i, jobs=JOBS)
@@ -94,7 +94,7 @@ def test_criterion_2_monotone_power(shift_scale_runs_n200):
     for mid in ("energy", "bf_fraca", "disco_b_0.5", "mmd", "sh_5nn"):
         m = methods.index(mid)
         curve = []
-        for delta in SHIFT_GRID:
+        for delta in GRIDS["full"]["shift"]:
             alt = runs[("shift", delta)]
             curve.append(pesr(null.values[:, m], alt.values[:, m],
                               REGISTRY[mid].direction))
@@ -277,11 +277,11 @@ def test_criterion_6_construction_identities():
     worst_shift = 0.0
     worst_scale = 0.0
     for p in (2, 10, 50):
-        for delta in SHIFT_GRID:
+        for delta in GRIDS["full"]["shift"]:
             mu = np.full(p, shift_offset(p, delta))
             worst_shift = max(worst_shift,
                               abs(np.linalg.norm(mu) - delta))
-        for s in SCALE_GRID:
+        for s in GRIDS["full"]["scale"]:
             prod = float(np.prod(np.full(p, scale_factor(p, s))))
             worst_scale = max(worst_scale, abs(prod - s) / max(1.0, s))
     ok = worst_shift < 1e-12 and worst_scale < 1e-12

@@ -497,6 +497,23 @@ class TestReport:
         err = capsys.readouterr().err
         assert str(manifest) in err and repr(key) in err
 
+    @pytest.mark.parametrize("file", [5, None, "./scenario_0000.csv"])
+    def test_scenario_entry_bad_file_exit_two(self, tmp_path, capsys,
+                                              minimal_config, file):
+        # a file that is not a string, or one an earlier entry names too
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["scenarios"][1]["file"] = file
+        manifest.write_text(json.dumps(content))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(content["scenarios"][1]) in err
+        assert not (tmp_path / "rep").exists()
+
     def test_non_numeric_value_exit_two(self, tmp_path, capsys,
                                         minimal_config):
         main(["simulate", "--config", minimal_config, "--seed", "3",

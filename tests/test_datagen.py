@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from dsbench.core import pool
-from dsbench.datagen import (CORR_GRID_K2, CORR_GRID_K4, DGPS, N_GRID_K4,
-                             SCALE_GRID, SHIFT_GRID, ConfigError,
-                             ScenarioSpec, deviation_levels, rng_for,
+from dsbench.datagen import (DGPS, GRIDS, ConfigError, ScenarioSpec,
+                             deviation_levels, rng_for,
                              sample_scenario, sample_sizes, scale_factor,
                              scenario_grid, shift_offset)
 
@@ -116,19 +115,21 @@ class TestSpecValidation:
 class TestConstructionIdentities:
     def test_shift_norm_is_delta(self):
         for p in (2, 10, 50):
-            for delta in SHIFT_GRID:
+            for delta in GRIDS["full"]["shift"]:
                 vec = np.full(p, shift_offset(p, delta))
                 assert abs(np.linalg.norm(vec) - delta) < 1e-12
 
     def test_scale_product_is_s(self):
         for p in (2, 10, 50):
-            for s in SCALE_GRID:
+            for s in GRIDS["full"]["scale"]:
                 factors = np.full(p, scale_factor(p, s))
                 assert abs(np.prod(factors) - s) < 1e-12 * max(1.0, s)
 
     def test_equicorrelation_positive_definite(self):
+        full = GRIDS["full"]
+        k4 = {3 * r for r in full["correlation_k4"]}
         for p in (2, 10, 50):
-            for rho in set(CORR_GRID_K2) | {3 * r for r in CORR_GRID_K4}:
+            for rho in set(full["correlation"]) | k4:
                 sigma = rho * np.ones((p, p)) + (1 - rho) * np.eye(p)
                 np.linalg.cholesky(sigma)  # raises if not PD
 
@@ -229,23 +230,24 @@ class TestGroupings:
 
 class TestGrids:
     def test_shift_grid_values(self):
-        assert SHIFT_GRID == (0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
+        assert GRIDS["full"]["shift"] == (0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
 
     def test_scale_grid_values(self):
-        assert SCALE_GRID == (1 / 10, 1 / 3, 1 / 2, 2 / 3, 4 / 5, 5 / 4,
-                              3 / 2, 2.0, 3.0, 10.0)
+        assert GRIDS["full"]["scale"] == (1 / 10, 1 / 3, 1 / 2, 2 / 3,
+                                          4 / 5, 5 / 4, 3 / 2, 2.0, 3.0,
+                                          10.0)
 
     def test_four_sample_n_grid(self):
-        assert N_GRID_K4 == (100, 200, 400)
+        assert GRIDS["full"]["n_k4"] == (100, 200, 400)
 
     def test_full_two_sample_grid_magnitudes(self):
         grid = scenario_grid("two_sample", full=True)
         shift = sorted({s.magnitude for s in grid
                         if s.dgp == "normal" and s.deviation == "shift"})
-        assert shift == sorted(SHIFT_GRID)
+        assert shift == sorted(GRIDS["full"]["shift"])
         corr = sorted({s.magnitude for s in grid
                        if s.deviation == "correlation"})
-        assert corr == sorted(CORR_GRID_K2)
+        assert corr == sorted(GRIDS["full"]["correlation"])
 
     def test_four_sample_grid_has_all_groupings(self):
         grid = scenario_grid("four_sample")

@@ -254,8 +254,8 @@ class TestPinnedAtPaperScale:
     seed 1, of the largest two-sample and four-sample cells of the design.
 
     The N=20 goldens never reach the paths that run only at scale: the
-    `_BALL_BLOCK` row blocks, the matching's greedy stage with hundreds of
-    free vertices, MADD at N=1000.  A change that moves a digest must say
+    `_BALL_BLOCK` row blocks, the matching's start from the optimal
+    assignment with hundreds of vertices, MADD at N=1000.  A change that moves a digest must say
     why; a numpy or scipy upgrade re-pins them on its own."""
 
     @pytest.mark.parametrize("cell, methods, digest", [

@@ -269,32 +269,37 @@ def ball_divergence_loop(ms, dist):
     return float(total)
 
 
+def ball_inputs(rng, sizes, data):
+    """One sample per size: normal points, points on a 3 x 3 lattice
+    (tied distances), or draws from 4 shared points (zero distances)."""
+    if data == "normal":
+        return [rng.normal(size=(n, 3)) for n in sizes]
+    if data == "lattice":
+        return [rng.integers(0, 3, size=(n, 2)).astype(float) for n in sizes]
+    base = rng.normal(size=(4, 2))
+    return [base[rng.integers(0, 4, n)] for n in sizes]
+
+
 class TestBallDivergence:
     @pytest.mark.parametrize("sizes", [(30, 30), (9, 41), (12, 12, 12, 12),
-                                       (3, 17, 8, 25)])
+                                       (3, 17, 8, 25), (1, 1), (1,) * 130])
     @pytest.mark.parametrize("data", ["normal", "lattice", "duplicates"])
     def test_bitwise_equal_to_loop_reference(self, sizes, data):
-        rng = np.random.default_rng(sum(sizes))
-        if data == "normal":
-            xs = [rng.normal(size=(n, 3)) for n in sizes]
-        elif data == "lattice":
-            xs = [rng.integers(0, 3, size=(n, 2)).astype(float)
-                  for n in sizes]
-        else:
-            base = rng.normal(size=(4, 2))
-            xs = [base[rng.integers(0, 4, n)] for n in sizes]
-        ms = make_ms(*xs)
+        ms = make_ms(*ball_inputs(np.random.default_rng(sum(sizes)), sizes,
+                                  data))
         assert ball(ms) == ball_divergence_loop(ms, pooled_dist(ms))
 
     @pytest.mark.parametrize("block", [1, 200, 600])
-    @pytest.mark.parametrize("sizes", [(13, 20), (5, 1, 9, 4, 6, 2, 8)])
+    @pytest.mark.parametrize("sizes, data", [
+        ((13, 20), "lattice"), ((5, 1, 9, 4, 6, 2, 8), "lattice"),
+        ((13, 20), "duplicates"), ((5, 1, 9, 4, 6, 2, 8), "duplicates"),
+    ], ids=["sizes0", "sizes1", "duplicates-sizes0", "duplicates-sizes1"])
     def test_row_blocks_bitwise_equal_to_loop_reference(self, monkeypatch,
-                                                        block, sizes):
-        # rows taken a few (or one) at a time give the same sums
+                                                        block, sizes, data):
+        # rows taken a few (or one) at a time give the same sums, also
+        # where zero-distance runs cross the samples and the blocks
         monkeypatch.setattr(interpoint, "_BALL_BLOCK", block)
-        rng = np.random.default_rng(block)
-        xs = [rng.integers(0, 3, size=(n, 2)).astype(float) for n in sizes]
-        ms = make_ms(*xs)
+        ms = make_ms(*ball_inputs(np.random.default_rng(block), sizes, data))
         assert ball(ms) == ball_divergence_loop(ms, pooled_dist(ms))
 
     def test_identical_zero(self):
