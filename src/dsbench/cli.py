@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -148,14 +149,11 @@ def cmd_simulate(args) -> int:
         result = run_scenario(spec, methods, reps, args.seed,
                               scenario_index=index, jobs=args.jobs)
         fname = f"scenario_{index:04d}.csv"
-        rows = []
-        for rep in range(reps):
-            for m, mid in enumerate(methods):
-                err = result.errors[rep][m]
-                value = None if err else float(result.values[rep, m])
-                rows.append((rep, mid, value, err))
         _write_csv(out / fname, ("repetition", "method", "value", "error"),
-                   rows)
+                   ((rep, mid, None if err else float(result.values[rep, m]),
+                     err)
+                    for rep, errs in enumerate(result.errors)
+                    for m, (mid, err) in enumerate(zip(methods, errs))))
         manifest["scenarios"].append(
             {"index": index, "id": spec.scenario_id, "file": fname,
              "spec": spec.to_dict()})
@@ -164,6 +162,10 @@ def cmd_simulate(args) -> int:
 
 
 def _load_results(dump_dir: Path):
+    """(methods, results) of a dump.  The manifest is checked here; each
+    scenario file is read and checked only when its result is drawn from
+    the `results` generator: the null scenarios first, then the
+    alternatives, each in manifest order."""
     manifest_path = str(dump_dir / "manifest.json")
     manifest = _load_json(manifest_path)
     try:
@@ -191,54 +193,62 @@ def _load_results(dump_dir: Path):
             files.add(name)
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
+    # only what the reads need is kept, not the manifest's entries
+    todo = sorted(((entry["file"], spec, entry["index"])
+                   for entry, spec in zip(entries, specs)),
+                  key=lambda job: job[1].deviation != "null")
+    return methods, (_read_scenario(dump_dir / name, spec, index, methods,
+                                    reps) for name, spec, index in todo)
+
+
+def _read_scenario(path: Path, spec: ScenarioSpec, index, methods,
+                   reps: int) -> ScenarioResult:
+    """The scenario file at `path`, every row checked against the
+    manifest's methods and repetitions."""
     column = {mid: m for m, mid in enumerate(methods)}
-    results = []
-    for entry, spec in zip(entries, specs):
-        values = np.full((reps, len(methods)), np.nan)
-        errors = [[""] * len(methods) for _ in range(reps)]
-        seen = np.zeros((reps, len(methods)), dtype=bool)
-        path = dump_dir / entry["file"]
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) is None:
-                raise ConfigError(f"{path} has no header line")
-            for row in reader:
-                where = f"{path} line {reader.line_num}"
-                if len(row) != 4:
-                    raise ConfigError(f"{where} has {len(row)} fields, "
-                                      "expected 4")
-                rep_s, mid, value, err = row
-                if mid not in column:
-                    raise ConfigError(f"{path} names method {mid!r}, which "
-                                      "is not in the manifest")
+    values = np.full((reps, len(methods)), np.nan)
+    errors = [[""] * len(methods) for _ in range(reps)]
+    seen = np.zeros((reps, len(methods)), dtype=bool)
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise ConfigError(f"{path} has no header line")
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(row) != 4:
+                raise ConfigError(f"{where} has {len(row)} fields, "
+                                  "expected 4")
+            rep_s, mid, value, err = row
+            if mid not in column:
+                raise ConfigError(f"{path} names method {mid!r}, which "
+                                  "is not in the manifest")
+            try:
+                rep = int(rep_s)
+            except ValueError:
+                raise ConfigError(f"{where}: repetition {rep_s!r} is not "
+                                  "an integer") from None
+            if not 0 <= rep < reps:
+                raise ConfigError(f"{where}: repetition {rep} is outside "
+                                  f"0..{reps - 1}")
+            m = column[mid]
+            if seen[rep, m]:
+                raise ConfigError(f"{where}: repetition {rep} of method "
+                                  f"{mid!r} appears twice")
+            seen[rep, m] = True
+            if value != "NA":
                 try:
-                    rep = int(rep_s)
+                    values[rep, m] = float(value)
                 except ValueError:
-                    raise ConfigError(f"{where}: repetition {rep_s!r} is not "
-                                      "an integer") from None
-                if not 0 <= rep < reps:
-                    raise ConfigError(f"{where}: repetition {rep} is outside "
-                                      f"0..{reps - 1}")
-                m = column[mid]
-                if seen[rep, m]:
-                    raise ConfigError(f"{where}: repetition {rep} of method "
-                                      f"{mid!r} appears twice")
-                seen[rep, m] = True
-                if value != "NA":
-                    try:
-                        values[rep, m] = float(value)
-                    except ValueError:
-                        raise ConfigError(f"{where}: value {value!r} is not "
-                                          "a number") from None
-                errors[rep][m] = err
-        if not seen.all():
-            rep, m = np.argwhere(~seen)[0]
-            raise ConfigError(f"{path} has no row for repetition {rep} of "
-                              f"method {methods[m]!r}")
-        results.append(ScenarioResult(
-            spec=spec, scenario_index=entry["index"], methods=methods,
-            values=values, errors=tuple(tuple(e) for e in errors)))
-    return methods, results
+                    raise ConfigError(f"{where}: value {value!r} is not "
+                                      "a number") from None
+            errors[rep][m] = err
+    if not seen.all():
+        rep, m = np.argwhere(~seen)[0]
+        raise ConfigError(f"{path} has no row for repetition {rep} of "
+                          f"method {methods[m]!r}")
+    return ScenarioResult(spec=spec, scenario_index=index, methods=methods,
+                          values=values,
+                          errors=tuple(tuple(e) for e in errors))
 
 
 def cmd_report(args) -> int:
@@ -253,10 +263,10 @@ def cmd_report(args) -> int:
     _write_csv(out / "pesr.csv",
                ("scenario_id", "dgp", "deviation", "magnitude", "n", "p",
                 "balance", "grouping", "k", "method", "pesr"),
-               [(s.scenario_id, s.dgp, s.deviation, s.magnitude, s.n_total,
+               ((s.scenario_id, s.dgp, s.deviation, s.magnitude, s.n_total,
                  s.p, s.balance, s.grouping, s.k, mid, float(table[a, m]))
                 for a, s in enumerate(specs)
-                for m, mid in enumerate(methods)])
+                for m, mid in enumerate(methods)))
     if not specs:
         print("warning: no alternative scenarios in dump; the report "
               "tables are empty", file=sys.stderr)
@@ -264,13 +274,13 @@ def cmd_report(args) -> int:
     by_id = sorted(range(len(methods)), key=methods.__getitem__)
     _write_csv(out / "meandiff.csv",
                _GROUP_FIELDS + ("method", "mean_diff"),
-               [(*group, methods[m], float(diffs[g, m]))
-                for g, group in enumerate(groups) for m in by_id])
+               ((*group, methods[m], float(diffs[g, m]))
+                for g, group in enumerate(groups) for m in by_id))
     cover = acceptable(diffs)
     _write_csv(out / "acceptable.csv",
                _GROUP_FIELDS + ("method", "acceptable"),
-               [(*group, methods[m], int(cover[g, m]))
-                for g, group in enumerate(groups) for m in by_id])
+               ((*group, methods[m], int(cover[g, m]))
+                for g, group in enumerate(groups) for m in by_id))
     tie = overall_mean_diff(diffs)
     _write_json(out / "cover.json",
                 [{"method": m, "new_groups": g, "cumulative_coverage": c}
@@ -293,17 +303,14 @@ def cmd_bench(args) -> int:
     scaled, summary = scale_bench(rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_rows = []
-    for row in sorted(rows, key=lambda r: (r.method, r.n_total, r.p)):
-        csv_rows.append(("cell", row.method, row.n_total, row.p, row.runs,
-                         row.median_seconds,
-                         scaled[(row.method, row.n_total, row.p)]))
-    for method in sorted(summary):
-        csv_rows.append(("summary", method, None, None, None, None,
-                         summary[method]))
+    cells = (("cell", row.method, row.n_total, row.p, row.runs,
+              row.median_seconds, scaled[(row.method, row.n_total, row.p)])
+             for row in sorted(rows, key=lambda r: (r.method, r.n_total, r.p)))
+    summaries = (("summary", method, None, None, None, None, summary[method])
+                 for method in sorted(summary))
     _write_csv(out / "bench.csv",
                ("record", "method", "n", "p", "runs", "median_seconds",
-                "scaled"), csv_rows)
+                "scaled"), itertools.chain(cells, summaries))
     return 0
 
 

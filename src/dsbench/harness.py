@@ -88,32 +88,44 @@ def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
 # PESR and its aggregation
 
 
-def _pesr_columns(null: np.ndarray, alts, directions) -> np.ndarray:
-    """(A, M) PESR of each column of each (R, M) alternative in `alts`
-    against the same column of the (R0, M) `null`, one threshold per null
-    column.  NaN where the null or the alternative column is missing: more
-    than the tolerated fraction of its repetitions invalid, or none valid."""
+def _high(directions) -> np.ndarray:
+    """Per column: True where a dissimilarity is beyond its null at the high
+    end, False where a similarity is beyond it at the low end."""
     if not set(directions) <= {DISSIMILARITY, SIMILARITY}:
         raise ValueError(f"unknown direction in {directions!r}")
-    high = np.array([d == DISSIMILARITY for d in directions], dtype=bool)
+    return np.array([d == DISSIMILARITY for d in directions], dtype=bool)
 
-    def valid(values):  # per column: valid cells, their count, kept
-        ok = np.isfinite(values)
-        n_ok = ok.sum(axis=0)
-        return ok, n_ok, (n_ok > 0) & (
-            len(values) - n_ok <= MISSING_FRACTION_LIMIT * len(values))
 
-    ok, _, null_kept = valid(null)
+def _valid(values: np.ndarray):
+    """Per column of (R, M) `values`: the valid cells, their count, and
+    whether the column is kept: some cell valid and at most the tolerated
+    fraction invalid."""
+    ok = np.isfinite(values)
+    n_ok = ok.sum(axis=0)
+    return ok, n_ok, (n_ok > 0) & (
+        len(values) - n_ok <= MISSING_FRACTION_LIMIT * len(values))
+
+
+def _null_thresholds(null: np.ndarray, high: np.ndarray):
+    """(threshold, kept) per column of the (R0, M) `null`: its 95% quantile
+    for a dissimilarity, 5% for a similarity, NaN where it is not kept."""
+    ok, _, kept = _valid(null)
     threshold = np.full(len(high), np.nan)
-    for m in np.flatnonzero(null_kept):
+    for m in np.flatnonzero(kept):
         level = 0.95 if high[m] else 0.05
         threshold[m] = np.quantile(null[ok[:, m], m], level)
-    out = np.full((len(alts), len(high)), np.nan)
-    for a, alt in enumerate(alts):
-        ok, n_ok, kept = valid(alt)
-        beyond = np.where(high, alt > threshold, alt < threshold) & ok
-        np.divide(beyond.sum(axis=0), n_ok, out=out[a],
-                  where=kept & null_kept)
+    return threshold, kept
+
+
+def _pesr_row(alt: np.ndarray, high: np.ndarray, threshold: np.ndarray,
+              null_kept: np.ndarray) -> np.ndarray:
+    """(M,) PESR of each column of the (R, M) `alt` against its null's
+    `threshold`.  NaN where the null or the alternative column is not
+    kept."""
+    ok, n_ok, kept = _valid(alt)
+    beyond = np.where(high, alt > threshold, alt < threshold) & ok
+    out = np.full(len(high), np.nan)
+    np.divide(beyond.sum(axis=0), n_ok, out=out, where=kept & null_kept)
     return out
 
 
@@ -124,9 +136,10 @@ def pesr(null_values: np.ndarray, alt_values: np.ndarray,
 
     Returns None when more than the tolerated fraction of either run's
     repetitions is invalid."""
-    value = _pesr_columns(np.asarray(null_values, dtype=float)[:, None],
-                          [np.asarray(alt_values, dtype=float)[:, None]],
-                          [direction])[0, 0]
+    high = _high([direction])
+    null = np.asarray(null_values, dtype=float)[:, None]
+    alt = np.asarray(alt_values, dtype=float)[:, None]
+    value = _pesr_row(alt, high, *_null_thresholds(null, high))[0]
     return None if np.isnan(value) else float(value)
 
 
@@ -144,28 +157,44 @@ def pesr_table(results) -> tuple[list[ScenarioSpec], np.ndarray]:
     """PESR per (alternative scenario, method), thresholded against the
     matching null scenario of the same (dgp, k, N, p, balance).
 
-    Every result must hold the same methods.  Returns the alternative specs
-    in result order and their (A, M) PESR matrix, columns in method order,
-    NaN where the missing-value rule removed a cell."""
-    methods = results[0].methods if results else ()
-    if any(res.methods != methods for res in results):
-        raise ValueError("every result must hold the same methods")
-    nulls = {null_key(res.spec): res.values for res in results
-             if res.spec.deviation == "null"}
-    alts = [res for res in results if res.spec.deviation != "null"]
-    rows_of: dict = {}  # null key -> rows of its alternatives
-    for a, res in enumerate(alts):
+    `results` is any iterable; every result must hold the same methods.
+    Only each null's thresholds and each alternative's PESR row are kept,
+    so an iterable that yields the nulls first holds one result at a time.
+    An alternative that comes before its null waits for it; a null whose
+    key an earlier null holds replaces it for the alternatives after it.
+    Returns the alternative specs in result order and their (A, M) PESR
+    matrix, columns in method order, NaN where the missing-value rule
+    removed a cell.  Raises MissingNullError once the input is exhausted
+    if an alternative's null never came."""
+    methods = high = None
+    nulls: dict = {}    # null key -> (thresholds, kept)
+    waiting: dict = {}  # null key -> [(row, values)] of its alternatives
+    specs, rows = [], []
+    for res in results:
+        if methods is None:
+            methods = res.methods
+            high = _high([REGISTRY[mid].direction for mid in methods])
+        elif res.methods != methods:
+            raise ValueError("every result must hold the same methods")
         key = null_key(res.spec)
-        if key not in nulls:
-            raise MissingNullError(
-                f"no null dump for {res.spec.scenario_id} (key {key})")
-        rows_of.setdefault(key, []).append(a)
-    table = np.empty((len(alts), len(methods)))
-    for key, rows in rows_of.items():
-        table[rows] = _pesr_columns(
-            nulls[key], [alts[a].values for a in rows],
-            [REGISTRY[mid].direction for mid in methods])
-    return [res.spec for res in alts], table
+        if res.spec.deviation == "null":
+            nulls[key] = _null_thresholds(res.values, high)
+            for a, values in waiting.pop(key, ()):
+                rows[a] = _pesr_row(values, high, *nulls[key])
+        elif key in nulls:
+            specs.append(res.spec)
+            rows.append(_pesr_row(res.values, high, *nulls[key]))
+        else:  # waits for its null
+            specs.append(res.spec)
+            rows.append(None)
+            waiting.setdefault(key, []).append((len(rows) - 1, res.values))
+        del res  # freed before the next result is read
+    if waiting:
+        a = min(a for pending in waiting.values() for a, _ in pending)
+        raise MissingNullError(f"no null dump for {specs[a].scenario_id} "
+                               f"(key {null_key(specs[a])})")
+    width = 0 if methods is None else len(methods)
+    return specs, np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def mean_diff_to_ideal(specs, table: np.ndarray):

@@ -157,8 +157,9 @@ def _ball_rows(dist, order, sample_of, sizes, a, rows, cols):
 
     Row i is i itself, at distance 0, then its `order` row.  The ball
     through j (j = i too) holds the row up to the end of j's run of equal
-    distances, so a running count of each sample along the row, read at
-    those run ends, counts every sample's points in every ball."""
+    distances, so a running count of each sample but the last along the
+    row, read at those run ends, counts its points in every ball; the last
+    sample holds the rest of the ball."""
     width = len(order)
     nearest = np.empty((rows.stop - rows.start, width), order.dtype)
     nearest[:, 0] = np.arange(rows.start, rows.stop)
@@ -180,9 +181,17 @@ def _ball_rows(dist, order, sample_of, sizes, a, rows, cols):
     at[q // width, nearest.ravel()[q] - cols.start] = ends[run[q]]
     del nearest, ends, run, q
     counts = np.empty((len(sizes),) + at.shape, dtype=np.int32)
-    for s in range(len(sizes)):
+    last = len(sizes) - 1
+    for s in range(last):
         counts[s] = np.cumsum(member == s, axis=1, dtype=np.int32).ravel()[at]
-    del member, at
+    del member
+    # the row up to a run end at position at % width holds at % width + 1
+    # points, and the last sample holds those the others do not
+    np.remainder(at, width, out=counts[last])
+    del at
+    counts[last] += 1
+    for s in range(last):
+        counts[last] -= counts[s]
     shares = counts / np.asarray(sizes)[:, None, None]
     del counts
     diff = shares[a] - shares

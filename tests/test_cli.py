@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -309,6 +311,85 @@ class TestReport:
                    "--out", str(tmp_path / "rep")])
         assert rc == 3
         assert not (tmp_path / "rep").exists()
+
+    def test_malformed_row_before_missing_null_exit_two(self, tmp_path,
+                                                        capsys):
+        # a malformed file is found before a missing null is reported
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(deviation="shift", magnitude=1.0)],
+                           ["energy"])
+        main(["simulate", "--config", cfg, "--seed", "2",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / "scenario_0000.csv"
+        lines = scenario.read_text().splitlines()
+        lines[1] = "0,energy,abc,"
+        scenario.write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert str(scenario) in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_malformed_null_after_alternatives_exit_two(self, tmp_path,
+                                                        capsys):
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(deviation="shift", magnitude=1.0),
+                            null_spec(deviation="scale", magnitude=1.5),
+                            null_spec()], ["energy", "engineer"])
+        main(["simulate", "--config", cfg, "--seed", "2",
+              "--out", str(tmp_path / "dump")])
+        scenario = tmp_path / "dump" / "scenario_0002.csv"
+        lines = scenario.read_text().splitlines()
+        scenario.write_text("\n".join(lines[:-1]) + "\n")
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err and "has no row" in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_peak_grows_less_than_one_scenario(self, tmp_path):
+        """The traced peak of `report` on 32 scenarios exceeds the one on 8
+        by less than one scenario file's bytes.  The dumps hold a simulated
+        null and its simulated alternative (300 repetitions of 8 methods),
+        the alternative's file copied under 7 or 31 shift magnitudes."""
+        methods = ["energy", "engineer", "mmd", "bg2", "bf_log", "bahr",
+                   "bf_fraca", "disco_f_0.5"]
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(),
+                            null_spec(deviation="shift", magnitude=0.5)],
+                           methods, reps=300)
+        source = tmp_path / "dump"
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(source)]) == 0
+        manifest = json.loads((source / "manifest.json").read_text())
+        null, alt = manifest["scenarios"]
+        for n in (8, 32):
+            dump = tmp_path / f"dump{n}"
+            dump.mkdir()
+            shutil.copy(source / null["file"], dump / null["file"])
+            entries = [null]
+            for i in range(1, n):
+                spec = dict(alt["spec"], magnitude=i / 10)
+                fname = f"scenario_{i:04d}.csv"
+                shutil.copy(source / alt["file"], dump / fname)
+                entries.append({"index": i, "file": fname, "spec": spec,
+                                "id": ScenarioSpec(**spec).scenario_id})
+            (dump / "manifest.json").write_text(
+                json.dumps(dict(manifest, scenarios=entries)))
+        # leaves out what a first report allocates once
+        assert main(["report", "--dump", str(source),
+                     "--out", str(tmp_path / "warm")]) == 0
+        peaks = {}
+        for n in (8, 32):
+            tracemalloc.start()
+            try:
+                assert main(["report", "--dump", str(tmp_path / f"dump{n}"),
+                             "--out", str(tmp_path / f"rep{n}")]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] - peaks[8] < (source / alt["file"]).stat().st_size
 
     def test_null_only_dump_warns_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", [null_spec()], ["energy"])

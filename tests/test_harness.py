@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -333,6 +334,56 @@ class TestPesrTable:
             value = None if np.isnan(table[a, m]) else table[a, m]
             assert value == pesr(null.values[:, m], res.values[:, m],
                                  REGISTRY[methods[m]].direction)
+
+    def test_alternatives_before_their_null_wait_for_it(self):
+        methods = ("energy", "engineer")
+        results = [
+            run_scenario(spec(), methods, 10, 6, scenario_index=0),
+            run_scenario(spec(deviation="shift", magnitude=0.5), methods,
+                         10, 6, scenario_index=1),
+            run_scenario(spec(deviation="scale", magnitude=1.5), methods,
+                         10, 6, scenario_index=2)]
+        specs, table = pesr_table(results)
+        rev_specs, rev_table = pesr_table(iter(results[::-1]))
+        assert rev_specs == specs[::-1]
+        assert rev_table.tobytes() == table[::-1].tobytes()
+
+    def test_missing_null_raised_after_the_input_is_exhausted(self):
+        drawn = []
+
+        def results():
+            for s in (spec(deviation="shift", magnitude=1.0),
+                      spec(n_total=24)):
+                drawn.append(s)
+                yield run_scenario(s, ("energy",), 5, 2)
+
+        with pytest.raises(MissingNullError, match="m1-N20"):
+            pesr_table(results())
+        assert len(drawn) == 2
+
+    def test_streamed_results_freed_one_at_a_time(self):
+        """Given the nulls first, each alternative's result is freed before
+        the next one is drawn, and the table is the one of the list."""
+        methods = ("energy", "engineer", "wasserstein")
+        magnitudes = (0.5, 1.0, 1.5, 2.0)
+        refs = []
+
+        def results(track):
+            yield run_scenario(spec(), methods, 12, 4, scenario_index=0)
+            for i, m in enumerate(magnitudes, 1):
+                assert all(ref() is None for ref in refs)
+                res = run_scenario(spec(deviation="shift", magnitude=m),
+                                   methods, 12, 4, scenario_index=i)
+                if track:
+                    refs.append(weakref.ref(res))
+                yield res
+                del res
+
+        specs, table = pesr_table(results(track=True))
+        assert len(refs) == len(magnitudes)
+        list_specs, list_table = pesr_table(list(results(track=False)))
+        assert specs == list_specs
+        assert table.tobytes() == list_table.tobytes()
 
     def test_null_and_alt_produce_rows(self):
         null = run_scenario(spec(), ("energy",), 30, 3, scenario_index=0)
