@@ -194,14 +194,14 @@ def _load_results(dump_dir: Path):
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
     # only what the reads need is kept, not the manifest's entries
-    todo = sorted(((entry["file"], spec, entry["index"])
+    todo = sorted(((entry["file"], spec)
                    for entry, spec in zip(entries, specs)),
                   key=lambda job: job[1].deviation != "null")
-    return methods, (_read_scenario(dump_dir / name, spec, index, methods,
-                                    reps) for name, spec, index in todo)
+    return methods, (_read_scenario(dump_dir / name, spec, methods, reps)
+                     for name, spec in todo)
 
 
-def _read_scenario(path: Path, spec: ScenarioSpec, index, methods,
+def _read_scenario(path: Path, spec: ScenarioSpec, methods,
                    reps: int) -> ScenarioResult:
     """The scenario file at `path`, every row checked against the
     manifest's methods and repetitions."""
@@ -246,8 +246,7 @@ def _read_scenario(path: Path, spec: ScenarioSpec, index, methods,
         rep, m = np.argwhere(~seen)[0]
         raise ConfigError(f"{path} has no row for repetition {rep} of "
                           f"method {methods[m]!r}")
-    return ScenarioResult(spec=spec, scenario_index=index, methods=methods,
-                          values=values,
+    return ScenarioResult(spec=spec, methods=methods, values=values,
                           errors=tuple(tuple(e) for e in errors))
 
 

@@ -18,6 +18,7 @@ H_KINDS = ("h1", "h2")
 
 NONCONVERGED_FLAG = "kmedoids_nonconverged"
 ZERO_DIRECTION_FLAG = "zero_direction"
+CLUSTER_COUNT_SKIPPED_FLAG = "cluster_count_skipped"
 
 
 @dataclass(frozen=True)
@@ -191,13 +192,18 @@ def dunn_index(rho: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _estimate_clusters(rho: np.ndarray, k: int, rng):
-    """Cluster count from a Dunn-index sweep (ties go to fewer clusters)."""
+    """Cluster count from a Dunn-index sweep (ties go to fewer clusters).  A
+    count whose k-medoids cannot fill every cluster is skipped and flagged."""
     best_ell, best_dunn = None, -math.inf
     all_flags: tuple[str, ...] = ()
     for ell in range(2, 2 * k + 1):
         if ell > rho.shape[0]:
             break
-        labels, flags = cluster_madd(rho, ell, rng)
+        try:
+            labels, flags = cluster_madd(rho, ell, rng)
+        except UnsupportedConfigError:
+            all_flags += (CLUSTER_COUNT_SKIPPED_FLAG,)
+            continue
         all_flags += flags
         if labels.min() == labels.max():
             continue
@@ -260,7 +266,9 @@ def aggregated_fs_ri_statistic(rhos, labels: np.ndarray, variant: str, rng):
 
 
 def _stratified_split(labels: np.ndarray, rng):
-    """50/50 train/test split stratified by label; odd counts favour train."""
+    """50/50 train/test split stratified by the labels 1..k; odd counts
+    favour train.  Raises UnsupportedConfigError on an empty test split or
+    a training split without every label."""
     train = []
     test = []
     for lab in np.unique(labels):
@@ -269,7 +277,12 @@ def _stratified_split(labels: np.ndarray, rng):
         n_train = (len(idx) + 1) // 2
         train.append(idx[perm[:n_train]])
         test.append(idx[perm[n_train:]])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+    train, test = np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+    if len(test) == 0:
+        raise UnsupportedConfigError("empty test split")
+    if len(np.unique(labels[train])) < labels.max():
+        raise UnsupportedConfigError("a class is missing from the training split")
+    return train, test
 
 
 def c2st_knn(order: np.ndarray, labels: np.ndarray, rng) -> float:
@@ -282,11 +295,7 @@ def c2st_knn(order: np.ndarray, labels: np.ndarray, rng) -> float:
     if len(labels) < 10:
         raise UnsupportedConfigError("c2st needs at least ten points")
     train, test = _stratified_split(labels, rng)
-    if len(test) == 0:
-        raise UnsupportedConfigError("empty test split")
     k = int(labels.max())
-    if len(np.unique(labels[train])) < k:
-        raise UnsupportedConfigError("a class is missing from the training split")
     n_votes = max(1, int(math.isqrt(len(train))))
     is_train = np.zeros(len(labels), dtype=bool)
     is_train[train] = True
@@ -414,10 +423,6 @@ def ymrzl(ms: MultiSample, rng) -> float:
         raise UnsupportedConfigError("ymrzl needs at least ten points")
     z, labels = pool(ms)
     train, test = _stratified_split(labels, rng)
-    if len(test) == 0:
-        raise UnsupportedConfigError("empty test split")
-    if len(np.unique(labels[train])) < ms.k:
-        raise UnsupportedConfigError("a class is missing from the training split")
     tree = cart_fit(z.values[train], labels[train], max_depth=10, min_leaf=5)
     preds = cart_predict(tree, z.values[test])
     return float((preds != labels[test]).mean())
@@ -440,8 +445,6 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 def diproperm(ms: MultiSample, univariate: str = "md"):
     """Two-sample statistic of the pooled data projected onto the
     mean-difference direction.  Returns (value, flags)."""
-    if ms.k != 2:
-        raise UnsupportedConfigError("diproperm is two-sample only")
     x1 = ms.samples[0].values
     x2 = ms.samples[1].values
     w = x2.mean(axis=0) - x1.mean(axis=0)

@@ -56,8 +56,6 @@ def edgecount_test(stats, sizes, variant: str, kappa: float = 1.0):
     variant: 'fr' standardized between count, 'cf' quadratic form of the
     within counts, 'ccs' standardized weighted within count, 'zc' max-type
     combination.  Returns (value, flags)."""
-    if len(sizes) != 2:
-        raise UnsupportedConfigError("edge-count tests are two-sample only")
     counts, mean, cov = stats
     n1, n2 = sizes
     n = n1 + n2
@@ -103,30 +101,24 @@ def sc_test(stats, sizes, variant: str):
     raise ValueError(f"unknown sc variant {variant!r}")
 
 
-def sh_statistic(edges: np.ndarray, labels: np.ndarray, sizes) -> float:
+def sh_statistic(edges: np.ndarray, labels: np.ndarray) -> float:
     """Within-sample proportion of the directed K-NN edges (i, neighbour)."""
-    if len(sizes) != 2:
-        raise UnsupportedConfigError("sh test is two-sample only")
     return float((labels[edges[:, 0]] == labels[edges[:, 1]]).mean())
 
 
-def bqs_statistic(order: np.ndarray, labels: np.ndarray, sizes) -> float:
+def bqs_statistic(order: np.ndarray, labels: np.ndarray) -> float:
     """Sum of within-sample K-NN edge counts over all K = 1..N-1.
 
     Row i of the (N, N-1) `order` lists the other nodes nearest first."""
-    if len(sizes) != 2:
-        raise UnsupportedConfigError("bqs test is two-sample only")
     n = order.shape[0]
     same = labels[order] == labels[:, None]
     weights = np.arange(n - 1, 0, -1, dtype=np.float64)
     return float((same @ weights).sum())
 
 
-def rosenbaum_statistic(stats, sizes) -> float:
+def rosenbaum_statistic(stats) -> float:
     """Raw cross-match count a12 (high values indicate similarity) from the
     matching's pattern summary (counts, mean, cov)."""
-    if len(sizes) != 2:
-        raise UnsupportedConfigError("rosenbaum test is two-sample only")
     return float(stats[0][2])
 
 

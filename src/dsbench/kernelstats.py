@@ -51,8 +51,6 @@ def _abg(kernel: np.ndarray, n1: int, n2: int):
 
 def mmd_ustat(gram_matrix: GramMatrix, sizes) -> float:
     """Unbiased squared-MMD estimate alpha + beta - 2 gamma."""
-    if len(sizes) != 2:
-        raise UnsupportedConfigError("mmd is two-sample only")
     n1, n2 = sizes
     if n1 < 2 or n2 < 2:
         raise UnsupportedConfigError("mmd needs at least two points per sample")
@@ -66,8 +64,6 @@ def block_mmd(ms: MultiSample, gram_matrix: GramMatrix) -> float:
 
     Blocks are taken in input order; the bandwidth comes from the pooled
     Gram matrix so all blocks share one kernel."""
-    if ms.k != 2:
-        raise UnsupportedConfigError("block mmd is two-sample only")
     n1, n2 = ms.sizes
     nmin = min(n1, n2)
     block = int(np.sqrt(nmin))
@@ -105,8 +101,6 @@ _GPK_R = (1.0, 1.2, 0.8)
 def gpk_components(gram_matrix: GramMatrix, sizes) -> GpkComponents:
     """alpha/beta with exact permutation moments and their standardized
     combinations."""
-    if len(sizes) != 2:
-        raise UnsupportedConfigError("gpk is two-sample only")
     n1, n2 = sizes
     if n1 < 2 or n2 < 2:
         raise UnsupportedConfigError("gpk needs at least two points per sample")

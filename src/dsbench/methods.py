@@ -225,14 +225,13 @@ for _g in ("1mst", "5mst"):
 for _k in (1, 5):
     _register(f"sh_{_k}nn", DISSIMILARITY,
               lambda c, k=_k: graphstats.sh_statistic(
-                  c.graph(f"{k}nn"), c.labels, c.ms.sizes))
+                  c.graph(f"{k}nn"), c.labels))
 _register("bqs", DISSIMILARITY,
-          lambda c: graphstats.bqs_statistic(c.neighbour_order, c.labels,
-                                             c.ms.sizes))
+          lambda c: graphstats.bqs_statistic(c.neighbour_order, c.labels))
 
 _register("rosenbaum", SIMILARITY,
           lambda c: graphstats.rosenbaum_statistic(
-              c.pattern_stats("matching"), c.ms.sizes))
+              c.pattern_stats("matching")))
 _register("petrie", SIMILARITY,
           lambda c: graphstats.petrie_statistic(
               c.pattern_stats("matching"), c.ms.sizes), max_k=99)

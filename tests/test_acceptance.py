@@ -246,7 +246,7 @@ def test_criterion_5_identity_suites():
         labels = np.array([1] * 6 + [2] * 6)
         stats = (pattern_counts_from_edges(m.pairs, labels, 2),
                  *moments_from_edges(m.pairs, 12, (6, 6)))
-        ros.append(rosenbaum_statistic(stats, (6, 6)))
+        ros.append(rosenbaum_statistic(stats))
         v, _ = mmcm_statistic(stats, (6, 6))
         mmcm.append(v)
     rho = spearmanr(ros, mmcm).statistic
@@ -262,7 +262,7 @@ def test_criterion_5_identity_suites():
         g = knn_from_table(knn_graph(d, k_nn), k_nn)
         labels = np.array([1] * n1 + [2] * n2)
         etas.append(kmd_statistic(g, labels, (n1, n2)))
-        ells.append(sh_statistic(g, labels, (n1, n2)))
+        ells.append(sh_statistic(g, labels))
     design = np.column_stack([np.ones(len(ells)), ells])
     coef, *_ = np.linalg.lstsq(design, np.array(etas), rcond=None)
     residual = float(np.abs(design @ coef - etas).max())

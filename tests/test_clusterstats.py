@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from dsbench.clusterstats import (PSI_KINDS, MaddConfig, TreeNode,
-                                  _average_ranks, _chosen_split,
+from dsbench.clusterstats import (CLUSTER_COUNT_SKIPPED_FLAG, PSI_KINDS,
+                                  MaddConfig, TreeNode, _average_ranks,
+                                  _chosen_split, _estimate_clusters,
                                   _stratified_split,
                                   aggregated_fs_ri_statistic,
                                   c2st_knn, cart_fit, cart_predict,
@@ -335,6 +336,25 @@ class TestFsRi:
                                             np.random.default_rng(3))
         assert afs > 0.0
         assert ari == 0.0  # the separated pairs cluster perfectly
+
+    def test_unfillable_cluster_count_skipped(self):
+        """Three distinct points among twelve: k-medoids cannot fill l=4
+        clusters, so the Dunn sweep over l = 2..4 skips l=4 and flags it;
+        the statistic clusters at the best of l = 2, 3, drawing on after
+        the sweep."""
+        ms = make_ms([0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 1, 2])
+        z, labels = pool(ms)
+        for variant, psi in (("mfs", "psi3"), ("mri", "psi2")):
+            rho = madd(z.values, MaddConfig(psi, "h1"))
+            value, flags = fs_ri_statistic(rho, labels, variant,
+                                           np.random.default_rng(0))
+            assert flags == (CLUSTER_COUNT_SKIPPED_FLAG,)
+            rng = np.random.default_rng(0)
+            ell, _ = _estimate_clusters(rho, 2, rng)
+            assert ell in (2, 3)
+            fixed, _ = fs_ri_statistic(rho, labels, "ms" + variant[1:], rng,
+                                       ms_clusters=ell)
+            assert value == fixed
 
 
 def dunn_reference(rho, labels):

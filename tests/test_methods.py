@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dsbench import (clusterstats, graphs, graphstats, interpoint,
                      kernelstats, methods, permnull)
@@ -62,10 +63,15 @@ class TestEvaluate:
         assert not sv.ok
         assert "equal sample sizes" in sv.error
 
-    def test_two_sample_only_method_at_k4(self):
-        ctx = Context(make_ms((5, 5, 5, 5)), seed=4)
-        sv = evaluate("mmd", ctx)
-        assert not sv.ok and "not applicable" in sv.error
+    @pytest.mark.parametrize("mid", sorted(REGISTRY))
+    def test_two_sample_only_method_at_k4(self, mid):
+        """The registry's k range is the only gate: at k=4 a method whose
+        range excludes 4 is not applicable, and no other method says so."""
+        sv = evaluate(mid, Context(make_ms((5, 5, 5, 5)), seed=4))
+        if REGISTRY[mid].applicable(4):
+            assert sv.error != "not applicable for k=4"
+        else:
+            assert sv.error == "not applicable for k=4"
 
     def test_stochastic_methods_deterministic_given_seed(self):
         ms = make_ms((15, 15), seed=5)
