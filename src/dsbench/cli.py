@@ -7,6 +7,8 @@ import csv
 import itertools
 import json
 import sys
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -129,13 +131,22 @@ def _check_scenario_ids(specs) -> None:
                               f"in 'scenarios', at indices {j} and {i}")
 
 
+def _reps(value, methods) -> int:
+    """A positive `reps` whose (reps x methods) values fit MAX_ENTRIES."""
+    reps = _positive_int("reps", value)
+    if reps * len(methods) > MAX_ENTRIES:
+        raise ConfigError(f"'reps' {reps} x {len(methods)} methods is more "
+                          f"than {MAX_ENTRIES} values")
+    return reps
+
+
 def cmd_simulate(args) -> int:
     _non_negative_int("--seed", args.seed)
     _positive_int("--jobs", args.jobs)
     config = _load_json(args.config)
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
-    reps = _positive_int("reps", config.get("reps", 500))
+    reps = _reps(config.get("reps", 500), methods)
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
     _check_scenario_ids(specs)
     for spec in specs:
@@ -145,18 +156,32 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),
                 "scenarios": []}
-    for index, spec in enumerate(specs):
-        result = run_scenario(spec, methods, reps, args.seed,
-                              scenario_index=index, jobs=args.jobs)
-        fname = f"scenario_{index:04d}.csv"
-        _write_csv(out / fname, ("repetition", "method", "value", "error"),
-                   ((rep, mid, None if err else float(result.values[rep, m]),
-                     err)
-                    for rep, errs in enumerate(result.errors)
-                    for m, (mid, err) in enumerate(zip(methods, errs))))
-        manifest["scenarios"].append(
-            {"index": index, "id": spec.scenario_id, "file": fname,
-             "spec": spec.to_dict()})
+    pool, map_fn, lost = nullcontext(), map, ()  # in process: no workers
+    if args.jobs > 1:  # one pool serves every scenario
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(args.jobs, mp_context=get_context("fork"))
+        map_fn = partial(pool.map, chunksize=max(1, reps // (4 * args.jobs)))
+        lost = BrokenProcessPool
+    with pool:
+        for index, spec in enumerate(specs):
+            try:
+                result = run_scenario(spec, methods, reps, args.seed,
+                                      scenario_index=index, map_fn=map_fn)
+            except lost as exc:  # the pool is broken for good
+                print(f"error: a worker process was lost in scenario "
+                      f"{spec.scenario_id!r}: {exc}", file=sys.stderr)
+                return 1
+            fname = f"scenario_{index:04d}.csv"
+            _write_csv(out / fname, ("repetition", "method", "value", "error"),
+                       ((rep, mid,
+                         None if err else float(result.values[rep, m]), err)
+                        for rep, errs in enumerate(result.errors)
+                        for m, (mid, err) in enumerate(zip(methods, errs))))
+            manifest["scenarios"].append(
+                {"index": index, "id": spec.scenario_id, "file": fname,
+                 "spec": spec.to_dict()})
     _write_json(out / "manifest.json", manifest)
     return 0
 
@@ -169,9 +194,9 @@ def _load_results(dump_dir: Path):
     manifest_path = str(dump_dir / "manifest.json")
     manifest = _load_json(manifest_path)
     try:
-        reps = _positive_int("reps", manifest.get("reps"))
         methods = tuple(_required(manifest, "methods"))
         _check_methods(methods)
+        reps = _reps(manifest.get("reps"), methods)
         entries = _required(manifest, "scenarios")
         for entry in entries:
             for key in ("file", "spec", "index"):
@@ -207,7 +232,6 @@ def _read_scenario(path: Path, spec: ScenarioSpec, methods,
     manifest's methods and repetitions."""
     column = {mid: m for m, mid in enumerate(methods)}
     values = np.full((reps, len(methods)), np.nan)
-    errors = [[""] * len(methods) for _ in range(reps)]
     seen = np.zeros((reps, len(methods)), dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -218,7 +242,7 @@ def _read_scenario(path: Path, spec: ScenarioSpec, methods,
             if len(row) != 4:
                 raise ConfigError(f"{where} has {len(row)} fields, "
                                   "expected 4")
-            rep_s, mid, value, err = row
+            rep_s, mid, value, _ = row  # the error text is not read back
             if mid not in column:
                 raise ConfigError(f"{path} names method {mid!r}, which "
                                   "is not in the manifest")
@@ -241,13 +265,11 @@ def _read_scenario(path: Path, spec: ScenarioSpec, methods,
                 except ValueError:
                     raise ConfigError(f"{where}: value {value!r} is not "
                                       "a number") from None
-            errors[rep][m] = err
     if not seen.all():
         rep, m = np.argwhere(~seen)[0]
         raise ConfigError(f"{path} has no row for repetition {rep} of "
                           f"method {methods[m]!r}")
-    return ScenarioResult(spec=spec, methods=methods, values=values,
-                          errors=tuple(tuple(e) for e in errors))
+    return ScenarioResult(spec=spec, methods=methods, values=values)
 
 
 def cmd_report(args) -> int:

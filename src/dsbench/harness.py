@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
+from functools import partial
 
 import numpy as np
 
@@ -24,10 +24,12 @@ class MissingNullError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """`errors` holds, per rep and method, the error text ('' if ok); only
+    `run_scenario` sets it, a result read back from a dump leaves it empty."""
     spec: ScenarioSpec
     methods: tuple[str, ...]
     values: np.ndarray   # (reps, n_methods), NaN for errors
-    errors: tuple[tuple[str, ...], ...]  # per rep, per method ('' if ok)
+    errors: tuple[tuple[str, ...], ...] = ()
 
 
 def _context_seed(master_seed: int, scenario_index: int, rep: int) -> int:
@@ -37,46 +39,28 @@ def _context_seed(master_seed: int, scenario_index: int, rep: int) -> int:
 
 
 def _run_rep(spec: ScenarioSpec, methods, master_seed, scenario_index, rep):
-    rng = rng_for(master_seed, scenario_index, rep)
-    ms = sample_scenario(spec, rng)
+    ms = sample_scenario(spec, rng_for(master_seed, scenario_index, rep))
     ctx = Context(ms, seed=_context_seed(master_seed, scenario_index, rep))
-    values = np.empty(len(methods))
-    errors = []
-    for m, mid in enumerate(methods):
-        sv = evaluate(mid, ctx)
-        values[m] = sv.value if sv.ok else np.nan
-        errors.append(sv.error or "")
-    return values, tuple(errors)
-
-
-def _run_rep_packed(args):
-    spec, methods, master_seed, scenario_index, rep = args
-    return rep, _run_rep(spec, methods, master_seed, scenario_index, rep)
+    stats = [evaluate(mid, ctx) for mid in methods]
+    return (np.array([sv.value if sv.ok else np.nan for sv in stats]),
+            tuple(sv.error or "" for sv in stats))
 
 
 def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
-                 scenario_index: int = 0, jobs: int = 1) -> ScenarioResult:
+                 scenario_index: int = 0, map_fn=map) -> ScenarioResult:
     """Evaluate all methods on `reps` independent draws of the scenario.
 
-    Repetition streams are keyed by (scenario_index, rep), so results do
-    not depend on the worker layout."""
+    `map_fn` runs the repetitions and yields their rows in order: the
+    builtin `map` in process, or a process pool's `map`.  Repetition
+    streams are keyed by (scenario_index, rep), so results do not depend
+    on the worker layout."""
     methods = tuple(methods)
-    values = np.empty((reps, len(methods)))
-    errors: list[tuple[str, ...]] = [()] * reps
-    if jobs > 1 and reps > 1:
-        tasks = [(spec, methods, master_seed, scenario_index, rep)
-                 for rep in range(reps)]
-        with get_context("fork").Pool(jobs) as pool:
-            for rep, (vals, errs) in pool.imap_unordered(
-                    _run_rep_packed, tasks, chunksize=max(1, reps // (4 * jobs))):
-                values[rep] = vals
-                errors[rep] = errs
-    else:
-        for rep in range(reps):
-            values[rep], errors[rep] = _run_rep(
-                spec, methods, master_seed, scenario_index, rep)
-    return ScenarioResult(spec=spec, methods=methods, values=values,
-                          errors=tuple(errors))
+    rows = list(map_fn(partial(_run_rep, spec, methods, master_seed,
+                               scenario_index), range(reps)))
+    return ScenarioResult(
+        spec=spec, methods=methods,
+        values=np.array([v for v, _ in rows]).reshape(reps, len(methods)),
+        errors=tuple(e for _, e in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +329,9 @@ def scale_bench(rows: list[BenchRow]):
     for cell_rows in cells.values():
         med = [r.median_seconds for r in cell_rows]
         lo, hi = min(med), max(med)
-        for r in cell_rows:
-            if len(cell_rows) == 1 or hi == lo:
-                s = 0.0
-            else:
-                s = (r.median_seconds - lo) / (hi - lo)
-            scaled[(r.method, r.n_total, r.p)] = s
+        for r in cell_rows:  # a single-method cell has hi == lo
+            scaled[(r.method, r.n_total, r.p)] = (
+                0.0 if hi == lo else (r.median_seconds - lo) / (hi - lo))
     summary = {}
     for method in sorted({r.method for r in rows}):
         vals = [s for (m, _, _), s in scaled.items()

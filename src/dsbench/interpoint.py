@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -31,12 +32,7 @@ def phi_kernel(kind: str, z: np.ndarray) -> np.ndarray:
 
 
 def _slices(sizes):
-    out = []
-    start = 0
-    for n in sizes:
-        out.append(slice(start, start + n))
-        start += n
-    return out
+    return [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
 
 
 def g_alpha(dist_block: np.ndarray, alpha: float) -> float:

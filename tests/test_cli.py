@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import dsbench
-from dsbench.cli import main
+from dsbench.cli import _load_results, main
 from dsbench.datagen import GRIDS, ScenarioSpec
+from dsbench.methods import DEFAULT_TWO_SAMPLE
 
 
 def write_config(path: Path, scenarios, methods, reps=10):
@@ -230,15 +233,77 @@ class TestSimulate:
             b = (tmp_path / "d2" / fname).read_bytes()
             assert a == b
 
-    def test_jobs_flag_does_not_change_output(self, tmp_path,
-                                              minimal_config):
-        main(["simulate", "--config", minimal_config, "--seed", "7",
-              "--out", str(tmp_path / "serial")])
-        main(["simulate", "--config", minimal_config, "--seed", "7",
-              "--out", str(tmp_path / "par"), "--jobs", "2"])
-        a = (tmp_path / "serial" / "scenario_0001.csv").read_bytes()
-        b = (tmp_path / "par" / "scenario_0001.csv").read_bytes()
-        assert a == b
+    def test_jobs_flag_does_not_change_output(self, tmp_path):
+        """Every file of the dump, the manifest and each scenario CSV, is
+        the same at --jobs 1, 2 and 3: one pool serves every scenario.
+        `wasserstein` fails on the unbalanced split, so error cells are
+        compared too."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            [null_spec(), null_spec(deviation="shift", magnitude=1.5),
+             null_spec(balance="unbalanced")],
+            ["energy", "engineer", "wasserstein"], reps=5)
+        dumps = {}
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["simulate", "--config", cfg, "--seed", "7",
+                         "--out", str(out), "--jobs", jobs]) == 0
+            dumps[jobs] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(dumps["1"]) == ["manifest.json", "scenario_0000.csv",
+                                      "scenario_0001.csv",
+                                      "scenario_0002.csv"]
+        assert b"UnsupportedConfigError" in dumps["1"]["scenario_0002.csv"]
+        assert dumps["2"] == dumps["1"] and dumps["3"] == dumps["1"]
+
+    def test_reps_beyond_max_entries_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", [null_spec()],
+                           ["energy", "engineer"], reps=10 ** 12)
+        rc = main(["simulate", "--config", cfg, "--seed", "1",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"'reps' {10 ** 12} x 2 methods" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_lost_worker_ends_the_run(self, tmp_path):
+        """A method that SIGKILLs the pool worker running it: `simulate
+        --jobs 2` exits 1 with one error line naming the scenario, and
+        writes no manifest."""
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(), null_spec(p=3)],
+                           ["energy", "lose_worker"], reps=4)
+        code = textwrap.dedent("""
+            import multiprocessing, os, signal, sys
+            from dsbench.cli import main
+            from dsbench.core import DISSIMILARITY
+            from dsbench.methods import _register
+
+            def lose_worker(ctx):
+                if multiprocessing.parent_process() is not None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return 0.0
+
+            _register("lose_worker", DISSIMILARITY, lose_worker)
+            sys.exit(main(sys.argv[1:]))
+        """)
+        src = str(Path(dsbench.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "simulate", "--config", cfg,
+             "--seed", "1", "--out", str(tmp_path / "d"), "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True, env={**os.environ, "PYTHONPATH": src})
+        try:
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("simulate did not end within 30 s of a lost worker")
+        assert proc.returncode == 1, err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert repr(null_spec().scenario_id) in lines[0]
+        assert not (tmp_path / "d" / "manifest.json").exists()
 
 
 class TestReport:
@@ -390,6 +455,50 @@ class TestReport:
             finally:
                 tracemalloc.stop()
         assert peaks[32] - peaks[8] < (source / alt["file"]).stat().st_size
+
+    def test_read_result_holds_little_beyond_its_values(self, tmp_path):
+        """A result read back from a 500-repetition 46-method scenario file
+        holds its values and little else: no per-repetition error text."""
+        methods = DEFAULT_TWO_SAMPLE
+        dump = tmp_path / "dump"
+        dump.mkdir()
+        with open(dump / "scenario_0000.csv", "w", encoding="utf-8") as fh:
+            fh.write("repetition,method,value,error\n")
+            for rep in range(500):
+                for m, mid in enumerate(methods):
+                    fh.write(f"{rep},{mid},NA,ValueError: rep {rep}\n"
+                             if (rep + m) % 7 == 0 else
+                             f"{rep},{mid},{(rep * m) / 3!r},\n")
+        (dump / "manifest.json").write_text(json.dumps(
+            {"seed": 1, "reps": 500, "methods": list(methods),
+             "scenarios": [{"index": 0, "file": "scenario_0000.csv",
+                            "spec": null_spec(n_total=100).to_dict()}]}))
+        _, results = _load_results(dump)
+        tracemalloc.start()
+        try:
+            result = next(results)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result.values.shape == (500, 46)
+        assert held < 1.2 * result.values.nbytes
+        assert result.errors == ()
+
+    def test_manifest_reps_beyond_max_entries_exit_two(self, tmp_path,
+                                                       capsys,
+                                                       minimal_config):
+        main(["simulate", "--config", minimal_config, "--seed", "3",
+              "--out", str(tmp_path / "dump")])
+        manifest = tmp_path / "dump" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["reps"] = 10 ** 12
+        manifest.write_text(json.dumps(content))
+        rc = main(["report", "--dump", str(tmp_path / "dump"),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and f"'reps' {10 ** 12} x 2 methods" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_null_only_dump_warns_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", [null_spec()], ["energy"])

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import weakref
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -235,9 +238,12 @@ class TestRunScenario:
     def test_parallel_matches_serial(self):
         s = spec(n_total=30)
         r1 = run_scenario(s, ("energy", "sh_1nn"), 8, 5, scenario_index=1)
-        r2 = run_scenario(s, ("energy", "sh_1nn"), 8, 5, scenario_index=1,
-                          jobs=2)
+        with ProcessPoolExecutor(2, mp_context=get_context("fork")) as pool:
+            r2 = run_scenario(s, ("energy", "sh_1nn"), 8, 5,
+                              scenario_index=1,
+                              map_fn=partial(pool.map, chunksize=3))
         assert (r1.values == r2.values).all()
+        assert r1.errors == r2.errors
 
     def test_failing_method_isolated(self):
         s = spec(n_total=30, balance="unbalanced")  # 6 / 24 split
