@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from contextlib import nullcontext
-from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +139,17 @@ def _reps(value, methods) -> int:
     return reps
 
 
+def _write_scenario(out: Path, index: int, result: ScenarioResult) -> dict:
+    """Write one scenario's CSV under `out`; return its manifest entry."""
+    fname = f"scenario_{index:04d}.csv"
+    _write_csv(out / fname, ("repetition", "method", "value", "error"),
+               ((rep, mid, None if err else float(result.values[rep, m]), err)
+                for rep, errs in enumerate(result.errors)
+                for m, (mid, err) in enumerate(zip(result.methods, errs))))
+    return {"index": index, "id": result.spec.scenario_id, "file": fname,
+            "spec": result.spec.to_dict()}
+
+
 def cmd_simulate(args) -> int:
     _non_negative_int("--seed", args.seed)
     _positive_int("--jobs", args.jobs)
@@ -156,32 +166,26 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),
                 "scenarios": []}
+    workers = min(args.jobs, len(specs))  # one task per scenario
     pool, map_fn, lost = nullcontext(), map, ()  # in process: no workers
-    if args.jobs > 1:  # one pool serves every scenario
+    if workers > 1:
         from concurrent.futures.process import (BrokenProcessPool,
                                                 ProcessPoolExecutor)
         from multiprocessing import get_context
-        pool = ProcessPoolExecutor(args.jobs, mp_context=get_context("fork"))
-        map_fn = partial(pool.map, chunksize=max(1, reps // (4 * args.jobs)))
-        lost = BrokenProcessPool
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+        map_fn, lost = pool.map, BrokenProcessPool
     with pool:
-        for index, spec in enumerate(specs):
-            try:
-                result = run_scenario(spec, methods, reps, args.seed,
-                                      scenario_index=index, map_fn=map_fn)
-            except lost as exc:  # the pool is broken for good
-                print(f"error: a worker process was lost in scenario "
-                      f"{spec.scenario_id!r}: {exc}", file=sys.stderr)
-                return 1
-            fname = f"scenario_{index:04d}.csv"
-            _write_csv(out / fname, ("repetition", "method", "value", "error"),
-                       ((rep, mid,
-                         None if err else float(result.values[rep, m]), err)
-                        for rep, errs in enumerate(result.errors)
-                        for m, (mid, err) in enumerate(zip(methods, errs))))
-            manifest["scenarios"].append(
-                {"index": index, "id": spec.scenario_id, "file": fname,
-                 "spec": spec.to_dict()})
+        try:  # each result is written, in manifest order, as it arrives
+            for index, result in enumerate(map_fn(
+                    run_scenario, specs, repeat(methods), repeat(reps),
+                    repeat(args.seed), range(len(specs)))):
+                manifest["scenarios"].append(
+                    _write_scenario(out, index, result))
+        except lost:  # the pool is broken for good
+            missing = specs[len(manifest["scenarios"])].scenario_id
+            print(f"error: a worker process was lost; scenario {missing!r} "
+                  "and the ones after it were not written", file=sys.stderr)
+            return 1
     _write_json(out / "manifest.json", manifest)
     return 0
 
@@ -331,7 +335,7 @@ def cmd_bench(args) -> int:
                  for method in sorted(summary))
     _write_csv(out / "bench.csv",
                ("record", "method", "n", "p", "runs", "median_seconds",
-                "scaled"), itertools.chain(cells, summaries))
+                "scaled"), chain(cells, summaries))
     return 0
 
 

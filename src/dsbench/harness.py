@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -47,16 +46,12 @@ def _run_rep(spec: ScenarioSpec, methods, master_seed, scenario_index, rep):
 
 
 def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
-                 scenario_index: int = 0, map_fn=map) -> ScenarioResult:
-    """Evaluate all methods on `reps` independent draws of the scenario.
-
-    `map_fn` runs the repetitions and yields their rows in order: the
-    builtin `map` in process, or a process pool's `map`.  Repetition
-    streams are keyed by (scenario_index, rep), so results do not depend
-    on the worker layout."""
+                 scenario_index: int = 0) -> ScenarioResult:
+    """Evaluate all methods, in process, on `reps` independent draws of the
+    scenario, each drawn from the stream keyed by (scenario_index, rep)."""
     methods = tuple(methods)
-    rows = list(map_fn(partial(_run_rep, spec, methods, master_seed,
-                               scenario_index), range(reps)))
+    rows = [_run_rep(spec, methods, master_seed, scenario_index, rep)
+            for rep in range(reps)]
     return ScenarioResult(
         spec=spec, methods=methods,
         values=np.array([v for v, _ in rows]).reshape(reps, len(methods)),

@@ -254,12 +254,13 @@ def _kmd_mst(c):
 _register("kmd_mst", DISSIMILARITY, _kmd_mst, max_k=99)
 
 _register("mmd", DISSIMILARITY,
-          lambda c: kernelstats.mmd_ustat(c.gram, c.ms.sizes))
+          lambda c: (kernelstats.mmd_ustat(c.gram, c.ms.sizes), c.gram.flags))
 _register("blockmmd", DISSIMILARITY,
-          lambda c: kernelstats.block_mmd(c.ms, c.gram))
+          lambda c: (kernelstats.block_mmd(c.ms, c.gram), c.gram.flags))
 for _v in ("gpk", "zd", "zw1", "zw2"):
     _register("gpk" if _v == "gpk" else f"gpk_{_v}", DISSIMILARITY,
-              lambda c, v=_v: kernelstats.gpk_statistic(c.gpk, v))
+              lambda c, v=_v: (kernelstats.gpk_statistic(c.gpk, v),
+                               c.gram.flags))
 
 # Clustering tests: the discordance statistics (RI family) point down under
 # alternatives (perfect clustering gives zero), so they carry the

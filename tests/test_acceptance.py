@@ -9,7 +9,6 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -46,10 +45,10 @@ def null_spec(n_total, p=2):
 
 @pytest.fixture(scope="session")
 def pool_map():
-    """The ordered `map` of one fork pool of JOBS workers, with the chunk
-    size `simulate --jobs JOBS` uses at 500 repetitions."""
+    """The ordered `map` of one fork pool of JOBS workers, which runs one
+    scenario per task as `simulate --jobs JOBS` does."""
     with ProcessPoolExecutor(JOBS, mp_context=get_context("fork")) as pool:
-        yield partial(pool.map, chunksize=500 // (4 * JOBS))
+        yield pool.map
 
 
 @pytest.fixture(scope="session")
@@ -57,10 +56,10 @@ def null_runs_n100(pool_map):
     """Two independent 500-rep null runs of every registered two-sample
     method at N=100, p=2, balanced."""
     t0 = time.perf_counter()
-    run1 = run_scenario(null_spec(100), DEFAULT_TWO_SAMPLE, 500, SEED,
-                        scenario_index=0, map_fn=pool_map)
-    run2 = run_scenario(null_spec(100), DEFAULT_TWO_SAMPLE, 500, SEED,
-                        scenario_index=1, map_fn=pool_map)
+    run1, run2 = pool_map(run_scenario, [null_spec(100)] * 2,
+                          itertools.repeat(DEFAULT_TWO_SAMPLE),
+                          itertools.repeat(500), itertools.repeat(SEED),
+                          [0, 1])
     elapsed = time.perf_counter() - t0
     return run1, run2, elapsed
 
@@ -70,19 +69,18 @@ def shift_scale_runs_n200(pool_map):
     """Null plus shift and scale alternatives at N=200, p=2 for the
     power-surrogate criteria."""
     methods = ("energy", "bf_fraca", "disco_b_0.5", "mmd", "sh_5nn", "ball")
-    runs = {}
-    runs["null"] = run_scenario(null_spec(200), methods, 500, SEED,
-                                scenario_index=10, map_fn=pool_map)
+    jobs = {"null": (null_spec(200), 10)}  # key -> (spec, scenario index)
     for i, delta in enumerate(GRIDS["full"]["shift"]):
         spec = ScenarioSpec("normal", "shift", delta, 200, 2, "balanced")
-        runs[("shift", delta)] = run_scenario(
-            spec, methods, 500, SEED, scenario_index=11 + i,
-            map_fn=pool_map)
+        jobs[("shift", delta)] = (spec, 11 + i)
     for i, s in enumerate((1 / 3, 3.0)):
         spec = ScenarioSpec("normal", "scale", s, 200, 2, "balanced")
-        runs[("scale", s)] = run_scenario(
-            spec, methods, 500, SEED, scenario_index=20 + i,
-            map_fn=pool_map)
+        jobs[("scale", s)] = (spec, 20 + i)
+    specs, indices = zip(*jobs.values())
+    runs = dict(zip(jobs, pool_map(run_scenario, specs,
+                                   itertools.repeat(methods),
+                                   itertools.repeat(500),
+                                   itertools.repeat(SEED), indices)))
     return methods, runs
 
 

@@ -32,6 +32,40 @@ def null_spec(**kw):
     return ScenarioSpec(**base)
 
 
+def simulate_losing_workers(tmp_path: Path, cfg: str, jobs: str):
+    """(exit code, stderr) of `simulate --jobs jobs` on `cfg`, run in a
+    subprocess with method `lose_worker` registered: it SIGKILLs its own
+    process when that is a pool worker.  Fails the test if the run has not
+    ended within 30 s."""
+    code = textwrap.dedent("""
+        import multiprocessing, os, signal, sys
+        from dsbench.cli import main
+        from dsbench.core import DISSIMILARITY
+        from dsbench.methods import _register
+
+        def lose_worker(ctx):
+            if multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.0
+
+        _register("lose_worker", DISSIMILARITY, lose_worker)
+        sys.exit(main(sys.argv[1:]))
+    """)
+    src = str(Path(dsbench.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "simulate", "--config", cfg,
+         "--seed", "1", "--out", str(tmp_path / "d"), "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, env={**os.environ, "PYTHONPATH": src})
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("simulate did not end within 30 s")
+    return proc.returncode, err
+
+
 @pytest.fixture
 def minimal_config(tmp_path):
     return write_config(
@@ -265,45 +299,46 @@ class TestSimulate:
         assert f"'reps' {10 ** 12} x 2 methods" in err
         assert not (tmp_path / "d").exists()
 
+    def test_huge_jobs_starts_one_worker_per_scenario(self, tmp_path):
+        """A --jobs beyond any worker count the platform can start runs
+        min(--jobs, scenarios) workers and writes what --jobs 1 writes."""
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(), null_spec(p=3)],
+                           ["energy", "engineer"], reps=3)
+        dumps = {}
+        for jobs in ("1", "100000000000000000000"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["simulate", "--config", cfg, "--seed", "7",
+                         "--out", str(out), "--jobs", jobs]) == 0
+            dumps[jobs] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(dumps["1"]) == 3
+        assert dumps["100000000000000000000"] == dumps["1"]
+
     def test_lost_worker_ends_the_run(self, tmp_path):
         """A method that SIGKILLs the pool worker running it: `simulate
-        --jobs 2` exits 1 with one error line naming the scenario, and
-        writes no manifest."""
+        --jobs 2` exits 1 with one error line naming the first scenario
+        not written, and writes no manifest."""
         cfg = write_config(tmp_path / "c.json",
                            [null_spec(), null_spec(p=3)],
                            ["energy", "lose_worker"], reps=4)
-        code = textwrap.dedent("""
-            import multiprocessing, os, signal, sys
-            from dsbench.cli import main
-            from dsbench.core import DISSIMILARITY
-            from dsbench.methods import _register
-
-            def lose_worker(ctx):
-                if multiprocessing.parent_process() is not None:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return 0.0
-
-            _register("lose_worker", DISSIMILARITY, lose_worker)
-            sys.exit(main(sys.argv[1:]))
-        """)
-        src = str(Path(dsbench.__file__).resolve().parent.parent)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code, "simulate", "--config", cfg,
-             "--seed", "1", "--out", str(tmp_path / "d"), "--jobs", "2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True, env={**os.environ, "PYTHONPATH": src})
-        try:
-            _, err = proc.communicate(timeout=30)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("simulate did not end within 30 s of a lost worker")
-        assert proc.returncode == 1, err
+        returncode, err = simulate_losing_workers(tmp_path, cfg, "2")
+        assert returncode == 1, err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert repr(null_spec().scenario_id) in lines[0]
+        assert "the ones after it were not written" in lines[0]
         assert not (tmp_path / "d" / "manifest.json").exists()
+
+    def test_one_scenario_runs_in_process(self, tmp_path):
+        """With one scenario there is one task, so `simulate --jobs 2`
+        opens no pool: the worker-killing method never fires."""
+        cfg = write_config(tmp_path / "c.json", [null_spec()],
+                           ["energy", "lose_worker"], reps=2)
+        returncode, err = simulate_losing_workers(tmp_path, cfg, "2")
+        assert returncode == 0, err
+        assert err == ""
+        assert (tmp_path / "d" / "manifest.json").exists()
 
 
 class TestReport:

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -236,12 +235,13 @@ class TestRunScenario:
         assert (r1.values == r2.values).all()
 
     def test_parallel_matches_serial(self):
+        """A scenario run in a forked pool worker, as `simulate --jobs N`
+        runs it, equals the same call in process."""
         s = spec(n_total=30)
         r1 = run_scenario(s, ("energy", "sh_1nn"), 8, 5, scenario_index=1)
         with ProcessPoolExecutor(2, mp_context=get_context("fork")) as pool:
-            r2 = run_scenario(s, ("energy", "sh_1nn"), 8, 5,
-                              scenario_index=1,
-                              map_fn=partial(pool.map, chunksize=3))
+            r2 = pool.submit(run_scenario, s, ("energy", "sh_1nn"), 8, 5,
+                             scenario_index=1).result()
         assert (r1.values == r2.values).all()
         assert r1.errors == r2.errors
 

@@ -89,6 +89,18 @@ class TestEvaluate:
             sv = evaluate(mid, ctx)
             assert sv.value == sv.value or sv.error  # NaN only with error
 
+    def test_kernel_methods_carry_bandwidth_fallback(self):
+        # most pooled distances are zero, so the median bandwidth falls
+        # back to 1 and every kernel statistic must say so
+        ms = MultiSample((DataMatrix(np.zeros((4, 1))),
+                          DataMatrix(np.array([[0.0], [0.0], [1.0], [2.0]]))))
+        ctx = Context(ms, seed=1)
+        assert ctx.gram.flags == (kernelstats.FALLBACK_BANDWIDTH_FLAG,)
+        for mid in ("mmd", "blockmmd", "gpk", "gpk_zd", "gpk_zw1",
+                    "gpk_zw2"):
+            assert evaluate(mid, ctx).flags == ctx.gram.flags, mid
+        assert evaluate("energy", ctx).flags == ()
+
     def test_context_shares_graphs(self):
         ctx = Context(make_ms((10, 10)), seed=7)
         g1 = ctx.graph("5mst")

@@ -52,6 +52,10 @@ def test_shared_builds_once_per_repetition(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     metrics, _ = tracer.metrics(t1 - t0, t2 - t1)
+    # `simulate --jobs 1` calls `cli.run_scenario` once per scenario, in
+    # process, so its repetitions are traced under their scenario index
+    assert tracer.counts["harness.run_scenario"] == 2
+    assert tracer.rep_ids == [(0, 0), (1, 0)]
     assert metrics["harness.reps"] == 2
     assert metrics["graphs.knn_calls"] == 1
     assert metrics["graphs.knn_uncached_calls"] == 0
