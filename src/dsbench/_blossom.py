@@ -199,7 +199,6 @@ class _Matcher:
         self.blossombase = np.full(nb, -1, dtype=np.int64)
         self.blossombase[:n] = np.arange(n)
         self.blossomdual = np.zeros(nb)
-        self.isblossom = np.arange(nb) >= n
         self.childs = [None] * nb  # sub-blossoms in cyclic order, base first
         self.endps = [None] * nb   # endps[b][i] joins childs[b][i], [i + 1]
         self.unused = list(range(nb - 1, n - 1, -1))  # pop() yields n, n+1..
@@ -268,26 +267,20 @@ class _Matcher:
         b = self.unused.pop()
         self.blossombase[b] = base
         blossomparent[b] = -1
-        blossomparent[bb] = b
-        path, edges = [], [(v, w)]
-        bv = inblossom[v]
-        while bv != bb:
-            blossomparent[bv] = b
-            path.append(bv)
-            edges.append(tuple(labeledge[bv].tolist()))
-            bv = inblossom[labeledge[bv, 0]]
-        path.append(bb)
-        path.reverse()
-        edges.reverse()
-        bw = inblossom[w]
-        while bw != bb:
-            blossomparent[bw] = b
-            path.append(bw)
-            x, y = labeledge[bw].tolist()
-            edges.append((y, x))
-            bw = inblossom[x]
+        traces = []
+        for x in (v, w):
+            chain, links = [], []
+            bx = inblossom[x]
+            while bx != bb:
+                chain.append(bx)
+                links.append(tuple(labeledge[bx].tolist()))
+                bx = inblossom[links[-1][0]]
+            traces.append((chain, links))
+        (vpath, vlinks), (wpath, wlinks) = traces
+        path = [bb] + vpath[::-1] + wpath
+        blossomparent[path] = b
         self.childs[b] = path
-        self.endps[b] = edges
+        self.endps[b] = vlinks[::-1] + [(v, w)] + [(y, x) for x, y in wlinks]
         self.label[b] = 1
         labeledge[b] = labeledge[bb]
         self.root[b] = self.root[bb]
@@ -300,6 +293,17 @@ class _Matcher:
         # S-leaves whose least-slack edge now lies inside the new blossom
         far = self.best[leaves]
         self.refresh(leaves[(was == 1) & (far >= 0) & (inblossom[far] == b)])
+
+    def ring(self, b, t):
+        """The edges crossed on the even-length way round blossom b from its
+        child t to its base, each as ``(p, q, c)``: p lies in the child
+        left, q in the child c entered."""
+        childs, endps = self.childs[b], self.endps[b]
+        i = childs.index(t)
+        if i & 1:
+            return [(p, q, childs[(j + 1) % len(childs)])
+                    for j, (p, q) in enumerate(endps[i:], i)]
+        return [(q, p, childs[j]) for j, (p, q) in enumerate(endps[:i])][::-1]
 
     def augment_blossom(self, b0, v0):
         """Rearrange the matching inside blossom b0 so that v0 becomes its
@@ -314,28 +318,16 @@ class _Matcher:
                 t = self.blossomparent[t]
             if t >= n:
                 stack.append((t, v))
+            edges = self.ring(b, t)
+            for (_, _, left), (p, q, c) in zip(edges[::2], edges[1::2]):
+                if left >= n:
+                    stack.append((left, p))
+                if c >= n:
+                    stack.append((c, q))
+                mate[p] = q
+                mate[q] = p
             childs, endps = self.childs[b], self.endps[b]
-            i = j = childs.index(t)
-            if i & 1:
-                j -= len(childs)
-                jstep = 1
-            else:
-                jstep = -1
-            while j != 0:
-                j += jstep
-                t = childs[j]
-                if jstep == 1:
-                    w, x = endps[j]
-                else:
-                    x, w = endps[j - 1]
-                if t >= n:
-                    stack.append((t, w))
-                j += jstep
-                t = childs[j]
-                if t >= n:
-                    stack.append((t, x))
-                mate[w] = x
-                mate[x] = w
+            i = childs.index(t)
             # rotate so that the child containing v comes first
             self.childs[b] = childs[i:] + childs[:i]
             self.endps[b] = endps[i:] + endps[:i]
@@ -367,7 +359,7 @@ class _Matcher:
         stack = [b0]
         while stack:
             b = stack.pop()
-            childs, endps = self.childs[b], self.endps[b]
+            childs = self.childs[b]
             for s in childs:
                 self.blossomparent[s] = -1
                 if s < n:
@@ -381,35 +373,19 @@ class _Matcher:
                 self.root[childs] = self.root[b]
                 entrychild = inblossom[labeledge[b, 1]]
                 j = childs.index(entrychild)
-                if j & 1:
-                    j -= len(childs)
-                    jstep = 1
-                else:
-                    jstep = -1
+                edges = self.ring(b, entrychild)
                 v, w = labeledge[b].tolist()
-                while j != 0:
-                    if jstep == 1:
-                        p, q = endps[j]
-                    else:
-                        q, p = endps[j - 1]
-                    label[w] = 0
-                    label[q] = 0
+                for (p, q, _), (x, y, _) in zip(edges[::2], edges[1::2]):
+                    label[w] = label[q] = 0
                     self.assign_label(w, 2, v)
                     allowedge[p, q] = allowedge[q, p] = True
-                    j += jstep
-                    if jstep == 1:
-                        v, w = endps[j]
-                    else:
-                        w, v = endps[j - 1]
+                    v, w = x, y
                     allowedge[v, w] = allowedge[w, v] = True
-                    j += jstep
                 bw = childs[0]
                 label[w] = label[bw] = 2
                 labeledge[w] = labeledge[bw] = (v, w)
-                j += jstep
-                while childs[j] != entrychild:
-                    bv = childs[j]
-                    j += jstep
+                # the odd side of the ring, from the base to the entry child
+                for bv in childs[1:j] if j & 1 else childs[:j:-1]:
                     if label[bv] == 1:
                         continue
                     for vv in self.leaves(bv):
@@ -522,7 +498,8 @@ class _Matcher:
                 deltaedge = (svert[k], best[svert[k]])
         # delta4: a T-blossom whose dual reaches zero
         top = (self.blossomparent == -1) & (self.blossombase >= 0)
-        tblossoms = (top & self.isblossom & (label == 2)).nonzero()[0]
+        top[:self.n] = False  # top-level nontrivial blossoms only
+        tblossoms = (top & (label == 2)).nonzero()[0]
         if tblossoms.size:
             k = self.blossomdual[tblossoms].argmin()
             if deltatype == -1 or self.blossomdual[tblossoms[k]] < delta:
@@ -532,8 +509,8 @@ class _Matcher:
             raise RuntimeError("no constraint limits the dual step")
         self.dualvar[toplabel == 1] -= delta
         self.dualvar[toplabel == 2] += delta
-        self.blossomdual[top & self.isblossom & (label == 1)] += delta
-        self.blossomdual[top & self.isblossom & (label == 2)] -= delta
+        self.blossomdual[top & (label == 1)] += delta
+        self.blossomdual[top & (label == 2)] -= delta
         if deltatype == 4:
             self.expand_blossom(deltablossom, False)
             return False

@@ -114,20 +114,20 @@ def _grid_cell(cell) -> tuple[int, int]:
 def _check_methods(methods) -> None:
     if not methods:
         raise ConfigError("'methods' must name at least one method")
-    for i, mid in enumerate(methods):
+    for mid in methods:
         if not isinstance(mid, str) or mid not in REGISTRY:
             raise ConfigError(f"unknown method id {mid!r}")
-        if mid in methods[:i]:
-            raise ConfigError(f"method id {mid!r} appears twice in 'methods'")
+    _check_once(methods, "method id", "methods")
 
 
-def _check_scenario_ids(specs) -> None:
-    first: dict = {}  # scenario id -> index of its first entry
-    for i, spec in enumerate(specs):
-        j = first.setdefault(spec.scenario_id, i)
+def _check_once(keys, name: str, field: str) -> None:
+    """Reject a key of config list `field` that appears twice."""
+    first: dict = {}  # key -> index of its first entry
+    for i, key in enumerate(keys):
+        j = first.setdefault(key, i)
         if j != i:
-            raise ConfigError(f"scenario {spec.scenario_id!r} appears twice "
-                              f"in 'scenarios', at indices {j} and {i}")
+            raise ConfigError(f"{name} {key!r} appears twice in {field!r}, "
+                              f"at indices {j} and {i}")
 
 
 def _reps(value, methods) -> int:
@@ -158,12 +158,15 @@ def cmd_simulate(args) -> int:
     _check_methods(methods)
     reps = _reps(config.get("reps", 500), methods)
     specs = [ScenarioSpec.from_dict(d) for d in _required(config, "scenarios")]
-    _check_scenario_ids(specs)
+    _check_once((s.scenario_id for s in specs), "scenario", "scenarios")
     for spec in specs:
         _check_distance_entries(spec.n_total,
                                 f"scenario 'n_total' {spec.n_total}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a run that stops early must not leave an earlier run's manifest over
+    # a mix of old and new scenario files
+    (out / "manifest.json").unlink(missing_ok=True)
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),
                 "scenarios": []}
     workers = min(args.jobs, len(specs))  # one task per scenario
@@ -208,7 +211,8 @@ def _load_results(dump_dir: Path):
                     raise ConfigError(f"scenario entry {entry!r} has no "
                                       f"{key!r}")
         specs = [ScenarioSpec.from_dict(entry["spec"]) for entry in entries]
-        _check_scenario_ids(specs)
+        _check_once((s.scenario_id for s in specs), "scenario",
+                    "scenarios")
         files = set()
         for entry in entries:
             if not isinstance(entry["file"], str):
@@ -320,6 +324,8 @@ def cmd_bench(args) -> int:
     methods = tuple(_required(config, "methods"))
     _check_methods(methods)
     grid = [_grid_cell(cell) for cell in _required(config, "grid")]
+    # a repeated cell would be timed twice and scaled against itself
+    _check_once(grid, "cell", "grid")
     rows = bench(methods, grid, master_seed=args.seed,
                  min_reps=_positive_int("min_reps",
                                         config.get("min_reps", 10)),

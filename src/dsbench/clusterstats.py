@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import MultiSample, UnsupportedConfigError, pool
+from .core import MultiSample, UnsupportedConfigError
 
 PSI_KINDS = ("psi1", "psi2", "psi3", "psi4", "psi5")
 H_KINDS = ("h1", "h2")
@@ -417,14 +417,15 @@ def cart_predict(tree: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ymrzl(ms: MultiSample, rng) -> float:
-    """Held-out classification error of a CART trained on sample membership."""
-    if ms.total_n < 10:
+def ymrzl(pooled_values: np.ndarray, labels: np.ndarray, rng) -> float:
+    """Held-out classification error of a CART trained on sample membership
+    (`labels`) of the pooled rows."""
+    if len(labels) < 10:
         raise UnsupportedConfigError("ymrzl needs at least ten points")
-    z, labels = pool(ms)
     train, test = _stratified_split(labels, rng)
-    tree = cart_fit(z.values[train], labels[train], max_depth=10, min_leaf=5)
-    preds = cart_predict(tree, z.values[test])
+    tree = cart_fit(pooled_values[train], labels[train], max_depth=10,
+                    min_leaf=5)
+    preds = cart_predict(tree, pooled_values[test])
     return float((preds != labels[test]).mean())
 
 

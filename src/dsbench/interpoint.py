@@ -9,7 +9,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import MultiSample, UnsupportedConfigError, pool
+from .core import MultiSample, UnsupportedConfigError
 from .graphs import assignment, halton_grid
 
 def phi_kernel(kind: str, z: np.ndarray) -> np.ndarray:
@@ -221,14 +221,14 @@ def ball_divergence(ms: MultiSample, dist: np.ndarray,
     return float(total)
 
 
-def lhz(ms: MultiSample) -> float:
-    """Plug-in estimate of the characteristic distance of two samples.
+def lhz(ms: MultiSample, pooled_values: np.ndarray) -> float:
+    """Plug-in estimate of the characteristic distance of two samples, from
+    the pooled rows.
 
     Conditional characteristic functions are estimated by sample means of
     cos/sin inner products; both V-statistic terms are averaged over all
     within-sample index pairs."""
-    z, _ = pool(ms)
-    gram = z.values @ z.values.T
+    gram = pooled_values @ pooled_values.T
     n1 = ms.sizes[0]
     idx1 = np.arange(0, n1)
     idx2 = np.arange(n1, ms.total_n)
@@ -262,8 +262,10 @@ def engineer_metric(ms: MultiSample) -> float:
 _BG_CELL_CAP = 10 ** 7
 
 
-def bg_partition(ms: MultiSample, eps: float = 0.8) -> float:
-    """L1 distance of the empirical distributions on a rectangle partition.
+def bg_partition(ms: MultiSample, pooled_values: np.ndarray,
+                 eps: float = 0.8) -> float:
+    """L1 distance of the empirical distributions on a rectangle partition
+    of the pooled rows.
 
     The pooled bounding box is split into roughly N^eps cells (equal per-axis
     counts).  Occupied cells are hashed instead of enumerating the partition;
@@ -275,11 +277,10 @@ def bg_partition(ms: MultiSample, eps: float = 0.8) -> float:
     if per_axis ** p > _BG_CELL_CAP:
         raise UnsupportedConfigError(
             f"partition of {per_axis}^{p} cells exceeds the enumeration cap")
-    z, _ = pool(ms)
-    lo = z.values.min(axis=0)
-    hi = z.values.max(axis=0)
+    lo = pooled_values.min(axis=0)
+    hi = pooled_values.max(axis=0)
     width = np.where(hi > lo, hi - lo, 1.0)
-    idx = np.floor((z.values - lo) / width * per_axis).astype(np.int64)
+    idx = np.floor((pooled_values - lo) / width * per_axis).astype(np.int64)
     np.clip(idx, 0, per_axis - 1, out=idx)
     keys = np.zeros(n, dtype=np.int64)
     for d in range(p):

@@ -197,13 +197,15 @@ _register("wasserstein", DISSIMILARITY,
 _register("ball", DISSIMILARITY,
           lambda c: interpoint.ball_divergence(c.ms, c.dist,
                                                c.neighbour_order), max_k=99)
-_register("lhz", DISSIMILARITY, lambda c: interpoint.lhz(c.ms))
+_register("lhz", DISSIMILARITY,
+          lambda c: interpoint.lhz(c.ms, c.pooled.values))
 _register("engineer", DISSIMILARITY,
           lambda c: interpoint.engineer_metric(c.ms))
 
 for _e in (0.5, 0.8, 0.9):
     _register(f"bg_{_e:g}", DISSIMILARITY,
-              lambda c, e=_e: interpoint.bg_partition(c.ms, e))
+              lambda c, e=_e: interpoint.bg_partition(c.ms, c.pooled.values,
+                                                      e))
 
 for _g in ("1mst", "5mst", "1nn", "5nn"):
     for _v, _dir in (("fr", SIMILARITY), ("cf", DISSIMILARITY),
@@ -321,7 +323,8 @@ _register("c2st_knn", DISSIMILARITY,
                                           c.method_rng("c2st_knn")),
           max_k=99)
 _register("ymrzl", SIMILARITY,
-          lambda c: clusterstats.ymrzl(c.ms, c.method_rng("ymrzl")))
+          lambda c: clusterstats.ymrzl(c.pooled.values, c.labels,
+                                       c.method_rng("ymrzl")))
 for _u in ("md", "t", "auc"):
     _register(f"diproperm_{_u}", DISSIMILARITY,
               lambda c, u=_u: clusterstats.diproperm(c.ms, u))

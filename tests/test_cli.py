@@ -330,6 +330,31 @@ class TestSimulate:
         assert "the ones after it were not written" in lines[0]
         assert not (tmp_path / "d" / "manifest.json").exists()
 
+    def test_stopped_rerun_leaves_no_stale_manifest(self, tmp_path, capsys):
+        """A rerun into a complete dump removes its manifest before the
+        first scenario file: a lost worker then leaves a dump that `report`
+        rejects, not the old manifest over a mix of old and new files.  A
+        config error touches nothing."""
+        dump = tmp_path / "d"
+        scenarios = [null_spec(), null_spec(p=3)]
+        cfg = write_config(tmp_path / "a.json", scenarios,
+                           ["energy", "engineer"], reps=4)
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(dump)]) == 0
+        bad = write_config(tmp_path / "b.json", scenarios, ["no_such"])
+        assert main(["simulate", "--config", bad, "--seed", "2",
+                     "--out", str(dump)]) == 2
+        assert (dump / "manifest.json").exists()
+        cfg = write_config(tmp_path / "c.json", scenarios,
+                           ["energy", "lose_worker"], reps=4)
+        returncode, err = simulate_losing_workers(tmp_path, cfg, "2")
+        assert returncode == 1, err
+        assert not (dump / "manifest.json").exists()
+        capsys.readouterr()
+        assert main(["report", "--dump", str(dump),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
     def test_one_scenario_runs_in_process(self, tmp_path):
         """With one scenario there is one task, so `simulate --jobs 2`
         opens no pool: the worker-killing method never fires."""
@@ -900,6 +925,21 @@ class TestBenchCommand:
         assert rc == 2
         assert "'grid' cell [2, 1073741825]" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    def test_bench_repeated_cell_exit_two_before_any_timing(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("bench ran")
+        monkeypatch.setattr("dsbench.cli.bench", fail)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"methods": ["energy", "mmd"],
+                                   "grid": [[20, 2], [20, 2]]}))
+        rc = main(["bench", "--config", str(cfg), "--out",
+                   str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cell (20, 2) appears twice in 'grid', at indices 0 and 1" in err
+        assert not (tmp_path / "b" / "bench.csv").exists()
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -724,13 +724,15 @@ class TestCart:
     def test_ymrzl_separated_error_zero(self):
         rng = np.random.default_rng(15)
         ms = make_ms(rng.normal(size=(20, 1)), rng.normal(size=(20, 1)) + 50)
-        assert ymrzl(ms, np.random.default_rng(0)) == 0.0
+        z, labels = pool(ms)
+        assert ymrzl(z.values, labels, np.random.default_rng(0)) == 0.0
 
     def test_ymrzl_null_near_half(self):
         rng = np.random.default_rng(16)
-        vals = [ymrzl(make_ms(rng.normal(size=(40, 2)),
-                              rng.normal(size=(40, 2))),
-                      np.random.default_rng(s)) for s in range(30)]
+        pools = [pool(make_ms(rng.normal(size=(40, 2)),
+                              rng.normal(size=(40, 2)))) for _ in range(30)]
+        vals = [ymrzl(z.values, labels, np.random.default_rng(s))
+                for s, (z, labels) in enumerate(pools)]
         assert abs(np.mean(vals) - 0.5) < 0.08
 
 

@@ -30,6 +30,10 @@ def pooled_dist(ms):
     return distance_matrix(z)
 
 
+def pooled(ms):
+    return pool(ms)[0].values
+
+
 def ball(ms):
     ctx = Context(ms)
     return ball_divergence(ms, ctx.dist, ctx.neighbour_order)
@@ -338,12 +342,12 @@ class TestBallDivergence:
 class TestLhz:
     def test_duplicate_single_points_zero(self):
         ms = make_ms([0.5], [0.5])
-        assert lhz(ms) < 1e-10
+        assert lhz(ms, pooled(ms)) < 1e-10
 
     def test_nonnegative(self):
         rng = np.random.default_rng(13)
         ms = make_ms(rng.normal(size=(6, 2)), rng.normal(size=(5, 2)))
-        assert lhz(ms) >= 0.0
+        assert lhz(ms, pooled(ms)) >= 0.0
 
     def test_shift_exceeds_null_for_most_seeds(self):
         hits = 0
@@ -353,7 +357,7 @@ class TestLhz:
                            rng.normal(size=(100, 1)))
             alt = make_ms(rng.normal(size=(100, 1)),
                           rng.normal(size=(100, 1)) + 3.0)
-            hits += lhz(alt) > lhz(null)
+            hits += lhz(alt, pooled(alt)) > lhz(null, pooled(null))
         assert hits >= 19
 
 
@@ -371,17 +375,17 @@ class TestEngineer:
 class TestBgPartition:
     def test_two_cell_example(self):
         ms = make_ms([0.1, 0.2], [0.6, 0.9])
-        assert bg_partition(ms, eps=0.5) == 2.0
+        assert bg_partition(ms, pooled(ms), eps=0.5) == 2.0
 
     def test_identical_zero(self):
         ms = make_ms([0.1, 0.6], [0.1, 0.6])
-        assert bg_partition(ms, eps=0.5) == 0.0
+        assert bg_partition(ms, pooled(ms), eps=0.5) == 0.0
 
     def test_high_dimension_unsupported(self):
         rng = np.random.default_rng(14)
         ms = make_ms(rng.normal(size=(50, 50)), rng.normal(size=(50, 50)))
         with pytest.raises(UnsupportedConfigError):
-            bg_partition(ms, eps=0.8)
+            bg_partition(ms, pooled(ms), eps=0.8)
 
 
 class TestSharedInvariants:
@@ -397,7 +401,7 @@ class TestSharedInvariants:
         for fn in (energy, bg2):
             assert abs(fn(ms, d) - fn(ms_p, dp)) < 1e-10
         assert abs(ball(ms) - ball(ms_p)) < 1e-10
-        assert abs(lhz(ms) - lhz(ms_p)) < 1e-10
+        assert abs(lhz(ms, pooled(ms)) - lhz(ms_p, pooled(ms_p))) < 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -425,7 +429,7 @@ class TestSharedInvariants:
         assert bg2(ms, d) >= 0.0
         assert disco(ms, d, 0.7).between >= 0.0
         assert ball(ms) >= 0.0
-        assert lhz(ms) >= 0.0
+        assert lhz(ms, pooled(ms)) >= 0.0
         assert engineer_metric(ms) >= 0.0
         for kind in ("log", "fraca", "fracb", "bahr", "cramer"):
             assert bf_statistic(ms, d, kind) >= 0.0

@@ -57,6 +57,25 @@ class TestEvaluate:
             sv = evaluate(mid, ctx)
             assert sv.ok, (mid, sv.error)
 
+    @pytest.mark.parametrize("sizes,mids", [
+        ((20, 20), DEFAULT_TWO_SAMPLE),
+        ((10, 10, 10, 10), DEFAULT_FOUR_SAMPLE)])
+    def test_only_context_pools_the_samples(self, monkeypatch, sizes, mids):
+        """Every default method reads the pooled rows from the Context:
+        evaluating them all builds no DataMatrix."""
+        ctx = Context(make_ms(sizes), seed=6)
+        built = []
+        post_init = DataMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DataMatrix, "__post_init__", counting)
+        for mid in mids:
+            assert evaluate(mid, ctx).ok, mid
+        assert len(built) == 0
+
     def test_wasserstein_unbalanced_captured_as_error(self):
         ctx = Context(make_ms((10, 20)), seed=3)
         sv = evaluate("wasserstein", ctx)
