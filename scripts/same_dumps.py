@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical `simulate` dumps.
+"""Check that two source trees write byte-identical `simulate` dumps and
+`report` files.
 
 Usage: python scripts/same_dumps.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory holding the `dsbench` package (a checkout's
-`src`).  The script runs `python -m dsbench.cli simulate --seed 1` with each
-as PYTHONPATH, in a temporary directory, on six configs:
+`src`).  The script runs `python -m dsbench.cli simulate --seed 1`, then
+`report` on that dump, with each as PYTHONPATH, in a temporary directory,
+on six configs:
 
 - the two golden configs, rebuilt from their committed manifests;
 - the three perfbench workload configs (`perfbench/workloads.py`);
@@ -13,9 +15,11 @@ as PYTHONPATH, in a temporary directory, on six configs:
   a null `3+1`, a shift 0.5 `2+2` and a scale 2 `1+1+1+1` scenario, at 3
   repetitions of the golden four-sample methods.
 
-It prints one line per config and exits 1 if any file's sha256 differs,
-or if a run fails, between the two trees.  The configs are built with
-PARENT_SRC's `dsbench` (the desk grid needs its `scenario_grid`).
+It prints one line per config and exits 1 if any file's sha256 or the
+`report` exit code differs between the two trees, or if a `simulate` run
+fails.  `golden_two` has no null, so its `report` exits 3 and writes
+nothing.  The configs are built with PARENT_SRC's `dsbench` (the desk grid
+needs its `scenario_grid`).
 """
 
 import hashlib
@@ -54,20 +58,40 @@ def configs() -> dict:
     return out
 
 
-def dump_digests(src: Path, config: Path, out: Path) -> dict | None:
-    """sha256 of each file `simulate` writes under `out` with `src` as
-    PYTHONPATH; None, after printing why, if the run fails."""
-    run = subprocess.run(
-        [sys.executable, "-m", "dsbench.cli", "simulate", "--config",
-         str(config), "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
+def digests(out: Path) -> dict:
+    """sha256 of each file under `out`; none if there is no `out`."""
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} if out.is_dir() else {}
+
+
+def run_side(src: Path, config: Path, out: Path):
+    """(dump digests, report exit code, report digests) of `simulate` and
+    `report` under `out` with `src` as PYTHONPATH; None, after printing
+    why, if `simulate` fails."""
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dsbench.cli", *args],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+
+    run = cli("simulate", "--config", str(config), "--seed", "1",
+              "--out", str(out / "dump"))
     if run.returncode != 0:
         print(f"{config.stem}: simulate under {src} exited "
               f"{run.returncode}: {run.stderr.strip()}")
         return None
-    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in out.iterdir()}
+    report = cli("report", "--dump", str(out / "dump"),
+                 "--out", str(out / "report"))
+    return digests(out / "dump"), report.returncode, digests(out / "report")
+
+
+def differing(a: dict, b: dict) -> str | None:
+    """None if the two digest maps are equal, else what differs."""
+    bad = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+    if bad:
+        return (f"{len(bad)} of {len(a.keys() | b.keys())} files differ, "
+                f"the first {bad[0]}")
+    return None
 
 
 def main(argv) -> int:
@@ -82,19 +106,18 @@ def main(argv) -> int:
         for name, config in configs().items():
             path = tmp / f"{name}.json"
             path.write_text(json.dumps(config))
-            a = dump_digests(parent, path, tmp / name / "parent")
-            b = dump_digests(change, path, tmp / name / "change")
+            a = run_side(parent, path, tmp / name / "parent")
+            b = run_side(change, path, tmp / name / "change")
             if a is None or b is None:
                 same = False
                 continue
-            bad = sorted(f for f in a.keys() | b.keys()
-                         if a.get(f) != b.get(f))
-            if bad:
-                same = False
-                print(f"{name}: {len(bad)} of {len(a.keys() | b.keys())} "
-                      f"files differ, the first {bad[0]}")
-            else:
-                print(f"{name}: {len(a)} files identical")
+            dump = differing(a[0], b[0])
+            report = (f"exits {a[1]} vs {b[1]}" if a[1] != b[1]
+                      else differing(a[2], b[2]))
+            same = same and not (dump or report)
+            dump = dump or f"{len(a[0])} files identical"
+            report = report or f"exits {a[1]}, {len(a[2])} files identical"
+            print(f"{name}: dump {dump}; report {report}")
     return 0 if same else 1
 
 

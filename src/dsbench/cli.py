@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from contextlib import nullcontext
 from itertools import chain, repeat
@@ -20,6 +21,7 @@ from .harness import (MissingNullError, ScenarioResult, acceptable, bench,
 from .methods import REGISTRY
 
 _GROUP_FIELDS = ("dgp", "deviation", "n", "p", "balance", "grouping", "k")
+_SCENARIO_FILE = re.compile(r"scenario_[0-9]{4,}\.csv")  # as simulate names
 
 
 def _fmt(x) -> str:
@@ -139,13 +141,14 @@ def _reps(value, methods) -> int:
     return reps
 
 
-def _write_scenario(out: Path, index: int, result: ScenarioResult) -> dict:
+def _write_scenario(out: Path, index: int, methods,
+                    result: ScenarioResult) -> dict:
     """Write one scenario's CSV under `out`; return its manifest entry."""
     fname = f"scenario_{index:04d}.csv"
     _write_csv(out / fname, ("repetition", "method", "value", "error"),
                ((rep, mid, None if err else float(result.values[rep, m]), err)
                 for rep, errs in enumerate(result.errors)
-                for m, (mid, err) in enumerate(zip(result.methods, errs))))
+                for m, (mid, err) in enumerate(zip(methods, errs))))
     return {"index": index, "id": result.spec.scenario_id, "file": fname,
             "spec": result.spec.to_dict()}
 
@@ -165,8 +168,11 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # a run that stops early must not leave an earlier run's manifest over
-    # a mix of old and new scenario files
+    # a mix of old and new scenario files, nor any run an earlier one's
     (out / "manifest.json").unlink(missing_ok=True)
+    for path in out.iterdir():
+        if _SCENARIO_FILE.fullmatch(path.name):
+            path.unlink()
     manifest = {"seed": args.seed, "reps": reps, "methods": list(methods),
                 "scenarios": []}
     workers = min(args.jobs, len(specs))  # one task per scenario
@@ -183,7 +189,7 @@ def cmd_simulate(args) -> int:
                     run_scenario, specs, repeat(methods), repeat(reps),
                     repeat(args.seed), range(len(specs)))):
                 manifest["scenarios"].append(
-                    _write_scenario(out, index, result))
+                    _write_scenario(out, index, methods, result))
         except lost:  # the pool is broken for good
             missing = specs[len(manifest["scenarios"])].scenario_id
             print(f"error: a worker process was lost; scenario {missing!r} "
@@ -196,8 +202,8 @@ def cmd_simulate(args) -> int:
 def _load_results(dump_dir: Path):
     """(methods, results) of a dump.  The manifest is checked here; each
     scenario file is read and checked only when its result is drawn from
-    the `results` generator: the null scenarios first, then the
-    alternatives, each in manifest order."""
+    the `results` generator: the null scenarios first, as `pesr_table`
+    needs them, then the alternatives, each in manifest order."""
     manifest_path = str(dump_dir / "manifest.json")
     manifest = _load_json(manifest_path)
     try:
@@ -277,13 +283,13 @@ def _read_scenario(path: Path, spec: ScenarioSpec, methods,
         rep, m = np.argwhere(~seen)[0]
         raise ConfigError(f"{path} has no row for repetition {rep} of "
                           f"method {methods[m]!r}")
-    return ScenarioResult(spec=spec, methods=methods, values=values)
+    return ScenarioResult(spec=spec, values=values)
 
 
 def cmd_report(args) -> int:
     methods, results = _load_results(Path(args.dump))
     try:
-        specs, table = pesr_table(results)
+        specs, table = pesr_table(methods, results)
     except MissingNullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -215,50 +215,35 @@ def _estimate_clusters(rho: np.ndarray, k: int, rng):
     return best_ell, all_flags
 
 
-def fs_ri_statistic(rho: np.ndarray, labels: np.ndarray, variant: str,
-                    rng, ms_clusters: int | None = None):
-    """FS / RI statistics and their modified and multi-scale versions from
-    the pooled MADD matrix rho and the sample labels 1..k.  variant in
-    {fs, ri, mfs, mri, msfs, msri}; ms_clusters gives the cluster count for
-    the multi-scale versions.  Returns (value, flags)."""
+def fs_ri_statistic(rho: np.ndarray, labels: np.ndarray, ell: int | None,
+                    ri: bool, rng):
+    """FS statistic, or RI if `ri`, from the pooled MADD matrix rho and the
+    sample labels 1..k, clustering into `ell` clusters; `ell` None takes
+    the count from a Dunn-index sweep (the modified statistics).  Returns
+    (value, flags)."""
     k = int(labels.max())
     flags: tuple[str, ...] = ()
-    if variant in ("fs", "ri"):
-        ell = k
-    elif variant in ("mfs", "mri"):
-        ell, fl = _estimate_clusters(rho, k, rng)
-        flags += fl
-    elif variant in ("msfs", "msri"):
-        if ms_clusters is None:
-            raise ValueError("multi-scale variants need a cluster count")
-        ell = ms_clusters
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    if ell is None:
+        ell, flags = _estimate_clusters(rho, k, rng)
     cl, fl = cluster_madd(rho, ell, rng)
-    flags += fl
     table = contingency(labels, cl, k, ell)
-    if variant.endswith("ri"):
-        return ri_from_table(table), flags
-    return fs_from_table(table), flags
+    return (ri_from_table(table) if ri else fs_from_table(table)), flags + fl
 
 
-def aggregated_fs_ri_statistic(rhos, labels: np.ndarray, variant: str, rng):
-    """Aggregated FS / RI: the extreme pairwise statistic over all sample
-    pairs.  `rhos` yields the MADD matrix of each pair (i, j), i < j, of
-    labels 1..k in that order, over the pair's rows in pooled order.
-    variant in {afs_knw, afs_est, ari_knw, ari_est}; 'est' estimates the
-    cluster count per pair.  Returns (value, flags)."""
-    ri = variant.startswith("ari")
-    sub_variant = "ri" if ri else "fs"
-    if variant.endswith("est"):
-        sub_variant = "m" + sub_variant
+def aggregated_fs_ri_statistic(rhos, labels: np.ndarray, estimate: bool,
+                               ri: bool, rng):
+    """Aggregated FS, or RI if `ri`: the extreme pairwise statistic over all
+    sample pairs.  `rhos` yields the MADD matrix of each pair (i, j), i < j,
+    of labels 1..k in that order, over the pair's rows in pooled order.
+    `estimate` sweeps the cluster count per pair instead of taking two.
+    Returns (value, flags)."""
     k = int(labels.max())
     flags: tuple[str, ...] = ()
     vals = []
     for (i, j), rho in zip(combinations(range(1, k + 1), 2), rhos):
         pair = labels[(labels == i) | (labels == j)]
-        v, f = fs_ri_statistic(rho, np.where(pair == i, 1, 2), sub_variant,
-                               rng)
+        v, f = fs_ri_statistic(rho, np.where(pair == i, 1, 2),
+                               None if estimate else 2, ri, rng)
         vals.append(v)
         flags += f
     # the extreme pairwise statistic in the method's own direction

@@ -23,10 +23,11 @@ class MissingNullError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """`errors` holds, per rep and method, the error text ('' if ok); only
-    `run_scenario` sets it, a result read back from a dump leaves it empty."""
+    """One scenario's values, columns in the order of the method list that
+    made or read it.  `errors` holds, per rep and method, the error text
+    ('' if ok); only `run_scenario` sets it, a result read back from a dump
+    leaves it empty."""
     spec: ScenarioSpec
-    methods: tuple[str, ...]
     values: np.ndarray   # (reps, n_methods), NaN for errors
     errors: tuple[tuple[str, ...], ...] = ()
 
@@ -53,7 +54,7 @@ def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
     rows = [_run_rep(spec, methods, master_seed, scenario_index, rep)
             for rep in range(reps)]
     return ScenarioResult(
-        spec=spec, methods=methods,
+        spec=spec,
         values=np.array([v for v, _ in rows]).reshape(reps, len(methods)),
         errors=tuple(e for _, e in rows))
 
@@ -127,48 +128,36 @@ def group_key(spec: ScenarioSpec) -> tuple:
             spec.grouping, spec.k)
 
 
-def pesr_table(results) -> tuple[list[ScenarioSpec], np.ndarray]:
+def pesr_table(methods, results) -> tuple[list[ScenarioSpec], np.ndarray]:
     """PESR per (alternative scenario, method), thresholded against the
     matching null scenario of the same (dgp, k, N, p, balance).
 
-    `results` is any iterable; every result must hold the same methods.
-    Only each null's thresholds and each alternative's PESR row are kept,
-    so an iterable that yields the nulls first holds one result at a time.
-    An alternative that comes before its null waits for it; a null whose
-    key an earlier null holds replaces it for the alternatives after it.
-    Returns the alternative specs in result order and their (A, M) PESR
-    matrix, columns in method order, NaN where the missing-value rule
-    removed a cell.  Raises MissingNullError once the input is exhausted
-    if an alternative's null never came."""
-    methods = high = None
-    nulls: dict = {}    # null key -> (thresholds, kept)
-    waiting: dict = {}  # null key -> [(row, values)] of its alternatives
-    specs, rows = [], []
+    `results` is any iterable of results whose value columns are
+    `methods`, each null before the alternatives it serves.  Only each
+    null's thresholds and each alternative's PESR row are kept, so it
+    holds one result at a time.  A null whose key an earlier null holds
+    replaces it for the alternatives after it.  Returns the alternative
+    specs in result order and their (A, M) PESR matrix, columns in method
+    order, NaN where the missing-value rule removed a cell.  Raises
+    MissingNullError, once the input is exhausted, naming the first
+    alternative that no earlier null served."""
+    high = _high([REGISTRY[mid].direction for mid in methods])
+    nulls: dict = {}  # null key -> (thresholds, kept)
+    specs, rows, orphan = [], [], None
     for res in results:
-        if methods is None:
-            methods = res.methods
-            high = _high([REGISTRY[mid].direction for mid in methods])
-        elif res.methods != methods:
-            raise ValueError("every result must hold the same methods")
         key = null_key(res.spec)
         if res.spec.deviation == "null":
             nulls[key] = _null_thresholds(res.values, high)
-            for a, values in waiting.pop(key, ()):
-                rows[a] = _pesr_row(values, high, *nulls[key])
         elif key in nulls:
             specs.append(res.spec)
             rows.append(_pesr_row(res.values, high, *nulls[key]))
-        else:  # waits for its null
-            specs.append(res.spec)
-            rows.append(None)
-            waiting.setdefault(key, []).append((len(rows) - 1, res.values))
+        elif orphan is None:
+            orphan = res.spec
         del res  # freed before the next result is read
-    if waiting:
-        a = min(a for pending in waiting.values() for a, _ in pending)
-        raise MissingNullError(f"no null dump for {specs[a].scenario_id} "
-                               f"(key {null_key(specs[a])})")
-    width = 0 if methods is None else len(methods)
-    return specs, np.array(rows, dtype=float).reshape(len(rows), width)
+    if orphan is not None:
+        raise MissingNullError(f"no null dump for {orphan.scenario_id} "
+                               f"(key {null_key(orphan)})")
+    return specs, np.array(rows, dtype=float).reshape(len(rows), len(methods))
 
 
 def mean_diff_to_ideal(specs, table: np.ndarray):

@@ -273,12 +273,17 @@ _FS_DIR = {"fs": DISSIMILARITY, "mfs": DISSIMILARITY, "msfs": DISSIMILARITY,
 
 
 def _fsri_fn(variant, psi, h, ms_clusters=None):
+    """fs / ri cluster into the k samples, mfs / mri into a swept count,
+    the multi-scale msfs / msri into `ms_clusters`."""
     cfg = clusterstats.MaddConfig(psi, h)
+    ri = _FS_DIR[variant] == SIMILARITY
+    sweep = variant in ("mfs", "mri")
 
     def fn(c):
         rng = c.method_rng(f"{variant}_{cfg.psi}_{cfg.h}_{ms_clusters}")
-        return clusterstats.fs_ri_statistic(c.madd(cfg), c.labels, variant,
-                                            rng, ms_clusters=ms_clusters)
+        ell = None if sweep else ms_clusters or c.ms.k
+        return clusterstats.fs_ri_statistic(c.madd(cfg), c.labels, ell, ri,
+                                            rng)
     return fn
 
 
@@ -297,8 +302,9 @@ for _variant in ("msfs", "msri"):
                           _fsri_fn(_variant, _psi, _hh, ms_clusters=_kp + 1),
                           min_k=4, max_k=99)
 
-def _aggregated_fn(variant, psi):
+def _aggregated_fn(variant, mode, psi):
     cfg = clusterstats.MaddConfig(psi, "h1")
+    ri = _FS_DIR[variant] == SIMILARITY
 
     def fn(c):
         # lazy, so that a failing pair stops the statistic before the next
@@ -307,7 +313,8 @@ def _aggregated_fn(variant, psi):
                 for pair in combinations(range(1, c.ms.k + 1), 2))
         # the rng tag keeps _fsri_fn's "{variant}_{psi}_{h}_{clusters}" form
         return clusterstats.aggregated_fs_ri_statistic(
-            rhos, c.labels, variant, c.method_rng(f"{variant}_{psi}_h1_None"))
+            rhos, c.labels, mode == "est", ri,
+            c.method_rng(f"{variant}_{mode}_{psi}_h1_None"))
     return fn
 
 
@@ -315,7 +322,7 @@ for _variant in ("afs", "ari"):
     for _mode in ("knw", "est"):
         for _psi in ("psi2", "psi3"):
             _register(f"{_variant}_{_mode}_{_psi}_h1", _FS_DIR[_variant],
-                      _aggregated_fn(f"{_variant}_{_mode}", _psi),
+                      _aggregated_fn(_variant, _mode, _psi),
                       min_k=3, max_k=99)
 
 _register("c2st_knn", DISSIMILARITY,

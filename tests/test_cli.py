@@ -355,6 +355,33 @@ class TestSimulate:
                      "--out", str(tmp_path / "rep")]) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_rerun_removes_an_earlier_runs_scenario_files(self, tmp_path):
+        """A 2-scenario run into the dump of a 3-scenario run leaves the
+        files of a fresh 2-scenario dump; a file whose name `simulate`
+        would not write stays."""
+        methods = ["energy", "engineer"]
+        big = write_config(tmp_path / "a.json",
+                           [null_spec(), null_spec(p=3), null_spec(p=4)],
+                           methods, reps=3)
+        small = write_config(tmp_path / "b.json",
+                             [null_spec(), null_spec(p=3)], methods, reps=3)
+        dump, fresh = tmp_path / "d", tmp_path / "fresh"
+        assert main(["simulate", "--config", big, "--seed", "1",
+                     "--out", str(dump)]) == 0
+        kept = ("notes.txt", "scenario_12.csv", "scenario_0002.csv.bak")
+        for name in kept:
+            (dump / name).write_text("kept\n")
+        (dump / "scenario_10000.csv").write_text("stale\n")
+        for out in (dump, fresh):
+            assert main(["simulate", "--config", small, "--seed", "1",
+                         "--out", str(out)]) == 0
+
+        def files(d):
+            return {f.name: f.read_bytes() for f in d.iterdir()}
+
+        assert files(dump) == {**files(fresh),
+                               **{name: b"kept\n" for name in kept}}
+
     def test_one_scenario_runs_in_process(self, tmp_path):
         """With one scenario there is one task, so `simulate --jobs 2`
         opens no pool: the worker-killing method never fires."""
@@ -601,6 +628,33 @@ class TestReport:
                       "cover.json", "tree.json"):
             assert ((tmp_path / "r1" / fname).read_bytes()
                     == (tmp_path / "r2" / fname).read_bytes())
+
+    def test_alternatives_listed_before_their_null_same_report(self,
+                                                                tmp_path):
+        """A manifest that lists the alternatives before their null reports
+        the same five files as the null-first one: `_load_results` alone
+        puts the nulls first."""
+        cfg = write_config(tmp_path / "c.json",
+                           [null_spec(),
+                            null_spec(deviation="shift", magnitude=1.0),
+                            null_spec(deviation="scale", magnitude=1.5)],
+                           ["energy", "engineer"])
+        assert main(["simulate", "--config", cfg, "--seed", "2",
+                     "--out", str(tmp_path / "first")]) == 0
+        shutil.copytree(tmp_path / "first", tmp_path / "last")
+        path = tmp_path / "last" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entries = manifest["scenarios"]
+        assert entries[0]["spec"]["deviation"] == "null"
+        manifest["scenarios"] = entries[1:] + entries[:1]
+        path.write_text(json.dumps(manifest))
+        for name in ("first", "last"):
+            assert main(["report", "--dump", str(tmp_path / name),
+                         "--out", str(tmp_path / name / "rep")]) == 0
+        for fname in ("pesr.csv", "meandiff.csv", "acceptable.csv",
+                      "cover.json", "tree.json"):
+            assert ((tmp_path / "first" / "rep" / fname).read_bytes()
+                    == (tmp_path / "last" / "rep" / fname).read_bytes())
 
     def test_malformed_manifest_exit_two(self, tmp_path, capsys,
                                          minimal_config):

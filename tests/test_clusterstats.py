@@ -300,7 +300,7 @@ class TestFsRi:
                      rng.normal(size=(10, 2)) + 50)
         z, labels = pool(ms)
         v, _ = fs_ri_statistic(madd(z.values, MaddConfig("psi5", "h2")),
-                               labels, "ri", np.random.default_rng(1))
+                               labels, 2, True, np.random.default_rng(1))
         assert v == 0.0
 
     def test_null_ri_near_half(self):
@@ -309,16 +309,8 @@ class TestFsRi:
         ms = make_ms(x[:50], x[50:])
         z, labels = pool(ms)
         v, _ = fs_ri_statistic(madd(z.values, MaddConfig("psi5", "h2")),
-                               labels, "ri", np.random.default_rng(2))
+                               labels, 2, True, np.random.default_rng(2))
         assert 0.3 < v < 0.7
-
-    def test_multiscale_needs_cluster_count(self):
-        rng = np.random.default_rng(7)
-        ms = make_ms(rng.normal(size=(6, 1)), rng.normal(size=(6, 1)))
-        z, labels = pool(ms)
-        with pytest.raises(ValueError):
-            fs_ri_statistic(madd(z.values, MaddConfig()), labels, "msfs",
-                            np.random.default_rng(0))
 
     def test_aggregated_two_of_three_separated(self):
         rng = np.random.default_rng(8)
@@ -330,9 +322,9 @@ class TestFsRi:
         rhos = [madd(z.values[(labels == i) | (labels == j)],
                      MaddConfig("psi5", "h2"))
                 for i, j in ((1, 2), (1, 3), (2, 3))]
-        afs, _ = aggregated_fs_ri_statistic(rhos, labels, "afs_knw",
+        afs, _ = aggregated_fs_ri_statistic(rhos, labels, False, False,
                                             np.random.default_rng(3))
-        ari, _ = aggregated_fs_ri_statistic(rhos, labels, "ari_knw",
+        ari, _ = aggregated_fs_ri_statistic(rhos, labels, False, True,
                                             np.random.default_rng(3))
         assert afs > 0.0
         assert ari == 0.0  # the separated pairs cluster perfectly
@@ -344,16 +336,15 @@ class TestFsRi:
         the sweep."""
         ms = make_ms([0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 1, 2])
         z, labels = pool(ms)
-        for variant, psi in (("mfs", "psi3"), ("mri", "psi2")):
+        for ri, psi in ((False, "psi3"), (True, "psi2")):
             rho = madd(z.values, MaddConfig(psi, "h1"))
-            value, flags = fs_ri_statistic(rho, labels, variant,
+            value, flags = fs_ri_statistic(rho, labels, None, ri,
                                            np.random.default_rng(0))
             assert flags == (CLUSTER_COUNT_SKIPPED_FLAG,)
             rng = np.random.default_rng(0)
             ell, _ = _estimate_clusters(rho, 2, rng)
             assert ell in (2, 3)
-            fixed, _ = fs_ri_statistic(rho, labels, "ms" + variant[1:], rng,
-                                       ms_clusters=ell)
+            fixed, _ = fs_ri_statistic(rho, labels, ell, ri, rng)
             assert value == fixed
 
 

@@ -305,14 +305,7 @@ class TestPesrTable:
         s = spec(deviation="shift", magnitude=1.0)
         res = run_scenario(s, ("energy",), 5, 2)
         with pytest.raises(MissingNullError):
-            pesr_table([res])
-
-    def test_requires_one_method_tuple(self):
-        null = run_scenario(spec(), ("energy", "mmd"), 5, 2)
-        alt = run_scenario(spec(deviation="shift", magnitude=1.0),
-                           ("mmd", "energy"), 5, 2, scenario_index=1)
-        with pytest.raises(ValueError, match="same methods"):
-            pesr_table([null, alt])
+            pesr_table(("energy",), [res])
 
     def test_rows_equal_per_call_pesr(self):
         methods = ("energy", "engineer", "fr_1mst", "wasserstein")
@@ -329,7 +322,7 @@ class TestPesrTable:
                          scenario_index=4)]
         null_of = {r.spec.balance: r for r in results
                    if r.spec.deviation == "null"}
-        specs, table = pesr_table(results)
+        specs, table = pesr_table(methods, results)
         assert table.shape == (3, len(methods))
         assert np.isnan(table).any()  # wasserstein
         alts = [r for r in results if r.spec.deviation != "null"]
@@ -341,31 +334,21 @@ class TestPesrTable:
             assert value == pesr(null.values[:, m], res.values[:, m],
                                  REGISTRY[methods[m]].direction)
 
-    def test_alternatives_before_their_null_wait_for_it(self):
-        methods = ("energy", "engineer")
-        results = [
-            run_scenario(spec(), methods, 10, 6, scenario_index=0),
-            run_scenario(spec(deviation="shift", magnitude=0.5), methods,
-                         10, 6, scenario_index=1),
-            run_scenario(spec(deviation="scale", magnitude=1.5), methods,
-                         10, 6, scenario_index=2)]
-        specs, table = pesr_table(results)
-        rev_specs, rev_table = pesr_table(iter(results[::-1]))
-        assert rev_specs == specs[::-1]
-        assert rev_table.tobytes() == table[::-1].tobytes()
-
     def test_missing_null_raised_after_the_input_is_exhausted(self):
-        drawn = []
+        """The error names the alternative once both results are drawn,
+        also when its own null comes second: a null serves only the
+        alternatives after it."""
+        for null in (spec(n_total=24), spec()):
+            drawn = []
 
-        def results():
-            for s in (spec(deviation="shift", magnitude=1.0),
-                      spec(n_total=24)):
-                drawn.append(s)
-                yield run_scenario(s, ("energy",), 5, 2)
+            def results():
+                for s in (spec(deviation="shift", magnitude=1.0), null):
+                    drawn.append(s)
+                    yield run_scenario(s, ("energy",), 5, 2)
 
-        with pytest.raises(MissingNullError, match="m1-N20"):
-            pesr_table(results())
-        assert len(drawn) == 2
+            with pytest.raises(MissingNullError, match="m1-N20"):
+                pesr_table(("energy",), results())
+            assert len(drawn) == 2
 
     def test_streamed_results_freed_one_at_a_time(self):
         """Given the nulls first, each alternative's result is freed before
@@ -385,9 +368,10 @@ class TestPesrTable:
                 yield res
                 del res
 
-        specs, table = pesr_table(results(track=True))
+        specs, table = pesr_table(methods, results(track=True))
         assert len(refs) == len(magnitudes)
-        list_specs, list_table = pesr_table(list(results(track=False)))
+        list_specs, list_table = pesr_table(methods,
+                                            list(results(track=False)))
         assert specs == list_specs
         assert table.tobytes() == list_table.tobytes()
 
@@ -395,7 +379,7 @@ class TestPesrTable:
         null = run_scenario(spec(), ("energy",), 30, 3, scenario_index=0)
         alt = run_scenario(spec(deviation="shift", magnitude=2.0),
                            ("energy",), 30, 3, scenario_index=1)
-        specs, table = pesr_table([null, alt])
+        specs, table = pesr_table(("energy",), [null, alt])
         assert len(specs) == 1 and table.shape == (1, 1)
         assert not np.isnan(table[0, 0]) and table[0, 0] > 0.5
 
