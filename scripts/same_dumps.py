@@ -15,8 +15,9 @@ on six configs:
   a null `3+1`, a shift 0.5 `2+2` and a scale 2 `1+1+1+1` scenario, at 3
   repetitions of the golden four-sample methods.
 
-It prints one line per config and exits 1 if any file's sha256 or the
-`report` exit code differs between the two trees, or if a `simulate` run
+It prints one line per config, with each side's `simulate` peak RSS (the
+child's `ru_maxrss`, from `os.wait4`), and exits 1 if any file's sha256 or
+the `report` exit code differs between the two trees, or if a `simulate` run
 fails.  `golden_two` has no null, so its `report` exits 3 and writes
 nothing.  The configs are built with PARENT_SRC's `dsbench` (the desk grid
 needs its `scenario_grid`).
@@ -65,24 +66,31 @@ def digests(out: Path) -> dict:
 
 
 def run_side(src: Path, config: Path, out: Path):
-    """(dump digests, report exit code, report digests) of `simulate` and
-    `report` under `out` with `src` as PYTHONPATH; None, after printing
-    why, if `simulate` fails."""
+    """(dump digests, report exit code, report digests, simulate peak RSS
+    in MB) of `simulate` and `report` under `out` with `src` as PYTHONPATH;
+    None, after printing why, if `simulate` fails."""
     def cli(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "dsbench.cli", *args],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        """(exit code, stderr, peak RSS in MB) of one CLI run."""
+        with tempfile.TemporaryFile() as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "dsbench.cli", *args],
+                stdout=subprocess.DEVNULL, stderr=err,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            err.seek(0)
+            return (child.returncode, err.read().decode(),
+                    usage.ru_maxrss / 1024)
 
-    run = cli("simulate", "--config", str(config), "--seed", "1",
-              "--out", str(out / "dump"))
-    if run.returncode != 0:
-        print(f"{config.stem}: simulate under {src} exited "
-              f"{run.returncode}: {run.stderr.strip()}")
+    code, err, rss = cli("simulate", "--config", str(config), "--seed", "1",
+                         "--out", str(out / "dump"))
+    if code != 0:
+        print(f"{config.stem}: simulate under {src} exited {code}: "
+              f"{err.strip()}")
         return None
-    report = cli("report", "--dump", str(out / "dump"),
-                 "--out", str(out / "report"))
-    return digests(out / "dump"), report.returncode, digests(out / "report")
+    report, _, _ = cli("report", "--dump", str(out / "dump"),
+                       "--out", str(out / "report"))
+    return digests(out / "dump"), report, digests(out / "report"), rss
 
 
 def differing(a: dict, b: dict) -> str | None:
@@ -117,7 +125,8 @@ def main(argv) -> int:
             same = same and not (dump or report)
             dump = dump or f"{len(a[0])} files identical"
             report = report or f"exits {a[1]}, {len(a[2])} files identical"
-            print(f"{name}: dump {dump}; report {report}")
+            print(f"{name}: dump {dump}; report {report}; simulate peak "
+                  f"RSS {a[3]:.1f} vs {b[3]:.1f} MB")
     return 0 if same else 1
 
 

@@ -119,19 +119,19 @@ class MstLayers:
                                                np.maximum(u, v)]))
 
 
-def kmst(dist: np.ndarray, k: int,
+def kmst(dist: np.ndarray | None, k: int,
          layers: MstLayers | None = None) -> np.ndarray:
     """(k (n-1), 2) int64 edges i < j of the union of k successive
     edge-disjoint minimum spanning trees.
 
     Edges are ranked once by (distance, i, j).  `layers`, if given, is the
-    `MstLayers(dist)` that keeps the ranking and the layers between calls.
-    Each layer is the minimum spanning tree, under that strict order, of
-    the edges no earlier layer used; Prim's algorithm finds it on a dense
-    key matrix.  Ranks are distinct, so the tree is unique and is the one
+    `MstLayers(dist)` that keeps the ranking and the layers between calls;
+    `dist` may then be None, so a caller need not keep it.  Each layer is
+    the minimum spanning tree, under that strict order, of the edges no
+    earlier layer used; Prim's algorithm finds it on a dense key matrix.  Ranks are distinct, so the tree is unique and is the one
     Kruskal's algorithm picks.  Edges come out layer by layer, each layer in
     rank order."""
-    n = dist.shape[0]
+    n = layers.n if dist is None else dist.shape[0]
     if k < 1 or k > n // 2:
         raise ValueError(f"k={k} infeasible for n={n}")
     if layers is None:

@@ -12,7 +12,7 @@ import numpy as np
 from .clusterstats import TreeNode, cart_fit
 from .core import DISSIMILARITY, SIMILARITY
 from .datagen import ScenarioSpec, rng_for, sample_scenario
-from .methods import REGISTRY, Context, evaluate
+from .methods import REGISTRY, Context, evaluate, release_plan
 
 MISSING_FRACTION_LIMIT = 0.2  # more than this fraction invalid -> missing
 
@@ -38,10 +38,17 @@ def _context_seed(master_seed: int, scenario_index: int, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_rep(spec: ScenarioSpec, methods, master_seed, scenario_index, rep):
+def _run_rep(spec: ScenarioSpec, methods, master_seed, scenario_index, rep,
+             releases):
+    """One repetition; `releases` is `release_plan(methods)`, so the context
+    holds only the large structures that the methods still to run read."""
     ms = sample_scenario(spec, rng_for(master_seed, scenario_index, rep))
     ctx = Context(ms, seed=_context_seed(master_seed, scenario_index, rep))
-    stats = [evaluate(mid, ctx) for mid in methods]
+    stats = []
+    for mid, names in zip(methods, releases):
+        stats.append(evaluate(mid, ctx))
+        if names:
+            ctx.release(names)
     return (np.array([sv.value if sv.ok else np.nan for sv in stats]),
             tuple(sv.error or "" for sv in stats))
 
@@ -51,7 +58,9 @@ def run_scenario(spec: ScenarioSpec, methods, reps: int, master_seed: int,
     """Evaluate all methods, in process, on `reps` independent draws of the
     scenario, each drawn from the stream keyed by (scenario_index, rep)."""
     methods = tuple(methods)
-    rows = [_run_rep(spec, methods, master_seed, scenario_index, rep)
+    releases = release_plan(methods)
+    rows = [_run_rep(spec, methods, master_seed, scenario_index, rep,
+                     releases)
             for rep in range(reps)]
     return ScenarioResult(
         spec=spec,

@@ -230,24 +230,36 @@ def lhz(ms: MultiSample, pooled_values: np.ndarray) -> float:
     within-sample index pairs."""
     gram = pooled_values @ pooled_values.T
     n1 = ms.sizes[0]
-    idx1 = np.arange(0, n1)
-    idx2 = np.arange(n1, ms.total_n)
+    first, second = slice(0, n1), slice(n1, ms.total_n)
 
-    def cf_parts(source_idx, eval_idx):
-        # mean over k in source of exp(1i (G[k,i] - G[k,j])), for i,j in eval
-        theta = gram[np.ix_(source_idx, eval_idx)]
+    def cf_parts(source, target):
+        # mean over k in source of exp(1i (G[k,i] - G[k,j])), for i,j in
+        # target; built in place, one product at a time
+        theta = gram[source, target]
         c = np.cos(theta)
         s = np.sin(theta)
-        m = len(source_idx)
-        real = (c.T @ c + s.T @ s) / m
-        imag = (s.T @ c - c.T @ s) / m
+        m = len(theta)
+        real = c.T @ c
+        real += s.T @ s
+        real /= m
+        imag = s.T @ c
+        imag -= c.T @ s
+        imag /= m
         return real, imag
 
     total = 0.0
-    for eval_idx in (idx1, idx2):
-        rx, ix = cf_parts(idx1, eval_idx)
-        ry, iy = cf_parts(idx2, eval_idx)
-        total += float(((rx - ry) ** 2 + (ix - iy) ** 2).mean())
+    for target in (first, second):
+        rx, ix = cf_parts(first, target)
+        ry, iy = cf_parts(second, target)
+        rx -= ry
+        del ry
+        rx **= 2
+        ix -= iy
+        del iy
+        ix **= 2
+        rx += ix
+        del ix
+        total += float(rx.mean())
     return total
 
 

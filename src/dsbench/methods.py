@@ -3,7 +3,9 @@ extremeness direction, evaluated against a per-repetition context that
 caches the shared heavy structures (distance matrix, graphs, matching, the
 pattern summary of each of their edge sets, Gram matrix, GPK components,
 the DISCO decomposition of each alpha, and the MADD matrices of the pooled
-sample and of each sample pair)."""
+sample and of each sample pair).  Each method declares which large
+structures it reads, so a caller that runs a fixed method list can release
+each one after its last reader."""
 
 from __future__ import annotations
 
@@ -21,6 +23,13 @@ from .core import distance_matrix as _distance_matrix
 from .graphs import (Matching, MstLayers, kmst, knn_from_table, knn_graph,
                      min_weight_matching)
 from .permnull import pattern_counts_from_edges
+
+# The large structures of a Context (N x N or close), the names a method's
+# `reads` and `Context.release` take; "madd" covers every MADD matrix.
+LARGE = ("dist", "neighbour_order", "mst_layers", "matching", "gram", "madd")
+# The large structures built from `dist`: once each of them is built, `dist`
+# is read only by the methods that read it directly.
+BUILT_FROM_DIST = ("neighbour_order", "mst_layers", "matching", "gram")
 
 
 class Context:
@@ -71,7 +80,7 @@ class Context:
         if key not in self._graphs:
             kind, k = key
             self._graphs[key] = (
-                kmst(self.dist, k, layers=self.mst_layers) if kind == "mst"
+                kmst(None, k, layers=self.mst_layers) if kind == "mst"
                 else knn_from_table(self.neighbour_order, k))
         return self._graphs[key]
 
@@ -118,6 +127,18 @@ class Context:
             self._madd[key] = clusterstats.madd(values, cfg)
         return self._madd[key]
 
+    def release(self, names) -> None:
+        """Drop the large structures `names` (see LARGE).  One read again is
+        rebuilt by the code that built it, so values never depend on when a
+        structure was released."""
+        for name in names:
+            if name not in LARGE:
+                raise ValueError(f"{name!r} is not a large structure")
+            if name == "madd":
+                self._madd.clear()
+            else:
+                self.__dict__.pop(name, None)
+
     def method_rng(self, method_id: str):
         """Deterministic per-(repetition, method) generator."""
         tag = zlib.crc32(method_id.encode())
@@ -130,6 +151,7 @@ class Method:
     method_id: str
     direction: str
     fn: Callable[[Context], float | tuple]
+    reads: frozenset[str]  # the LARGE structures fn reads
     min_k: int = 2
     max_k: int = 2
 
@@ -140,10 +162,30 @@ class Method:
 REGISTRY: dict[str, Method] = {}
 
 
-def _register(method_id, direction, fn, min_k=2, max_k=2):
+def _register(method_id, direction, fn, *, reads, min_k=2, max_k=2):
     if method_id in REGISTRY:
         raise ValueError(f"duplicate method id {method_id!r}")
-    REGISTRY[method_id] = Method(method_id, direction, fn, min_k, max_k)
+    REGISTRY[method_id] = Method(method_id, direction, fn, frozenset(reads),
+                                 min_k, max_k)
+
+
+def release_plan(method_ids) -> tuple[tuple[str, ...], ...]:
+    """Per method of `method_ids`, the large structures to release once it
+    has run: each one after its last reader, and `dist` no earlier than the
+    first reader of each structure built from it."""
+    first, last = {}, {}
+    for i, mid in enumerate(method_ids):
+        for name in REGISTRY[mid].reads:
+            first.setdefault(name, i)
+            last[name] = i
+    if "dist" in last or any(name in first for name in BUILT_FROM_DIST):
+        last["dist"] = max([last.get("dist", 0)] + [
+            first[name] for name in BUILT_FROM_DIST if name in first])
+    plan = [[] for _ in method_ids]
+    for name in LARGE:
+        if name in last:
+            plan[last[name]].append(name)
+    return tuple(map(tuple, plan))
 
 
 def evaluate(method_id: str, ctx: Context) -> StatValue:
@@ -173,78 +215,100 @@ def evaluate(method_id: str, ctx: Context) -> StatValue:
 # registrations
 
 _register("energy", DISSIMILARITY,
-          lambda c: interpoint.energy(c.ms, c.dist), max_k=99)
+          lambda c: interpoint.energy(c.ms, c.dist), reads={"dist"},
+          max_k=99)
 
 for _kind in ("log", "fraca", "fracb"):
     _register(f"bf_{_kind}", DISSIMILARITY,
-              lambda c, kind=_kind: interpoint.bf_statistic(c.ms, c.dist, kind))
+              lambda c, kind=_kind: interpoint.bf_statistic(c.ms, c.dist,
+                                                            kind),
+              reads={"dist"})
 _register("bahr", DISSIMILARITY,
-          lambda c: interpoint.bf_statistic(c.ms, c.dist, "bahr"))
+          lambda c: interpoint.bf_statistic(c.ms, c.dist, "bahr"),
+          reads={"dist"})
 
-_register("bg2", DISSIMILARITY, lambda c: interpoint.bg2(c.ms, c.dist))
+_register("bg2", DISSIMILARITY, lambda c: interpoint.bg2(c.ms, c.dist),
+          reads={"dist"})
 
 for _v in ("f", "b"):
     for _a in (0.5, 1.0, 1.5):
         def _disco_fn(c, v=_v, a=_a):
             r = c.disco(a)
             return r.f_stat if v == "f" else r.between
-        _register(f"disco_{_v}_{_a:g}", DISSIMILARITY, _disco_fn, max_k=99)
+        _register(f"disco_{_v}_{_a:g}", DISSIMILARITY, _disco_fn,
+                  reads={"dist"}, max_k=99)
 
 _register("ds", DISSIMILARITY,
-          lambda c: interpoint.ds_rank_energy(c.ms, c.pooled.values))
+          lambda c: interpoint.ds_rank_energy(c.ms, c.pooled.values),
+          reads=())
 _register("wasserstein", DISSIMILARITY,
-          lambda c: interpoint.wasserstein1(c.ms, c.dist))
+          lambda c: interpoint.wasserstein1(c.ms, c.dist), reads={"dist"})
 _register("ball", DISSIMILARITY,
           lambda c: interpoint.ball_divergence(c.ms, c.dist,
-                                               c.neighbour_order), max_k=99)
+                                               c.neighbour_order),
+          reads={"dist", "neighbour_order"}, max_k=99)
 _register("lhz", DISSIMILARITY,
-          lambda c: interpoint.lhz(c.ms, c.pooled.values))
+          lambda c: interpoint.lhz(c.ms, c.pooled.values), reads=())
 _register("engineer", DISSIMILARITY,
-          lambda c: interpoint.engineer_metric(c.ms))
+          lambda c: interpoint.engineer_metric(c.ms), reads=())
 
 for _e in (0.5, 0.8, 0.9):
     _register(f"bg_{_e:g}", DISSIMILARITY,
               lambda c, e=_e: interpoint.bg_partition(c.ms, c.pooled.values,
-                                                      e))
+                                                      e), reads=())
+
+
+def _graph_reads(spec: str) -> set[str]:
+    """The large structure that `Context.graph(spec)` builds its edges
+    from."""
+    return {"mst_layers" if spec.endswith("mst") else "neighbour_order"}
+
 
 for _g in ("1mst", "5mst", "1nn", "5nn"):
     for _v, _dir in (("fr", SIMILARITY), ("cf", DISSIMILARITY),
                      ("ccs", DISSIMILARITY)):
         _register(f"{_v}_{_g}", _dir,
                   lambda c, g=_g, v=_v: graphstats.edgecount_test(
-                      c.pattern_stats(g), c.ms.sizes, v))
+                      c.pattern_stats(g), c.ms.sizes, v),
+                  reads=_graph_reads(_g))
     for _kap in (1.0, 1.14, 1.31):
         _register(f"zc_{_g}_k{_kap:g}", DISSIMILARITY,
                   lambda c, g=_g, kap=_kap: graphstats.edgecount_test(
-                      c.pattern_stats(g), c.ms.sizes, "zc", kappa=kap))
+                      c.pattern_stats(g), c.ms.sizes, "zc", kappa=kap),
+                  reads=_graph_reads(_g))
 
 for _g in ("1mst", "5mst"):
     for _v in ("s", "sa"):
         _register(f"sc_{_g}_{_v}", DISSIMILARITY,
                   lambda c, g=_g, v=_v: graphstats.sc_test(
-                      c.pattern_stats(g), c.ms.sizes, v), max_k=99)
+                      c.pattern_stats(g), c.ms.sizes, v),
+                  reads=_graph_reads(_g), max_k=99)
 
 for _k in (1, 5):
     _register(f"sh_{_k}nn", DISSIMILARITY,
               lambda c, k=_k: graphstats.sh_statistic(
-                  c.graph(f"{k}nn"), c.labels))
+                  c.graph(f"{k}nn"), c.labels), reads={"neighbour_order"})
 _register("bqs", DISSIMILARITY,
-          lambda c: graphstats.bqs_statistic(c.neighbour_order, c.labels))
+          lambda c: graphstats.bqs_statistic(c.neighbour_order, c.labels),
+          reads={"neighbour_order"})
 
 _register("rosenbaum", SIMILARITY,
           lambda c: graphstats.rosenbaum_statistic(
-              c.pattern_stats("matching")))
+              c.pattern_stats("matching")), reads={"matching"})
 _register("petrie", SIMILARITY,
           lambda c: graphstats.petrie_statistic(
-              c.pattern_stats("matching"), c.ms.sizes), max_k=99)
+              c.pattern_stats("matching"), c.ms.sizes),
+          reads={"matching"}, max_k=99)
 _register("mmcm", DISSIMILARITY,
           lambda c: graphstats.mmcm_statistic(
-              c.pattern_stats("matching"), c.ms.sizes), max_k=4)
+              c.pattern_stats("matching"), c.ms.sizes),
+          reads={"matching"}, max_k=4)
 
 for _g in ("1nn", "5nn", "heuristic_nn"):
     _register(f"kmd_{_g}", DISSIMILARITY,
               lambda c, g=_g: graphstats.kmd_statistic(
-                  c.graph(g), c.labels, c.ms.sizes), max_k=99)
+                  c.graph(g), c.labels, c.ms.sizes),
+              reads=_graph_reads(_g), max_k=99)
 
 
 def _kmd_mst(c):
@@ -253,16 +317,19 @@ def _kmd_mst(c):
                                     c.labels, c.ms.sizes)
 
 
-_register("kmd_mst", DISSIMILARITY, _kmd_mst, max_k=99)
+_register("kmd_mst", DISSIMILARITY, _kmd_mst, reads={"mst_layers"},
+          max_k=99)
 
 _register("mmd", DISSIMILARITY,
-          lambda c: (kernelstats.mmd_ustat(c.gram, c.ms.sizes), c.gram.flags))
+          lambda c: (kernelstats.mmd_ustat(c.gram, c.ms.sizes), c.gram.flags),
+          reads={"gram"})
 _register("blockmmd", DISSIMILARITY,
-          lambda c: (kernelstats.block_mmd(c.ms, c.gram), c.gram.flags))
+          lambda c: (kernelstats.block_mmd(c.ms, c.gram), c.gram.flags),
+          reads={"gram"})
 for _v in ("gpk", "zd", "zw1", "zw2"):
     _register("gpk" if _v == "gpk" else f"gpk_{_v}", DISSIMILARITY,
               lambda c, v=_v: (kernelstats.gpk_statistic(c.gpk, v),
-                               c.gram.flags))
+                               c.gram.flags), reads={"gram"})
 
 # Clustering tests: the discordance statistics (RI family) point down under
 # alternatives (perfect clustering gives zero), so they carry the
@@ -291,7 +358,8 @@ for _variant in ("fs", "ri", "mfs", "mri"):
     for _psi in clusterstats.PSI_KINDS:
         for _hh in clusterstats.H_KINDS:
             _register(f"{_variant}_{_psi}_{_hh}", _FS_DIR[_variant],
-                      _fsri_fn(_variant, _psi, _hh), max_k=99)
+                      _fsri_fn(_variant, _psi, _hh), reads={"madd"},
+                      max_k=99)
 
 for _variant in ("msfs", "msri"):
     for _psi in ("psi2", "psi3"):
@@ -300,7 +368,7 @@ for _variant in ("msfs", "msri"):
                 _register(f"{_variant}_{_psi}_{_hh}_k{_kp}",
                           _FS_DIR[_variant],
                           _fsri_fn(_variant, _psi, _hh, ms_clusters=_kp + 1),
-                          min_k=4, max_k=99)
+                          reads={"madd"}, min_k=4, max_k=99)
 
 def _aggregated_fn(variant, mode, psi):
     cfg = clusterstats.MaddConfig(psi, "h1")
@@ -323,18 +391,18 @@ for _variant in ("afs", "ari"):
         for _psi in ("psi2", "psi3"):
             _register(f"{_variant}_{_mode}_{_psi}_h1", _FS_DIR[_variant],
                       _aggregated_fn(_variant, _mode, _psi),
-                      min_k=3, max_k=99)
+                      reads={"madd"}, min_k=3, max_k=99)
 
 _register("c2st_knn", DISSIMILARITY,
           lambda c: clusterstats.c2st_knn(c.neighbour_order, c.labels,
                                           c.method_rng("c2st_knn")),
-          max_k=99)
+          reads={"neighbour_order"}, max_k=99)
 _register("ymrzl", SIMILARITY,
           lambda c: clusterstats.ymrzl(c.pooled.values, c.labels,
-                                       c.method_rng("ymrzl")))
+                                       c.method_rng("ymrzl")), reads=())
 for _u in ("md", "t", "auc"):
     _register(f"diproperm_{_u}", DISSIMILARITY,
-              lambda c, u=_u: clusterstats.diproperm(c.ms, u))
+              lambda c, u=_u: clusterstats.diproperm(c.ms, u), reads=())
 
 
 # Curated default method sets: one entry per method family and

@@ -48,7 +48,7 @@ def simulate_losing_workers(tmp_path: Path, cfg: str, jobs: str):
                 os.kill(os.getpid(), signal.SIGKILL)
             return 0.0
 
-        _register("lose_worker", DISSIMILARITY, lose_worker)
+        _register("lose_worker", DISSIMILARITY, lose_worker, reads=())
         sys.exit(main(sys.argv[1:]))
     """)
     src = str(Path(dsbench.__file__).resolve().parent.parent)

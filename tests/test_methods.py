@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dsbench import (clusterstats, graphs, graphstats, interpoint,
+from dsbench import (clusterstats, graphs, graphstats, harness, interpoint,
                      kernelstats, methods, permnull)
 from dsbench.core import DISSIMILARITY, SIMILARITY, DataMatrix, MultiSample
-from dsbench.methods import (DEFAULT_FOUR_SAMPLE, DEFAULT_TWO_SAMPLE,
-                             REGISTRY, Context, default_methods, evaluate)
+from dsbench.datagen import ScenarioSpec, rng_for, sample_scenario
+from dsbench.methods import (BUILT_FROM_DIST, DEFAULT_FOUR_SAMPLE,
+                             DEFAULT_TWO_SAMPLE, LARGE, REGISTRY, Context,
+                             default_methods, evaluate, release_plan)
 
 
 def make_ms(sizes, p=2, seed=0, shift=0.0):
@@ -14,6 +18,61 @@ def make_ms(sizes, p=2, seed=0, shift=0.0):
     for i, n in enumerate(sizes):
         mats.append(DataMatrix(rng.normal(size=(n, p)) + shift * i))
     return MultiSample(tuple(mats))
+
+
+def count_builds(monkeypatch) -> dict:
+    """Wrap the builders of the shared structures; returns {builder: [args
+    of each call]}."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        calls[key] = []
+
+        def wrapped(*args, **kwargs):
+            calls[key].append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    count(methods, "_distance_matrix")
+    count(methods, "MstLayers")
+    count(methods, "min_weight_matching")
+    count(kernelstats, "gram")
+    count(clusterstats, "madd")
+    count(interpoint, "disco")
+    count(kernelstats, "moments_from_weights")
+    count(graphstats, "null_moments")
+    count(graphstats, "moments_from_edges")
+    count(permnull, "moments_from_edges")
+    count(methods, "pattern_counts_from_edges")
+    count(methods, "kmst")
+    count(graphs, "edge_order")
+    count(methods, "knn_graph")
+    count(graphstats, "knn_graph")
+    return calls
+
+
+def describe(args) -> tuple:
+    """A comparable summary of one call's arguments: arrays by shape and
+    bytes, samples by their rows."""
+    out = []
+    for a in args:
+        if isinstance(a, DataMatrix):
+            a = a.values
+        if isinstance(a, MultiSample):
+            a = np.concatenate([m.values for m in a.samples])
+        if isinstance(a, np.ndarray):
+            a = (a.shape, hashlib.sha256(
+                np.ascontiguousarray(a).tobytes()).hexdigest())
+        out.append(a)
+    return tuple(out)
+
+
+def built(ctx: Context) -> set[str]:
+    """The large structures `ctx` holds."""
+    held = {name for name in LARGE if name in vars(ctx)}
+    return held | {"madd"} if ctx._madd else held
 
 
 class TestRegistry:
@@ -42,6 +101,60 @@ class TestRegistry:
     def test_default_methods_by_k(self):
         assert default_methods(2) == DEFAULT_TWO_SAMPLE
         assert default_methods(4) == DEFAULT_FOUR_SAMPLE
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_reads_are_exact(self, k):
+        """Alone on a fresh context, a method builds exactly the large
+        structures it declares, and `dist` when one of them is built from
+        it."""
+        s = ScenarioSpec("normal", "shift", 0.5, 40, 3, "balanced", k=k,
+                         grouping="1+1" if k == 2 else "1+1+1+1")
+        ms = sample_scenario(s, rng_for(3, 0, 0))
+        wrong = []
+        for mid, method in REGISTRY.items():
+            if not method.applicable(k):
+                continue
+            ctx = Context(ms, seed=5)
+            evaluate(mid, ctx)
+            expected = set(method.reads)
+            if expected & set(BUILT_FROM_DIST):
+                expected.add("dist")
+            if built(ctx) != expected:
+                wrong.append((mid, sorted(built(ctx)), sorted(expected)))
+        assert wrong == []
+
+    def test_release_plan(self):
+        plan = dict(zip(DEFAULT_TWO_SAMPLE,
+                        release_plan(DEFAULT_TWO_SAMPLE)))
+        assert {mid: names for mid, names in plan.items() if names} == {
+            "mmcm": ("matching",), "kmd_mst": ("mst_layers",),
+            # after the first reader of the Gram matrix, the last
+            # structure built from dist
+            "mmd": ("dist",), "gpk_zw2": ("gram",),
+            "mri_psi2_h1": ("madd",), "c2st_knn": ("neighbour_order",)}
+        # dist outlives its direct readers until the matching is built
+        assert release_plan(("energy", "rosenbaum", "ds")) == (
+            (), ("dist", "matching"), ())
+        assert release_plan(("lhz", "engineer")) == ((), ())
+
+    def test_release_then_read_rebuilds_the_same(self):
+        ctx = Context(make_ms((12, 13), p=3), seed=4)
+        before = {mid: evaluate(mid, ctx).value
+                  for mid in ("energy", "fr_1mst", "sh_5nn", "mmd",
+                              "fs_psi2_h1", "rosenbaum")}
+        dist = ctx.dist
+        # the layers grow to the 5-MST without dist
+        ctx.release(("dist",))
+        five = ctx.graph("5mst")
+        assert "dist" not in vars(ctx)
+        assert np.array_equal(five, graphs.kmst(dist, 5))
+        ctx.release(LARGE)
+        assert built(ctx) == set()
+        for mid, value in before.items():
+            assert evaluate(mid, ctx).value == value, mid
+        assert np.array_equal(ctx.dist, dist)
+        with pytest.raises(ValueError, match="not a large structure"):
+            ctx.release(("gpk",))
 
 
 class TestEvaluate:
@@ -175,29 +288,7 @@ class TestEvaluate:
                                   reference[:, :k])
 
     def test_shared_structures_built_once(self, monkeypatch):
-        calls = {}
-
-        def count(module, name):
-            original = getattr(module, name)
-            key = f"{module.__name__}.{name}"
-            calls[key] = []
-
-            def wrapped(*args, **kwargs):
-                calls[key].append(args)
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapped)
-
-        count(clusterstats, "madd")
-        count(interpoint, "disco")
-        count(kernelstats, "moments_from_weights")
-        count(graphstats, "null_moments")
-        count(graphstats, "moments_from_edges")
-        count(permnull, "moments_from_edges")
-        count(methods, "pattern_counts_from_edges")
-        count(methods, "kmst")
-        count(graphs, "edge_order")
-        count(methods, "knn_graph")
-        count(graphstats, "knn_graph")
+        calls = count_builds(monkeypatch)
         ctx = Context(make_ms((25, 25)), seed=8)
         for mid in DEFAULT_TWO_SAMPLE:
             assert evaluate(mid, ctx).ok, mid
@@ -221,6 +312,34 @@ class TestEvaluate:
         # kmd_heuristic_nn (0.1 N = 5 neighbours) and bqs
         assert [k for _, k in calls["dsbench.methods.knn_graph"]] == [49]
         assert calls["dsbench.graphstats.knn_graph"] == []
+        for name in ("methods._distance_matrix", "methods.MstLayers",
+                     "methods.min_weight_matching", "kernelstats.gram"):
+            assert len(calls[f"dsbench.{name}"]) == 1, name
+
+    @pytest.mark.parametrize("k, methods_", [
+        (2, DEFAULT_TWO_SAMPLE), (4, DEFAULT_FOUR_SAMPLE)],
+        ids=["two_sample", "four_sample"])
+    def test_release_path_rebuilds_nothing(self, monkeypatch, k, methods_):
+        """`run_scenario` releases each large structure after its last
+        reader; every build still happens once per repetition, on the same
+        inputs as on a context that keeps everything."""
+        s = ScenarioSpec("normal", "shift", 0.5, 40, 3, "balanced", k=k,
+                         grouping="1+1" if k == 2 else "1+1+1+1")
+        calls = count_builds(monkeypatch)
+        plain = {key: [] for key in calls}
+        for rep in range(2):
+            ms = sample_scenario(s, rng_for(7, 0, rep))
+            ctx = Context(ms, seed=harness._context_seed(7, 0, rep))
+            for mid in methods_:
+                assert evaluate(mid, ctx).ok, mid
+            for key, args in calls.items():
+                plain[key] += [describe(a) for a in args]
+                args.clear()
+        harness.run_scenario(s, methods_, 2, 7)
+        released = {key: [describe(a) for a in args]
+                    for key, args in calls.items()}
+        assert released == plain
+        assert len(plain["dsbench.methods._distance_matrix"]) == 2
 
     def test_kmst_resumes_from_first_layer(self, monkeypatch):
         layers = []
