@@ -7,13 +7,16 @@ Usage: python scripts/same_dumps.py PARENT_SRC CHANGE_SRC
 Each SRC is a directory holding the `dsbench` package (a checkout's
 `src`).  The script runs `python -m dsbench.cli simulate --seed 1`, then
 `report` on that dump, with each as PYTHONPATH, in a temporary directory,
-on six configs:
+on seven configs:
 
 - the two golden configs, rebuilt from their committed manifests;
 - the three perfbench workload configs (`perfbench/workloads.py`);
 - a 12-scenario four-sample config: N=100, p 2 and 10, both balances, and
   a null `3+1`, a shift 0.5 `2+2` and a scale 2 `1+1+1+1` scenario, at 3
-  repetitions of the golden four-sample methods.
+  repetitions of the golden four-sample methods;
+- `two_n1000_matching`: a normal null and shift 0.5 scenario at the design's
+  N=1000 p=50, balanced, 1 repetition of `rosenbaum`, `petrie` and `mmcm`,
+  so the gate compares the exact matching's bytes and RSS at design scale.
 
 It prints one line per config, with each side's `simulate` peak RSS (the
 child's `ru_maxrss`, from `os.wait4`), and exits 1 if any file's sha256 or
@@ -36,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def configs() -> dict:
     """Config name -> `simulate` config."""
-    from perfbench.workloads import WORKLOADS, build_config
+    from perfbench.workloads import WORKLOADS, _two_sample, build_config
 
     out = {}
     for name in ("golden_two", "golden_four"):
@@ -56,6 +59,10 @@ def configs() -> dict:
             for deviation, magnitude, grouping in (
                 ("null", 0.0, "3+1"), ("shift", 0.5, "2+2"),
                 ("scale", 2.0, "1+1+1+1"))]}
+    out["two_n1000_matching"] = {
+        "methods": ["rosenbaum", "petrie", "mmcm"], "reps": 1,
+        "scenarios": [_two_sample("null", 0.0, 1000, 50),
+                      _two_sample("shift", 0.5, 1000, 50)]}
     return out
 
 

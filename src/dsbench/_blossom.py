@@ -5,110 +5,105 @@ Galil's formulation) on arrays, in numpy.  Only the dense complete-graph
 case is supported, which is all the matching-based statistics need.
 
 Warm start, the fractional initialisation of Blossom V (Kolmogorov 2009,
-Math. Prog. Comp. 1:43-67).  scipy's ``linear_sum_assignment`` solves, in C,
-the assignment problem of the weights with no vertex assigned to itself.
-Its optimum is a half-integral perfect matching: a 2-cycle of the assignment
-is a matched edge, and the edges of a longer cycle count one half each.
-Its duals, recovered as shortest-path potentials on the residual graph by a
-vectorised Bellman-Ford, give vertex duals ``y_i = -(u_i + v_i)`` that are
-feasible, and every cycle edge is tight, since the reverse assignment is
-optimal too.  The alternate edges of each cycle start matched, and an odd
-cycle leaves one vertex free.  Rounding can break feasibility and tightness
-by ulps, so a row with a negative slack, computed as ``scan`` computes it,
-is raised to its least feasible dual, and an edge starts matched only if
-its slack is exactly 0, after its second vertex lowers its dual as far as
-its row allows if need be.  So the duals are feasible and every pre-matched
-edge tight, as the search needs.  The search always runs in
-maximum-cardinality mode on an even number of vertices (odd n gets a
-phantom vertex), where vertex duals are free, so it breaks any pre-matched
-pair that is not in the optimum.
+Math. Prog. Comp. 1:43-67), in the doubled weights ``wt2`` the search reads.
+scipy's ``linear_sum_assignment`` solves, in C, the assignment of the cost
+``-0.5 * wt2``, exactly ``-w``, with no vertex assigned to itself: a
+half-integral perfect matching, whose 2-cycles are matched edges and whose
+longer cycles' edges count one half each.  Its duals give feasible vertex
+duals ``y_i = -(u_i + v_i)`` that make every cycle edge tight, as the
+reverse assignment is optimal too.  The alternate edges of each cycle start
+matched, an odd cycle leaving one vertex free, and ``_assignment_start``
+repairs what rounding breaks.  The assignment cost, the Bellman-Ford rows
+and the feasibility slack share one N x N buffer besides ``wt2``.  The
+search runs in maximum-cardinality mode on an even number of vertices (odd
+n gets a phantom vertex), where vertex duals are free, so it breaks any
+pre-matched pair that is not in the optimum.
 
 Persistent forest, as in Blossom V: every free vertex is labelled S once and
 stays the root of its alternating tree until an augmentation matches it.  An
 augmentation joins exactly two trees, and only those two are dissolved; every
 other tree keeps its labels, blossoms, tight edges and queue entries.  The
-dissolve is a few array operations: the two trees' zero-dual S-blossoms are
-expanded; their labels (nested blossoms included), ``allowedge`` rows and
-columns and queue entries are cleared; and any sub-label that another tree's
-T-blossom received from them is dropped.  One ``refresh`` then recomputes
-the ``best`` rows that were in the two trees or led into them, and queues
-the S-vertex of any tight edge to an unreached vertex for a rescan.
+dissolve expands the two trees' zero-dual S-blossoms; clears their labels
+(nested blossoms included), ``allowedge`` rows and columns and queue entries;
+drops any sub-label that another tree's T-blossom received from them; and
+refreshes the ``best`` rows that were in the two trees or led into them.
 
-Least-slack edges, one per vertex, in ``best``.  For an unreached vertex u
-(label 0, top-level blossom not S), ``best[u]`` is the S-vertex at the far
-end of u's least-slack edge: each scan of an S-vertex keeps the lesser, so
-delta2 is the least slack of ``(best[u], u)`` over the vertices of unlabelled
-top-level blossoms.  For an S-vertex v, ``best[v]`` is the S-vertex of
-another top-level blossom at the far end of v's least-slack edge, as of v's
-last scan or refresh.  Each S-S edge between two top-level blossoms is
-covered by whichever end was scanned or refreshed last, as the other end was
-S by then: a vertex stays S until its tree is dissolved, and a dual step
-lowers the slack of every such edge alike.  So, with the queue empty, delta3
-is the least slack of ``(v, best[v])`` over S-vertices, halved.  An S row
-goes stale only when its far end joins its blossom, and ``add_blossom``
-refreshes those leaves (the T-leaves of a new blossom turn S and are
-rescanned anyway), or when its far end leaves the forest, and ``dissolve``
-refreshes it.  Galil keeps a least-slack edge per S-blossom instead, which
-each new blossom must rebuild from its leaves; a refresh here costs one slack
-row per stale vertex, so Galil's O(n^3) bound is not guaranteed.
+Least-slack edges, one per vertex, in ``best`` (-1 if none; a T-vertex's
+entry is not read).  For an unreached vertex u (label 0, top-level blossom
+not S), ``best[u]`` is the S-vertex at the far end of u's least-slack edge:
+each scan of an S-vertex keeps the lesser, so delta2 is the least slack of
+``(best[u], u)`` over the vertices of unlabelled top-level blossoms.  For an
+S-vertex v, ``best[v]`` is the S-vertex of another top-level blossom at the
+far end of v's least-slack edge, as of v's last scan or refresh.  Each S-S
+edge between two top-level blossoms is covered by whichever end was scanned
+or refreshed last, as the other end was S by then: a vertex stays S until
+its tree is dissolved, and a dual step lowers the slack of every such edge
+alike.  So, with the queue empty, delta3 is the least slack of
+``(v, best[v])`` over S-vertices, halved.  An S row goes stale only when its
+far end joins its blossom, and ``add_blossom`` refreshes those leaves (the
+T-leaves of a new blossom turn S and are rescanned anyway), or when its far
+end leaves the forest, and ``dissolve`` refreshes it.  A refresh also queues
+the S end of any tight edge to an unreached vertex.  Galil keeps a
+least-slack edge per S-blossom instead, which each new blossom must rebuild
+from its leaves; a refresh here costs one slack row per stale vertex, so
+Galil's O(n^3) bound is not guaranteed.
 
 Each scan of an S-vertex computes its whole slack row in one numpy
 expression.  Only the tight or allowed edges reach the per-edge branch
-(``take``: label T, form a blossom or augment); the ``best`` updates for
-the others, the delta search and the dual updates are array operations.  A
-dual step hands the edge that limits it straight to ``take`` instead of
-queueing its S-vertex for a rescan.  The rarer steps (augmenting, expanding
-and tracing blossoms) stay scalar.
+(``take``: label T, form a blossom or augment); the ``best`` updates for the
+others, the delta search and the dual updates are array operations.  A dual
+step hands the edge that limits it straight to ``take`` instead of queueing
+its S-vertex for a rescan.  Augmenting, expanding and tracing stay scalar.
 
 State layout: vertices are ids 0..n-1, nontrivial blossoms n..2n-1.
 ``label`` values: 0 free, 1 S, 2 T (bit 4 marks breadcrumbs during path
 scans).  ``labeledge[b] = (v, w)`` is the edge through which b received its
 label, with v outside and w inside b; -1 means none.  ``root[b]`` is the free
-vertex at the root of the tree of labelled top-level blossom b.  ``best[v]``
-is the vertex at the far end of v's least-slack edge, as above; -1 means
-none, and the entry of a T-vertex is not read.
+vertex at the root of the tree of labelled top-level blossom b.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 
-def _assignment_duals(w):
-    """Optimal assignment of the cost ``-w`` with an infinite diagonal, and
-    its column potentials.
+def _assignment_duals(wt2, buf=None):
+    """Optimal assignment of the cost ``-0.5 * wt2`` with an infinite
+    diagonal, and its column potentials: ``(sigma, pot, rounds)``.
 
-    Returns ``(sigma, pot, rounds)``: row i is assigned column sigma[i], and
-    ``pot`` holds shortest-path distances on the residual graph, where column
-    sigma[i] reaches column j at the reduced cost ``c[i, j] - c[i, sigma[i]]``.
-    Row duals ``c[i, sigma[i]] - pot[sigma[i]]`` and column duals ``pot`` are
-    then optimal.  The potentials come from Bellman-Ford rounds, each
-    relaxing only the rows whose column moved in the round before; ``rounds``
-    counts the rounds that moved one.  A shortest path has at most n - 1
-    arcs, so exact arithmetic settles in at most n - 1 such rounds.  Rounding
-    can leave an ulp-sized negative cycle that never settles, so the loop
-    stops after n; the start's feasibility pass repairs what is left.
+    Row i is assigned column sigma[i].  ``pot`` holds shortest-path distances
+    on the residual graph, where column sigma[i] reaches column j at the
+    reduced cost ``c[i, j] - c[i, sigma[i]]``; row duals
+    ``c[i, sigma[i]] - pot[sigma[i]]`` and column duals ``pot`` are then
+    optimal.  Each vectorised Bellman-Ford round relaxes only the rows whose
+    column moved in the round before; ``rounds`` counts the rounds that
+    moved one.  A shortest path has at most n - 1 arcs, but rounding can
+    leave an ulp-sized negative cycle that never settles, so the loop stops
+    after n; the start's feasibility pass repairs what is left.  The first
+    round relaxes the reduced cost in ``buf`` (new if None), as ``pot`` is
+    0; later ones rebuild their rows there from ``wt2``.
     """
-    n = w.shape[0]
-    cost = np.negative(w)
-    np.fill_diagonal(cost, np.inf)
-    sigma = linear_sum_assignment(cost)[1]
-    rows = np.arange(n)
-    cost -= cost[rows, sigma][:, None]
-    row_of = np.empty(n, dtype=np.int64)
-    row_of[sigma] = rows
+    n = wt2.shape[0]
+    buf = np.multiply(wt2, -0.5, out=buf)
+    np.fill_diagonal(buf, np.inf)
+    sigma = linear_sum_assignment(buf)[1]
+    base = buf[np.arange(n), sigma]
+    buf -= base[:, None]
+    row_of = np.argsort(sigma)
     pot = np.zeros(n)
-    active = rows
-    rounds = 0
-    while rounds < n:
-        reach = cost[active]
-        reach += pot[sigma[active], None]
+    reach = buf
+    for rounds in range(n + 1):
         reach = reach.min(axis=0)
         moved = (reach < pot).nonzero()[0]
-        if moved.size == 0:
+        if moved.size == 0 or rounds == n:
             break
         pot[moved] = reach[moved]
         active = row_of[moved]
-        rounds += 1
+        # mode "raise" would fill a copy of buf's rows first
+        reach = np.take(wt2, active, 0, buf[:active.size], "clip")
+        reach *= -0.5
+        reach -= base[active, None]
+        reach[np.arange(active.size), active] = np.inf
+        reach += pot[sigma[active], None]
     return sigma, pot, rounds
 
 
@@ -126,7 +121,7 @@ def _least_dual(y, wt2, v):
         yv = np.nextafter(yv, np.inf)
 
 
-def _assignment_start(w, wt2):
+def _assignment_start(wt2):
     """Vertex duals and pre-matched mates from the optimal assignment.
 
     Rows with a negative slack, computed as ``scan`` computes it, are raised
@@ -138,12 +133,12 @@ def _assignment_start(w, wt2):
     the walk moves on one vertex.  So a tight odd cycle leaves its last
     vertex free.
     """
-    n = w.shape[0]
-    sigma, pot, _ = _assignment_duals(w)
+    n = wt2.shape[0]
+    buf = np.empty_like(wt2)
+    sigma, pot, _ = _assignment_duals(wt2, buf)
     rows = np.arange(n)
-    u = -w[rows, sigma] - pot[sigma]
-    y = -(u + pot)
-    slack = np.add.outer(y, y)
+    y = -(-0.5 * wt2[rows, sigma] - pot[sigma] + pot)  # -(row + column)
+    slack = np.add.outer(y, y, out=buf)
     slack -= wt2
     np.fill_diagonal(slack, np.inf)
     for v in (slack.min(axis=1) < 0.0).nonzero()[0].tolist():
@@ -160,8 +155,6 @@ def _assignment_start(w, wt2):
             seen[t] = True
             cycle.append(t)
             t = sig[t]
-        if not cycle:
-            continue
         cut = next((k for k, c in enumerate(cycle) if not tight[c]),
                    len(cycle) - 1)
         cycle = cycle[cut + 1:] + cycle[:cut + 1]
@@ -181,15 +174,15 @@ def _assignment_start(w, wt2):
 
 
 class _Matcher:
-    """State of one maximum-weight perfect matching search; ``run`` returns
-    the mate array.  n must be even."""
+    """State of one maximum-weight perfect matching search on the doubled
+    weights ``wt2``; ``run`` returns the mate array.  n must be even."""
 
-    def __init__(self, w):
-        n = w.shape[0]
+    def __init__(self, wt2):
+        n = wt2.shape[0]
         nb = 2 * n
         self.n = n
-        self.wt2 = 2.0 * w
-        self.dualvar, self.mate = _assignment_start(w, self.wt2)
+        self.wt2 = wt2
+        self.dualvar, self.mate = _assignment_start(wt2)
         self.label = np.zeros(nb, dtype=np.int64)
         self.labeledge = np.full((nb, 2), -1, dtype=np.int64)
         self.root = np.full(nb, -1, dtype=np.int64)
@@ -266,7 +259,6 @@ class _Matcher:
         bb = inblossom[base]
         b = self.unused.pop()
         self.blossombase[b] = base
-        blossomparent[b] = -1
         traces = []
         for x in (v, w):
             chain, links = [], []
@@ -284,7 +276,6 @@ class _Matcher:
         self.label[b] = 1
         labeledge[b] = labeledge[bb]
         self.root[b] = self.root[bb]
-        self.blossomdual[b] = 0.0
         leaves = np.array(self.leaves(b))
         # top-level labels before the merge; a leaf's own label is mostly 0
         was = self.label[inblossom[leaves]]
@@ -564,23 +555,29 @@ class _Matcher:
         return self.mate
 
 
-def max_weight_matching_dense(weights):
-    """Maximum-weight maximum-cardinality matching of a complete graph.
+def max_weight_mates(wt2, n):
+    """``max_weight_matching_dense`` for n >= 2 from the doubled weights: a
+    C-contiguous array with n + n % 2 rows whose leading (n, n) block holds
+    twice the weights.  For odd n its last row and column are overwritten."""
+    if n % 2 == 1:
+        # A phantom vertex joined to every vertex by the lightest weight (any
+        # common one would do: every perfect matching uses one such edge).
+        # Past wt2[0, 0], every (n + 2)-th flat entry is on the diagonal.
+        wt2[n] = wt2[:, n] = np.inf
+        wt2[n] = wt2[:, n] = wt2.ravel()[1:].reshape(n, n + 2)[:, :-1].min()
+    mate = _Matcher(wt2).run()[:n]
+    mate[mate == n] = -1
+    return mate
 
-    weights: symmetric (n, n) array of edge weights (diagonal ignored).
-    Returns mate array of length n (mate[i] = j, or -1 for the one vertex
-    left single when n is odd).
-    """
+
+def max_weight_matching_dense(weights):
+    """Maximum-weight maximum-cardinality matching of a complete graph with
+    symmetric (n, n) edge ``weights`` (diagonal ignored): mate array of
+    length n, mate[i] = j, or -1 for the one vertex left single if n is odd."""
     w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
     if n < 2:
         return np.full(n, -1, dtype=np.int64)
-    if n % 2 == 1:
-        # A phantom vertex joined to every vertex by equal weights: each
-        # perfect matching uses one such edge, so the rest is a maximum-weight
-        # maximum-cardinality matching, whatever the common weight.
-        lightest = w[~np.eye(n, dtype=bool)].min()
-        w = np.pad(w, (0, 1), constant_values=lightest)
-    mate = _Matcher(w).run()[:n]
-    mate[mate == n] = -1
-    return mate
+    wt2 = np.empty((n + n % 2,) * 2)
+    np.multiply(w, 2.0, out=wt2[:n, :n])
+    return max_weight_mates(wt2, n)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from ._blossom import max_weight_matching_dense
+from ._blossom import max_weight_mates
 from .core import stable_argsort
 
 
@@ -150,7 +150,10 @@ def min_weight_matching(dist: np.ndarray) -> Matching:
     n = dist.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes")
-    mate = max_weight_matching_dense(dist.max() - dist)
+    wt2 = np.empty((n + n % 2,) * 2)  # with a row for odd n's phantom
+    w = np.subtract(dist.max(), dist, out=wt2[:n, :n])
+    w *= 2.0
+    mate = max_weight_mates(wt2, n)
     first = np.flatnonzero(mate > np.arange(n))
     pairs = np.column_stack([first, mate[first]])
     # added pair by pair: the builtin sum compensates from Python 3.12

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,22 @@ class TestMatching:
         m = min_weight_matching(d)
         assert len(m.pairs) == 1
 
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_working_set_two_weight_arrays(self, n):
+        """One call holds the doubled weights and one reused buffer, plus
+        ``allowedge`` and O(n) state; building ``max d - d``, ``2 w``, the
+        assignment cost and the feasibility slack apart held 4.11 N x N
+        float64 arrays at N=300 and 5.14 at N=301 (the odd-n padding)."""
+        d = random_dist(np.random.default_rng(n), n, p=4)
+        min_weight_matching(d)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            min_weight_matching(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) <= 2.25
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([4, 6, 8, 10]))
     def test_equals_brute_force(self, seed, n):
@@ -349,7 +366,7 @@ class TestMatching:
     def test_warm_start_feasible_and_tight(self, seed, n, lattice):
         rng = np.random.default_rng(seed)
         d = lattice_dist(rng, n) if lattice else random_dist(rng, n)
-        start = _Matcher(d.max() - d)
+        start = _Matcher(2.0 * (d.max() - d))
         slack = start.dualvar[:, None] + start.dualvar - start.wt2
         off = ~np.eye(n, dtype=bool)
         assert (slack[off] >= 0.0).all()
@@ -364,12 +381,12 @@ class TestMatching:
         rng = np.random.default_rng(seed)
         d = lattice_dist(rng, n) if lattice else random_dist(rng, n)
         w = d.max() - d
-        sigma = _assignment_duals(w)[0]
-        start = _Matcher(w)
+        sigma = _assignment_duals(2.0 * w)[0]
+        start = _Matcher(2.0 * w)
         matched = np.flatnonzero(start.mate >= 0)
         partner = start.mate[matched]
         assert ((sigma[matched] == partner) | (sigma[partner] == matched)).all()
-        again = _Matcher(w)
+        again = _Matcher(2.0 * w)
         assert start.mate.tobytes() == again.mate.tobytes()
         assert start.dualvar.tobytes() == again.dualvar.tobytes()
 
@@ -379,7 +396,7 @@ class TestMatching:
                  (61, 2, 3), (64, 2, 2), (99, 1, 4))
         for (n, p, side), seed in itertools.product(cases, range(5)):
             d = lattice_dist(np.random.default_rng(seed), n, p, side)
-            start = _Matcher(d.max() - d)
+            start = _Matcher(2.0 * (d.max() - d))
             slack = start.dualvar[:, None] + start.dualvar - start.wt2
             np.fill_diagonal(slack, np.inf)
             assert (slack >= 0.0).all()
@@ -396,8 +413,8 @@ class TestMatching:
         rng = np.random.default_rng(160)
         x = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
         d = squareform(pdist(x))
-        assert _assignment_duals(d.max() - d)[2] == n
-        start = _Matcher(d.max() - d)
+        assert _assignment_duals(2.0 * (d.max() - d))[2] == n
+        start = _Matcher(2.0 * (d.max() - d))
         slack = start.dualvar[:, None] + start.dualvar - start.wt2
         assert (slack[~np.eye(n, dtype=bool)] >= 0.0).all()
         m = min_weight_matching(d)
@@ -406,7 +423,7 @@ class TestMatching:
         # on continuous data the potentials settle well before the cap
         for n in (20, 100):
             d = random_dist(np.random.default_rng(n), n)
-            assert _assignment_duals(d.max() - d)[2] < n // 2
+            assert _assignment_duals(2.0 * (d.max() - d))[2] < n // 2
 
     @pytest.mark.parametrize("dgp, n, p", [
         ("t3", 200, 2), ("t3", 61, 50), ("lognormal", 120, 50),
